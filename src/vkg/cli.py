@@ -18,7 +18,12 @@ from fractions import Fraction as Q
 from typing import List, Optional, Sequence
 
 from . import collapsing, conformal, serialize, vectors
-from .liealg import LieRealization, build_realization
+from .liealg import (
+    LieRealization,
+    build_realization,
+    invariance_holds,
+    jacobi_holds,
+)
 from .pbw import (
     CapExceededError,
     StateVector,
@@ -245,7 +250,7 @@ def cmd_bracket_audit(cfg: RunConfig, samples: int) -> int:
         total = samples
     checked = 0
     for a, b, c in triples:
-        if not _jacobi_holds(lr, a, b, c) or not _invariance_holds(lr, a, b, c):
+        if not jacobi_holds(lr, a, b, c) or not invariance_holds(lr, a, b, c):
             print(json.dumps(_bracket_witness(lr, (a, b, c))))
             return CHECK_FAILED
         checked += 1
@@ -261,21 +266,6 @@ def cmd_bracket_audit(cfg: RunConfig, samples: int) -> int:
         f"({payload['mode']}), all identities hold",
     ])
     return OK
-
-
-def _jacobi_holds(lr, a, b, c) -> bool:
-    total = {}
-    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-        for i, cv in lr.bracket(y, z):
-            for j, cc in lr.bracket(x, i):
-                total[j] = total.get(j, Q(0)) + cv * cc
-    return not any(total.values())
-
-
-def _invariance_holds(lr, a, b, c) -> bool:
-    lhs = sum((cv * lr.form(i, c) for i, cv in lr.bracket(a, b)), Q(0))
-    rhs = sum((cv * lr.form(b, i) for i, cv in lr.bracket(a, c)), Q(0))
-    return lhs + rhs == 0
 
 
 def _build_family(lr: LieRealization, family: str, n: int, cap: int) -> StateVector:
@@ -584,9 +574,14 @@ def cmd_involutions(cfg: RunConfig, ell: int, count_only: bool,
                     with_signs: bool) -> int:
     if ell < 1:
         raise ValueError("--ell must be at least 1")
+    n = vectors.double_factorial_odd(ell)
     if count_only:
-        n = vectors.double_factorial_odd(ell)
         _emit({"ell": ell, "count": n}, cfg, [str(n)])
+        return OK
+    if n > cfg.cap:
+        detail = f"{n} involutions exceed cap {cfg.cap}"
+        payload = {"ell": ell, "status": "capped", "detail": detail}
+        _emit(payload, cfg, [f"ell={ell}: capped ({detail})"])
         return OK
     invs = vectors.enumerate_involutions(ell)
     rows = []
@@ -638,7 +633,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_involutions(cfg, args.ell, args.count, args.signs)
         raise ValueError(f"unknown verb {cfg.verb!r}")
     except (UnsupportedAlgebraError, conformal.NotClassifiedError,
-            collapsing.NotCollapsingError, ValueError, OSError) as exc:
+            collapsing.NotCollapsingError, ValueError, OSError,
+            RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -192,7 +192,8 @@ def _build_matrix_realization(rs: RootSystem) -> LieRealization:
     pos_map: Dict[Tuple[int, int], Tuple[int, Q]] = {}
     for idx, mat in enumerate(matrices):
         for pos, val in mat.items():
-            assert pos not in pos_map, f"ambiguous position {pos}"
+            if pos in pos_map:
+                raise ValueError(f"ambiguous matrix position {pos}")
             pos_map[pos] = (idx, val)
 
     def decompose(m: SparseMat) -> Dict[int, Q]:
@@ -203,14 +204,15 @@ def _build_matrix_realization(rs: RootSystem) -> LieRealization:
             prev = coeffs.get(idx)
             if prev is None:
                 coeffs[idx] = c
-            else:
-                assert prev == c, "inconsistent decomposition"
+            elif prev != c:
+                raise ValueError("inconsistent matrix decomposition")
         # exact reconstruction check
         recon: SparseMat = {}
         for idx, c in coeffs.items():
             for pos, val in matrices[idx].items():
                 recon[pos] = recon.get(pos, Q(0)) + c * val
-        assert {k: v for k, v in recon.items() if v} == m
+        if {k: v for k, v in recon.items() if v} != m:
+            raise ValueError("matrix is not in the span of the basis")
         return coeffs
 
     dim = len(labels)
@@ -267,7 +269,8 @@ def _build_cocycle_realization(rs: RootSystem) -> LieRealization:
     coeffs: Dict[Vec, Tuple[int, ...]] = {}
     for a in rs.roots:
         c = _expand(list(simple), a)
-        assert all(x.denominator == 1 for x in c)
+        if any(x.denominator != 1 for x in c):
+            raise ValueError(f"root {a} is not integral in the simple roots")
         coeffs[a] = tuple(int(x) for x in c)
 
     def eps(a: Vec, b: Vec) -> int:
@@ -354,11 +357,30 @@ def _spot_check(lr: LieRealization):
         expected = tuple(
             (i, c * pairing) for i, c in lr.coroot(a)
         )
-        assert lr.bracket(ia, ina) == expected, f"[e,f] != (e|f) nu for {a}"
+        if lr.bracket(ia, ina) != expected:
+            raise ValueError(f"[e,f] != (e|f) nu for {a}")
         for i in range(rs.rank):
             terms = lr.bracket(lr.h(i + 1), ia)
             c = rs.form(lr.cartan_duals[i], a)
-            assert terms == (((ia, c),) if c else ())
+            if terms != (((ia, c),) if c else ()):
+                raise ValueError(f"[h_{i + 1}, e] != alpha(h_{i + 1}) e for {a}")
+
+
+def jacobi_holds(lr: LieRealization, a: int, b: int, c: int) -> bool:
+    """[a, [b, c]] + [b, [c, a]] + [c, [a, b]] = 0 for basis indices a, b, c."""
+    total: Dict[int, Q] = {}
+    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+        for i, cv in lr.bracket(y, z):
+            for j, cc in lr.bracket(x, i):
+                total[j] = total.get(j, Q(0)) + cv * cc
+    return not any(total.values())
+
+
+def invariance_holds(lr: LieRealization, a: int, b: int, c: int) -> bool:
+    """([a, b] | c) + (b | [a, c]) = 0 for basis indices a, b, c."""
+    lhs = sum((cv * lr.form(i, c) for i, cv in lr.bracket(a, b)), Q(0))
+    rhs = sum((cv * lr.form(b, i) for i, cv in lr.bracket(a, c)), Q(0))
+    return lhs + rhs == 0
 
 
 # ---------------------------------------------------------------------------
@@ -406,11 +428,15 @@ def minimal_grading(lr: LieRealization) -> MinimalGrading:
 
 def _check_grading(mg: MinimalGrading):
     lr, rs = mg.lr, mg.lr.rs
-    assert mg.pieces.get(Q(1)) == (lr.e(rs.theta),)
-    assert mg.pieces.get(Q(-1)) == (lr.e(vscale(-1, rs.theta)),)
+    if mg.pieces.get(Q(1)) != (lr.e(rs.theta),):
+        raise ValueError("grade 1 is not spanned by e_theta")
+    if mg.pieces.get(Q(-1)) != (lr.e(vscale(-1, rs.theta)),):
+        raise ValueError("grade -1 is not spanned by e_-theta")
     dim_half = len(mg.pieces.get(Q(1, 2), ()))
-    assert dim_half == mg.data.dim_g_half
-    assert lr.dim == mg.data.dim_gnat + 1 + 2 + 2 * dim_half
+    if dim_half != mg.data.dim_g_half:
+        raise ValueError("grade 1/2 disagrees with the root data")
+    if lr.dim != mg.data.dim_gnat + 1 + 2 + 2 * dim_half:
+        raise ValueError("graded pieces do not add up to the dimension")
 
 
 class DegenerateFormError(ValueError):
@@ -462,7 +488,8 @@ def restricted_dual_coxeter(mg: MinimalGrading, i: int) -> Q:
     for r in range(m):
         for c in range(m):
             want = Q(1) if r == c else Q(0)
-            assert _cartan_form(lr, cartan[r], dual_cartan[c]) == want
+            if _cartan_form(lr, cartan[r], dual_cartan[c]) != want:
+                raise DegenerateFormError(f"dual Cartan basis wrong on component {i}")
 
     v0 = lr.e(comp.highest_root)
     acc: Dict[int, Q] = {}
@@ -473,7 +500,8 @@ def restricted_dual_coxeter(mg: MinimalGrading, i: int) -> Q:
     for r in range(m):
         _acc_double_bracket(lr, acc, _cart(cartan[r]), _cart(dual_cartan[r]), start)
     acc = {k: v for k, v in acc.items() if v}
-    assert set(acc) <= {v0}, f"Casimir not diagonal on e_theta: {sorted(acc)}"
+    if not set(acc) <= {v0}:
+        raise ValueError(f"Casimir not diagonal on e_theta: {sorted(acc)}")
     return acc.get(v0, Q(0)) / 2
 
 
@@ -573,7 +601,8 @@ def _matrix_cache(rs: RootSystem):
 def _check_flip(lr: LieRealization, out: Dict[int, Term]):
     for idx, (jdx, s) in out.items():
         j2, s2 = out[jdx]
-        assert j2 == idx and s * s2 == 1, "flip is not an involution"
+        if j2 != idx or s * s2 != 1:
+            raise ValueError("flip is not an involution")
     # automorphism property on every bracket pair
     for (a, b), terms in lr.bracket_table.items():
         if a > b:
@@ -587,8 +616,9 @@ def _check_flip(lr: LieRealization, out: Dict[int, Term]):
         for idx, c in terms:
             fi, si = out[idx]
             direct[fi] = direct.get(fi, Q(0)) + si * c
-        assert {k: v for k, v in image.items() if v} == \
-               {k: v for k, v in direct.items() if v}
+        if {k: v for k, v in image.items() if v} != \
+                {k: v for k, v in direct.items() if v}:
+            raise ValueError(f"flip is not an automorphism on ({a}, {b})")
 
 
 # ---------------------------------------------------------------------------

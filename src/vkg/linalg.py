@@ -71,24 +71,6 @@ def rank(rows: Sequence[Row], ncols: int) -> int:
     return len(rref(rows, ncols)[1])
 
 
-def solve(rows: Sequence[Row], rhs: Sequence[Q]) -> List[Q]:
-    """Solve A x = b for square invertible A given as sparse rows."""
-    n = len(rows)
-    aug = []
-    for i, r in enumerate(rows):
-        row = dict(r)
-        if rhs[i]:
-            row[n] = Q(rhs[i])
-        aug.append(row)
-    reduced, pivots = rref(aug, n)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    out = [Q(0)] * n
-    for row, pc in zip(reduced, pivots):
-        out[pc] = row.get(n, Q(0))
-    return out
-
-
 def invert(rows: Sequence[Row], n: int) -> List[List[Q]]:
     """Exact inverse of an n x n matrix given as sparse rows."""
     aug = []

@@ -66,8 +66,10 @@ class StateVector:
         return StateVector(Q(k), self.weight, self.degree, dict(self.terms))
 
     def __add__(self, other: "StateVector") -> "StateVector":
-        assert self.level == other.level
-        assert self.weight == other.weight and self.degree == other.degree
+        if self.level != other.level:
+            raise ValueError("cannot add states at different levels")
+        if self.weight != other.weight or self.degree != other.degree:
+            raise ValueError("cannot add states of different weight or degree")
         terms = dict(self.terms)
         for m, v in other.terms.items():
             new = terms.get(m, Q(0)) + v
@@ -301,6 +303,23 @@ def component_size(lr: LieRealization, weight: Vec, degree: int,
         return None
 
 
+def constraint_rows(engine: _Engine,
+                    monomials: Sequence[Monomial]) -> List[linalg.Row]:
+    """The raising-operator constraints on combinations of the monomials.
+
+    Column j stands for monomials[j]; there is one row per pair (raising
+    generator, monomial of its image), so the kernel of the stacked rows is
+    the set of combinations that every raising generator kills.
+    """
+    rows: Dict[Tuple[int, Monomial], linalg.Row] = {}
+    for gidx, (_, gen) in enumerate(raising_generators(engine.lr)):
+        for col, mono in enumerate(monomials):
+            for imono, c in engine.act_mono(gen.key, mono).items():
+                row = rows.setdefault((gidx, imono), {})
+                row[col] = row.get(col, Q(0)) + c
+    return [r for r in rows.values() if r]
+
+
 def singular_kernel(lr: LieRealization, k, weight: Vec, degree: int,
                     cap: Optional[int] = None) -> List[StateVector]:
     """Basis of the joint kernel of all raising generators on a component.
@@ -312,14 +331,7 @@ def singular_kernel(lr: LieRealization, k, weight: Vec, degree: int,
     basis = graded_basis(lr, weight, degree, cap=cap)
     if not basis:
         return []
-    engine = _Engine(lr, k)
-    rows: Dict[Tuple[int, Monomial], linalg.Row] = {}
-    for gidx, (_, gen) in enumerate(raising_generators(lr)):
-        for col, mono in enumerate(basis):
-            for imono, c in engine.act_mono(gen.key, mono).items():
-                row = rows.setdefault((gidx, imono), {})
-                row[col] = row.get(col, Q(0)) + c
-    matrix = [r for r in rows.values() if r]
+    matrix = constraint_rows(_Engine(lr, k), basis)
     kernel = linalg.nullspace(matrix, len(basis))
     out = []
     for vecdict in kernel:

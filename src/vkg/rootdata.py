@@ -15,6 +15,8 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Iterable, Sequence, Tuple
 
+from . import linalg
+
 Vec = Tuple[Q, ...]
 
 SUPPORTED_FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
@@ -83,20 +85,6 @@ class RootSystem:
 
     def form(self, a: Vec, b: Vec) -> Q:
         return dot(a, b) / self.scale
-
-    def is_root(self, a: Vec) -> bool:
-        return a in self._root_set()
-
-    def _root_set(self):
-        # cached on the instance via object dict trick is unavailable on a
-        # frozen dataclass; module-level cache keyed by id is overkill at
-        # these sizes, so rebuild lazily through lru_cache below.
-        return _root_set_of(self)
-
-
-@lru_cache(maxsize=None)
-def _root_set_of(rs: RootSystem):
-    return frozenset(rs.roots)
 
 
 def form(rs: RootSystem, a: Vec, b: Vec) -> Q:
@@ -296,15 +284,20 @@ def _vsum(vs: Iterable[Vec], dim: int) -> Vec:
 
 
 def _validate(rs: RootSystem):
-    assert rs.form(rs.theta, rs.theta) == 2
+    if rs.form(rs.theta, rs.theta) != 2:
+        raise ValueError(f"(theta, theta) != 2 for {rs.label}")
     root_set = set(rs.roots)
-    assert len(root_set) == len(rs.roots)
+    if len(root_set) != len(rs.roots):
+        raise ValueError(f"repeated roots in {rs.label}")
     for a in rs.simple_roots:
-        assert a in root_set, f"simple root {a} not a root of {rs.label}"
+        if a not in root_set:
+            raise ValueError(f"simple root {a} not a root of {rs.label}")
     # theta is the highest root: theta + alpha is never a root
     for a in rs.positive_roots:
-        assert vadd(rs.theta, a) not in root_set
-    assert rs.theta in root_set
+        if vadd(rs.theta, a) in root_set:
+            raise ValueError(f"theta + {a} is a root of {rs.label}")
+    if rs.theta not in root_set:
+        raise ValueError(f"theta is not a root of {rs.label}")
 
 
 def parse_algebra(label: str) -> RootSystem:
@@ -426,24 +419,10 @@ def canonical_type(family: str, rank: int) -> Tuple[str, int]:
     return (family, rank)
 
 
-def _span_rank(vectors: Sequence[Vec]) -> int:
-    rows = [list(v) for v in vectors]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while col < ncols and rank < len(rows):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col] / rows[rank][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+def _span_dim(vectors: Sequence[Vec]) -> int:
+    """Dimension of the linear span of the given vectors."""
+    rows = [{c: x for c, x in enumerate(v) if x} for v in vectors]
+    return linalg.rank(rows, len(vectors[0]) if vectors else 0)
 
 
 def classify_subsystem(roots: Sequence[Vec], form_fn) -> Tuple[str, int]:
@@ -454,7 +433,7 @@ def classify_subsystem(roots: Sequence[Vec], form_fn) -> Tuple[str, int]:
     as so(5) or sp(4).
     """
     n = len(roots)
-    rank = _span_rank(list(roots))
+    rank = _span_dim(roots)
     norms = sorted({form_fn(a, a) for a in roots})
     if len(norms) == 1:
         if n == rank * (rank + 1):
@@ -482,14 +461,16 @@ def classify_subsystem(roots: Sequence[Vec], form_fn) -> Tuple[str, int]:
 def _positive_half(block: Sequence[Vec]) -> list:
     """Lexicographically positive half: first nonzero coordinate positive."""
     pos = [a for a in block if a > vscale(-1, a)]
-    assert 2 * len(pos) == len(block)
+    if 2 * len(pos) != len(block):
+        raise ValueError("root block is not closed under negation")
     return pos
 
 
 def _highest_root(pos: Sequence[Vec], root_set) -> Vec:
     """The unique positive root beta with beta + alpha never a root."""
     tops = [b for b in pos if all(vadd(b, a) not in root_set for a in pos)]
-    assert len(tops) == 1, f"expected a unique highest root, got {tops}"
+    if len(tops) != 1:
+        raise ValueError(f"expected a unique highest root, got {tops}")
     return tops[0]
 
 
@@ -531,7 +512,7 @@ def minimal_grading_data(rs: RootSystem) -> GradingData:
         components.append(
             RootSubsystem(
                 roots=tuple(block),
-                rank=_span_rank(block),
+                rank=_span_dim(block),
                 family=fam,
                 type_rank=trank,
                 highest_root=theta_i,
@@ -542,7 +523,8 @@ def minimal_grading_data(rs: RootSystem) -> GradingData:
     components.sort(key=lambda c: (-len(c.roots), c.roots))
     comp_rank = sum(c.rank for c in components)
     center = (rs.rank - 1) - comp_rank
-    assert center >= 0
+    if center < 0:
+        raise ValueError(f"negative center dimension {center} for {rs.label}")
     return GradingData(
         rs=rs,
         components=tuple(components),

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction as Q
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .liealg import LieRealization, UnsupportedAlgebraError, dynkin_flip
@@ -24,7 +24,7 @@ from .pbw import (
     _Engine,
     apply_string,
     component_size,
-    raising_generators,
+    constraint_rows,
     singular_kernel,
     vacuum,
 )
@@ -107,7 +107,8 @@ def _apply_operator(lr, summands, state: StateVector,
     for coef, gens in summands:
         piece = apply_string(lr, gens, state, engine=engine).scaled(coef)
         total = piece if total is None else total + piece
-    assert total is not None
+    if total is None:
+        raise ValueError("operator has no summands")
     return total
 
 
@@ -137,7 +138,8 @@ def build_v_n(lr: LieRealization, n: int,
     engine = _Engine(lr, state.level)
     for _ in range(n):
         state = _apply_operator(lr, summands, state, engine=engine)
-    assert state.weight == weight and state.degree == 2 * n
+    if state.weight != weight or state.degree != 2 * n:
+        raise ValueError("v_n landed outside its weight and degree")
     return state
 
 
@@ -205,7 +207,8 @@ def build_w_n(lr: LieRealization, n: int,
     engine = _Engine(lr, state.level)
     for _ in range(n):
         state = _apply_operator(lr, summands, state, engine=engine)
-    assert state.weight == weight and state.degree == n * l
+    if state.weight != weight or state.degree != n * l:
+        raise ValueError("w_n landed outside its weight and degree")
     return state
 
 
@@ -235,7 +238,8 @@ def theta_image(lr: LieRealization, v: StateVector) -> StateVector:
         piece = apply_string(lr, gens, vacuum(lr, v.level),
                              engine=engine).scaled(c)
         total = piece if total is None else total + piece
-    assert total is not None
+    if total is None:
+        raise ValueError("theta_image needs a nonzero vector")
     return total
 
 
@@ -296,6 +300,11 @@ E7_SUPPORT_SUBSETS = (
 )
 
 
+def _require_e7(lr: LieRealization, what: str) -> None:
+    if (lr.rs.family, lr.rs.rank) != ("E", 7):
+        raise UnsupportedAlgebraError(f"{what} needs E7, got {lr.rs.label}")
+
+
 def e7_subset_root(subset: Sequence[int]) -> Vec:
     """Half-sum root of E7 labeled by an odd subset of {1..6}.
 
@@ -312,8 +321,7 @@ def e7_subset_root(subset: Sequence[int]) -> Vec:
 
 def e7_support_products(lr: LieRealization) -> List[Tuple[Vec, Vec]]:
     """The five displayed quadratic products for the E7 singular vector."""
-    rs = lr.rs
-    assert (rs.family, rs.rank) == ("E", 7)
+    _require_e7(lr, "e7_support_products")
     e = lambda i: basis_vector(8, i - 1)
     first = (vadd(e(8), vscale(-1, e(7))), vadd(e(6), e(5)))
     rest = [
@@ -329,8 +337,7 @@ def e7_d6_a1_subalgebra(lr: LieRealization):
     positive roots spanning a D6 subsystem, the orthogonal A1 root, and the
     six roots whose root vectors generate the D6 factor.
     """
-    rs = lr.rs
-    assert (rs.family, rs.rank) == ("E", 7)
+    _require_e7(lr, "e7_d6_a1_subalgebra")
     e = lambda i: basis_vector(8, i - 1)
     pos: List[Vec] = [vadd(e(6), e(5)), vadd(e(8), vscale(-1, e(7)))]
     pos += [e7_subset_root((i,)) for i in range(1, 5)]
@@ -371,18 +378,14 @@ def resolve_signs(lr: LieRealization, level=Q(-4)):
         state = apply_string(
             lr, [_gen(lr, a), _gen(lr, b)], vacuum(lr, level)
         )
-        assert state.support_size() == 1
+        if state.support_size() != 1:
+            raise ValueError(f"product {a} * {b} is not one monomial")
         ((mono, c),) = state.terms.items()
-        assert c == 1
+        if c != 1:
+            raise ValueError(f"product {a} * {b} has coefficient {c}")
         monos.append(mono)
-    engine = _Engine(lr, level)
-    rows: Dict[Tuple[int, Tuple], linalg.Row] = {}
-    for gidx, (_, gen) in enumerate(raising_generators(lr)):
-        for col, mono in enumerate(monos):
-            for imono, c in engine.act_mono(gen.key, mono).items():
-                row = rows.setdefault((gidx, imono), {})
-                row[col] = row.get(col, Q(0)) + c
-    kernel = linalg.nullspace([r for r in rows.values() if r], len(monos))
+    rows = constraint_rows(_Engine(lr, level), monos)
+    kernel = linalg.nullspace(rows, len(monos))
     if len(kernel) != 1:
         raise ValueError(
             f"support solve gave solution space of dimension {len(kernel)}"

@@ -27,7 +27,7 @@ from vkg.conformal import (
     kl_spectrum,
     w_lowest_weight,
 )
-from vkg.liealg import build_realization
+from vkg.liealg import build_realization, invariance_holds, jacobi_holds
 from vkg.pbw import (
     CapExceededError,
     LoopGenerator,
@@ -260,8 +260,6 @@ def test_criterion_6_classification_enumerators():
 
 def test_criterion_7_property_sweeps():
     import itertools
-
-    from test_liealg import invariance_holds, jacobi_holds
 
     ok = True
     # exhaustive Jacobi and invariance up to rank four

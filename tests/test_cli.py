@@ -262,3 +262,31 @@ def test_roots_csv(capsys):
     assert code == 0
     assert out.splitlines()[0] == "coordinates"
     assert len(out.strip().splitlines()) == 9  # header + 8 roots
+
+
+def test_ve7_on_other_algebra_is_usage_error(capsys):
+    code, out, err = run(capsys, "singular-verify", "--algebra", "D:4",
+                         "--family", "ve7")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "E7" in err
+
+
+def test_deep_degree_is_usage_error(capsys):
+    code, out, err = run(capsys, "singular-verify", "--algebra", "D:4",
+                         "--family", "vn", "--n", "600", "--cap", "1000")
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+def test_involutions_refused_above_cap(monkeypatch, capsys):
+    def enumerate_involutions(ell):
+        raise AssertionError("enumerated despite the cap")
+
+    monkeypatch.setattr("vkg.vectors.enumerate_involutions",
+                        enumerate_involutions)
+    code, out, _ = run(capsys, "involutions", "--ell", "8", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "ell": 8, "status": "capped",
+        "detail": "2027025 involutions exceed cap 200000",
+    }

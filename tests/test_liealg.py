@@ -8,6 +8,8 @@ from vkg.liealg import (
     build_realization,
     dynkin_flip,
     flip_root_pair,
+    invariance_holds,
+    jacobi_holds,
     minimal_grading,
     restricted_dual_coxeter,
 )
@@ -26,21 +28,6 @@ def bracket_vec(lr, terms, idx):
         for j, cc in lr.bracket(i, idx):
             out[j] = out.get(j, Q(0)) + c * cc
     return {k: v for k, v in out.items() if v}
-
-
-def jacobi_holds(lr, a, b, c):
-    total = {}
-    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-        for i, cv in lr.bracket(y, z):
-            for j, cc in lr.bracket(x, i):
-                total[j] = total.get(j, Q(0)) + cv * cc
-    return not any(total.values())
-
-
-def invariance_holds(lr, a, b, c):
-    lhs = sum((cv * lr.form(i, c) for i, cv in lr.bracket(a, b)), Q(0))
-    rhs = sum((cv * lr.form(b, i) for i, cv in lr.bracket(a, c)), Q(0))
-    return lhs + rhs == 0
 
 
 def test_d4_bracket_spot_checks():
