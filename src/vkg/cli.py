@@ -287,6 +287,7 @@ def _build_family(lr: LieRealization, family: str, n: int, cap: int) -> StateVec
 
 
 def cmd_singular_verify(cfg: RunConfig, family: str, n: int) -> int:
+    level = None if cfg.level is None else serialize.parse_frac(cfg.level)
     rs = parse_algebra(cfg.algebra)
     lr = build_realization(rs.family, rs.rank)
     try:
@@ -296,8 +297,8 @@ def cmd_singular_verify(cfg: RunConfig, family: str, n: int) -> int:
                    "status": "capped", "detail": str(exc)}
         _emit(payload, cfg, [f"{rs.label} {family} n={n}: capped ({exc})"])
         return OK
-    if cfg.level is not None:
-        v = v.at_level(serialize.parse_frac(cfg.level))
+    if level is not None:
+        v = v.at_level(level)
     ok, witness = is_singular(lr, v)
     payload = {
         "algebra": rs.label,

@@ -266,12 +266,7 @@ def _build_cocycle_realization(rs: RootSystem) -> LieRealization:
         for j in range(i + 1, rank):
             bits[i][j] = gram[i][j] % 2
 
-    coeffs: Dict[Vec, Tuple[int, ...]] = {}
-    for a in rs.roots:
-        c = _expand(list(simple), a)
-        if any(x.denominator != 1 for x in c):
-            raise ValueError(f"root {a} is not integral in the simple roots")
-        coeffs[a] = tuple(int(x) for x in c)
+    coeffs = dict(zip(rs.roots, rs.coefficients))
 
     def eps(a: Vec, b: Vec) -> int:
         ma, mb = coeffs[a], coeffs[b]

@@ -1,19 +1,21 @@
 """Root systems of the simple Lie algebras in epsilon-coordinates.
 
 Every root system is realized inside an ambient rational coordinate space
-(dimension ``rank`` for B/C/D, ``rank + 1`` for A, 8 for E6/E7, and the
-classical choices for E8/F4/G2).  The invariant bilinear form is the ambient
-dot product divided by a per-type scale chosen so that the highest root theta
+(dimension ``rank`` for B/C/D/F4, ``rank + 1`` for A, 8 for E6/E7/E8, and 3
+for G2).  Only the simple roots are tabulated; the positive roots are
+generated from them by root strings over the integer Cartan matrix, theta is
+the root of greatest height, and the fundamental weights come from the
+inverse Cartan matrix.  The invariant bilinear form is the ambient dot
+product divided by a per-type scale chosen so that the highest root theta
 satisfies ``(theta, theta) = 2``.  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from . import linalg
 
@@ -72,6 +74,9 @@ class RootSystem:
     theta: Vec
     rho: Vec
     scale: Q  # form(a, b) = dot(a, b) / scale
+    # simple-root coefficients of each root, in the order of ``roots``;
+    # determined by roots and simple_roots, so left out of == and hash
+    coefficients: Tuple[Tuple[int, ...], ...] = field(compare=False)
     dual_coxeter: Q = field(init=False)
 
     def __post_init__(self):
@@ -97,98 +102,71 @@ def casimir_eigenvalue(rs: RootSystem, mu: Vec) -> Q:
     return rs.form(mu, vadd(mu, vscale(2, rs.rho)))
 
 
-def _positive_roots_classical(family: str, rank: int, dim: int):
+_MIN_RANK = {"A": 1, "B": 2, "C": 1, "D": 3}
+_EXCEPTIONAL = (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))
+
+
+def _simple_roots(family: str, rank: int) -> Tuple[int, List[Vec]]:
+    """Ambient dimension and simple roots alpha_1 .. alpha_rank, Bourbaki order."""
+    if not (rank >= _MIN_RANK.get(family, rank + 1)
+            or (family, rank) in _EXCEPTIONAL):
+        raise UnsupportedAlgebraError(
+            f"unsupported algebra {family}{rank}; supported families are "
+            "A(l>=1), B(l>=2), C(l>=1), D(l>=3), E6/E7/E8, F4, G2"
+        )
+    if family == "G":
+        return 3, [vec(1, -1, 0), vec(-2, 1, 1)]
+    dim = {"A": rank + 1, "E": 8}.get(family, rank)
     e = lambda i: basis_vector(dim, i)
-    pos = []
-    if family == "A":
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                pos.append(vsub(e(i), e(j)))
-        return pos
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            pos.append(vsub(e(i), e(j)))
-            pos.append(vadd(e(i), e(j)))
-    if family == "B":
-        pos.extend(e(i) for i in range(rank))
-    elif family == "C":
-        pos.extend(vscale(2, e(i)) for i in range(rank))
-    return pos
-
-
-def _half_vectors(dim: int, signs_at: Sequence[int], fixed: Vec, parity: int):
-    """All fixed + (1/2) sum of +-eps_i over signs_at with given minus-parity."""
-    out = []
-    for choice in itertools.product((1, -1), repeat=len(signs_at)):
-        if sum(1 for s in choice if s < 0) % 2 != parity:
-            continue
-        v = list(fixed)
-        for idx, s in zip(signs_at, choice):
-            v[idx] += Q(s, 2)
-        out.append(tuple(v))
-    return out
-
-
-def _positive_roots_exceptional(family: str, rank: int):
-    if family == "G":  # G2 in the 3-coordinate realization
-        a1 = vec(1, -1, 0)
-        a2 = vec(-2, 1, 1)
-        combos = [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)]
-        return [vadd(vscale(m, a1), vscale(n, a2)) for m, n in combos], [a1, a2]
-    if family == "F":  # F4
-        e = lambda i: basis_vector(4, i)
-        pos = [e(i) for i in range(4)]
-        for i in range(4):
-            for j in range(i + 1, 4):
-                pos.append(vadd(e(i), e(j)))
-                pos.append(vsub(e(i), e(j)))
-        pos.extend(_half_vectors(4, [1, 2, 3], vec(Q(1, 2), 0, 0, 0), 0))
-        pos.extend(_half_vectors(4, [1, 2, 3], vec(Q(1, 2), 0, 0, 0), 1))
-        simple = [
-            vsub(e(1), e(2)),
-            vsub(e(2), e(3)),
-            e(3),
-            vec(Q(1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2)),
+    half = Q(1, 2)
+    if family == "E":
+        alpha1 = vec(half, *[-half] * 6, half)
+        return dim, [alpha1, vadd(e(0), e(1))] + [
+            vsub(e(i + 1), e(i)) for i in range(rank - 2)
         ]
-        return pos, simple
-    # E6 / E7 / E8 in the 8-coordinate realization
-    e = lambda i: basis_vector(8, i)
-    alpha1 = vec(
-        Q(1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2),
-        Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(1, 2),
-    )
-    simple = [alpha1, vadd(e(0), e(1))]
-    simple += [vsub(e(i + 1), e(i)) for i in range(rank - 2)]
-    if rank == 6:
-        pairs = range(5)
-        fixed = vec(0, 0, 0, 0, 0, Q(-1, 2), Q(-1, 2), Q(1, 2))
-        half = _half_vectors(8, list(pairs), fixed, 0)
-    elif rank == 7:
-        pairs = range(6)
-        fixed = vec(0, 0, 0, 0, 0, 0, Q(-1, 2), Q(1, 2))
-        half = _half_vectors(8, list(pairs), fixed, 1)
-    else:  # E8: positive halves have coefficient +1/2 on eps_8
-        pairs = range(8)
-        fixed = vec(0, 0, 0, 0, 0, 0, 0, Q(1, 2))
-        half = _half_vectors(8, list(range(7)), fixed, 0)
-    pos = []
-    for i in pairs:
-        for j in pairs:
-            if i < j:
-                pos.append(vadd(e(j), e(i)))
-                pos.append(vsub(e(j), e(i)))
-    if rank == 7:
-        pos.append(vsub(e(7), e(6)))
-    pos.extend(h for h in half)
-    return pos, simple
+    if family == "F":
+        return dim, [vsub(e(1), e(2)), vsub(e(2), e(3)), e(3),
+                     vec(half, -half, -half, -half)]
+    chain = [vsub(e(i), e(i + 1)) for i in range(dim - 1)]
+    last = {"A": [], "B": [e(rank - 1)], "C": [vscale(2, e(rank - 1))],
+            "D": [vadd(e(rank - 2), e(rank - 1))]}[family]
+    return dim, chain + last
 
 
-_THETA = {
-    "B": lambda dim: vadd(basis_vector(dim, 0), basis_vector(dim, 1)),
-    "D": lambda dim: vadd(basis_vector(dim, 0), basis_vector(dim, 1)),
-    "C": lambda dim: vscale(2, basis_vector(dim, 0)),
-    "A": lambda dim: vsub(basis_vector(dim, 0), basis_vector(dim, dim - 1)),
-}
+def _cartan_matrix(simple: Sequence[Vec]) -> List[List[int]]:
+    """C[i][j] = <alpha_i, alpha_j^vee> = 2 (alpha_i, alpha_j) / (alpha_j, alpha_j)"""
+    return [[int(2 * dot(a, b) / dot(b, b)) for b in simple] for a in simple]
+
+
+def _positive_coefficients(cartan: Sequence[Sequence[int]]):
+    """Every positive root as its tuple of simple-root coefficients.
+
+    Grows the roots height by height with the root-string rule: if the
+    alpha_j-string through beta is beta - p alpha_j, ..., beta + q alpha_j,
+    then p - q = <beta, alpha_j^vee>, so beta + alpha_j is a root iff
+    q = p - <beta, alpha_j^vee> > 0.  All roots of smaller height are known
+    when beta's string is read, so p is exact.
+    """
+    l = len(cartan)
+    layer = [tuple(int(i == j) for j in range(l)) for i in range(l)]
+    known = set(layer)
+    while layer:
+        nxt = []
+        for beta in layer:
+            for j in range(l):
+                down = list(beta)
+                down[j] -= 1
+                p = 0
+                while tuple(down) in known:
+                    p += 1
+                    down[j] -= 1
+                pairing = sum(beta[i] * cartan[i][j] for i in range(l))
+                up = beta[:j] + (beta[j] + 1,) + beta[j + 1:]
+                if p > pairing and up not in known:
+                    known.add(up)
+                    nxt.append(up)
+        layer = nxt
+    return known
 
 
 @lru_cache(maxsize=None)
@@ -196,69 +174,21 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     """Construct the root system for the given family and rank.
 
     Supported: A_l (l >= 1), B_l (l >= 2), C_l (l >= 1), D_l (l >= 3),
-    E6, E7, E8, F4, G2.
+    E6, E7, E8, F4, G2.  Only the simple roots are given; the positive
+    roots are generated from them by root strings, and theta is the root
+    of greatest height.
     """
     family = family.upper()
-    if family == "A" and rank >= 1:
-        dim = rank + 1
-        pos = _positive_roots_classical("A", rank, dim)
-        simple = [
-            vsub(basis_vector(dim, i), basis_vector(dim, i + 1))
-            for i in range(rank)
-        ]
-        theta = _THETA["A"](dim)
-    elif family == "B" and rank >= 2:
-        dim = rank
-        pos = _positive_roots_classical("B", rank, dim)
-        simple = [
-            vsub(basis_vector(dim, i), basis_vector(dim, i + 1))
-            for i in range(rank - 1)
-        ] + [basis_vector(dim, rank - 1)]
-        theta = _THETA["B"](dim)
-    elif family == "C" and rank >= 1:
-        dim = rank
-        pos = _positive_roots_classical("C", rank, dim)
-        simple = [
-            vsub(basis_vector(dim, i), basis_vector(dim, i + 1))
-            for i in range(rank - 1)
-        ] + [vscale(2, basis_vector(dim, rank - 1))]
-        theta = _THETA["C"](dim)
-    elif family == "D" and rank >= 3:
-        dim = rank
-        pos = _positive_roots_classical("D", rank, dim)
-        simple = [
-            vsub(basis_vector(dim, i), basis_vector(dim, i + 1))
-            for i in range(rank - 1)
-        ] + [vadd(basis_vector(dim, rank - 2), basis_vector(dim, rank - 1))]
-        theta = _THETA["D"](dim)
-    elif family == "E" and rank in (6, 7, 8):
-        dim = 8
-        pos, simple = _positive_roots_exceptional("E", rank)
-        if rank == 6:
-            theta = vec(
-                Q(1, 2), Q(1, 2), Q(1, 2), Q(1, 2),
-                Q(1, 2), Q(-1, 2), Q(-1, 2), Q(1, 2),
-            )
-        elif rank == 7:
-            theta = vsub(basis_vector(8, 7), basis_vector(8, 6))
-        else:
-            theta = vadd(basis_vector(8, 6), basis_vector(8, 7))
-    elif family == "F" and rank == 4:
-        dim = 4
-        pos, simple = _positive_roots_exceptional("F", 4)
-        theta = vadd(basis_vector(4, 0), basis_vector(4, 1))
-    elif family == "G" and rank == 2:
-        dim = 3
-        pos, simple = _positive_roots_exceptional("G", 2)
-        theta = vec(-1, -1, 2)
-    else:
-        raise UnsupportedAlgebraError(
-            f"unsupported algebra {family}{rank}; supported families are "
-            "A(l>=1), B(l>=2), C(l>=1), D(l>=3), E6/E7/E8, F4, G2"
-        )
-
-    pos = sorted(set(pos))
+    dim, simple = _simple_roots(family, rank)
+    by_root = {}
+    for c in _positive_coefficients(_cartan_matrix(simple)):
+        root = _vsum((vscale(m, a) for m, a in zip(c, simple) if m), dim)
+        by_root[root] = c
+    pos = sorted(by_root)
+    theta = max(pos, key=lambda a: sum(by_root[a]))
     roots = tuple(pos + [vscale(-1, a) for a in pos])
+    coefficients = tuple(by_root[a] for a in pos)
+    coefficients += tuple(tuple(-m for m in c) for c in coefficients)
     rho = vscale(Q(1, 2), _vsum(pos, dim))
     scale = dot(theta, theta) / 2
     rs = RootSystem(
@@ -271,6 +201,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         theta=theta,
         rho=rho,
         scale=scale,
+        coefficients=coefficients,
     )
     _validate(rs)
     return rs
@@ -325,29 +256,13 @@ def parse_algebra(label: str) -> RootSystem:
 
 
 def fundamental_weight(rs: RootSystem, i: int) -> Vec:
-    """Fundamental weight omega_i (1-indexed) for the classical families."""
+    """Fundamental weight omega_i (1-indexed): sum_j (C^-1)_ij alpha_j."""
     if not 1 <= i <= rs.rank:
         raise ValueError(f"index {i} out of range for rank {rs.rank}")
-    dim, l = rs.ambient, rs.rank
-    if rs.family == "A":
-        v = [Q(dim - i, dim)] * i + [Q(-i, dim)] * (dim - i)
-        return tuple(v)
-    if rs.family == "C":
-        return _vsum([basis_vector(dim, j) for j in range(i)], dim)
-    if rs.family == "B":
-        if i == l:
-            return vscale(Q(1, 2), _vsum([basis_vector(dim, j) for j in range(l)], dim))
-        return _vsum([basis_vector(dim, j) for j in range(i)], dim)
-    if rs.family == "D":
-        if i == l:
-            return vscale(Q(1, 2), _vsum([basis_vector(dim, j) for j in range(l)], dim))
-        if i == l - 1:
-            v = [Q(1, 2)] * (l - 1) + [Q(-1, 2)]
-            return tuple(v)
-        return _vsum([basis_vector(dim, j) for j in range(i)], dim)
-    raise UnsupportedAlgebraError(
-        f"fundamental weights not implemented for {rs.label}"
-    )
+    cartan = [{j: Q(c) for j, c in enumerate(row) if c}
+              for row in _cartan_matrix(rs.simple_roots)]
+    row = linalg.invert(cartan, rs.rank)[i - 1]
+    return _vsum((vscale(c, a) for c, a in zip(row, rs.simple_roots)), rs.ambient)
 
 
 def is_dominant_integral(rs: RootSystem, mu: Vec) -> bool:

@@ -156,10 +156,7 @@ def build_w1_D(lr: LieRealization, level=Q(-2)) -> StateVector:
     rs = lr.rs
     if rs.family != "D" or rs.rank < 4:
         raise UnsupportedAlgebraError("build_w1_D needs type D of rank >= 4")
-    return _matching_vector(
-        lr, level,
-        [((1, 2), (3, 4), 1), ((1, 3), (2, 4), -1), ((1, 4), (2, 3), 1)],
-    )
+    return _matching_vector(lr, level)
 
 
 def build_w3_D4(lr: LieRealization, level=Q(-2)) -> StateVector:
@@ -176,10 +173,15 @@ def build_w3_D4(lr: LieRealization, level=Q(-2)) -> StateVector:
     return _apply_operator(lr, terms, vac)
 
 
-def _matching_vector(lr, level, signed_matchings) -> StateVector:
+# the three perfect matchings of {1, 2, 3, 4}, with their signs
+_D4_MATCHINGS = (((1, 2), (3, 4), 1), ((1, 3), (2, 4), -1), ((1, 4), (2, 3), 1))
+
+
+def _matching_vector(lr, level) -> StateVector:
+    """sum over _D4_MATCHINGS of sign * e_{eps_i+eps_j}(-1) e_{eps_k+eps_m}(-1) 1."""
     vac = vacuum(lr, Q(level))
     summands = []
-    for *pairs, sign in signed_matchings:
+    for *pairs, sign in _D4_MATCHINGS:
         gens = [_gen(lr, vadd_eps(lr, i, j)) for i, j in pairs]
         summands.append((Q(sign), gens))
     return _apply_operator(lr, summands, vac)
@@ -262,10 +264,7 @@ def build_w1_B(lr: LieRealization, level=Q(-2)) -> StateVector:
         raise UnsupportedAlgebraError("build_w1_B needs type B of rank >= 2")
     level = Q(level)
     if rs.rank >= 4:
-        return _matching_vector(
-            lr, level,
-            [((1, 2), (3, 4), 1), ((1, 3), (2, 4), -1), ((1, 4), (2, 3), 1)],
-        )
+        return _matching_vector(lr, level)
     if rs.rank == 3:
         vac = vacuum(lr, level)
         terms = [

@@ -278,6 +278,18 @@ def test_deep_degree_is_usage_error(capsys):
     assert err.startswith("error:")
 
 
+def test_bad_level_refused_before_building(monkeypatch, capsys):
+    def build_w_n(*args, **kwargs):
+        raise AssertionError("built the vector before parsing --level")
+
+    monkeypatch.setattr("vkg.vectors.build_w_n", build_w_n)
+    code, out, err = run(capsys, "singular-verify", "--algebra", "D:8",
+                         "--family", "wn", "--n", "2", "--level=abc")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: not an exact rational")
+
+
 def test_involutions_refused_above_cap(monkeypatch, capsys):
     def enumerate_involutions(ell):
         raise AssertionError("enumerated despite the cap")

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction as Q
 
 import pytest
@@ -19,6 +21,7 @@ from vkg.rootdata import (
     vscale,
     vzero,
 )
+from vkg.serialize import root_system_to_json
 
 # (family, rank, number of roots, dual Coxeter number)
 TABLE_ONE_VALUES = [
@@ -86,6 +89,97 @@ def test_form_examples():
     assert rs6.form(rs6.rho, rs6.theta) == 9
 
 
+# SHA-256 of the compact, key-sorted JSON of root_system_to_json, recorded
+# from the hand-written root lists that the root-string generator replaced.
+# Any change to coordinates, root order, theta, rho or h^vee fails here.
+ROOT_SYSTEM_DIGESTS = [
+    ("A", 1, "c49b378a7b4792bd8eff1c535b32449d96d1141bc0a05a418c1092c31d067d3f"),
+    ("A", 2, "e925b538aba0671f10e1065a03ff8af2f4e5a8ba285d1ce9bec126744afbf8ca"),
+    ("A", 3, "570c27c3d8cb6ff3fe8cf284d89d80da7c8c9e99dc17f1fe692692addb69612a"),
+    ("A", 4, "699043f403c48b1e1a0f9723bc2d85c73f821190f788cdbd32051ed08afeb34d"),
+    ("A", 5, "b22fe7494ecd5e2b432ce31eb1cc6bea68257dcaa36b34b95a52cc433466004a"),
+    ("A", 6, "2709703baefee9ef4dd9c5934b3d9c49eb76703196762e6729fabacb77f06025"),
+    ("A", 7, "20fb86028ef28d2a52292b422b72e77011d573f21f1d1074ab03e6a09a0f8ac5"),
+    ("A", 8, "ca45d54c2826beee694cc8bc089427700a6ac474aec645074b2646fc0248233b"),
+    ("A", 9, "fc3eeff8e6b1c6c60fa0cf04fa4f0bd85f9ed0f4b57bb04577599cf952e85f9b"),
+    ("B", 2, "6daf1c57518e402d0f903dac8a93ad8120b2a949e82c7d79fe36a090c2ca74b7"),
+    ("B", 3, "a1373a69939c9eec58ac14c3a8bf848a39c2dabec85f7eaf9cf5ed8f334792b3"),
+    ("B", 4, "b38b5c2823a8c79cf3e27636b7555707e22301cd3b6c510de45cfbe99b9b7443"),
+    ("B", 5, "5b7e4bae4cb26822e6d4811c0ae8a10f6f04772b58c45c69829d3e095117fa40"),
+    ("B", 6, "3b393f2367abd900c51a2596542edffde77f2bf18715148e878094e82865b4df"),
+    ("B", 7, "ccdbcab222c243508f46a6b133e545bb7ca0ed487c728321df2730cae99e4edc"),
+    ("B", 8, "159429cefd5be293a0625e9f993ff05967f018a6070341a6140feb09c2de9dca"),
+    ("B", 9, "5c579ea3e511218c549218058757a092a76f700f57b66ad73468cefbcc874c69"),
+    ("C", 1, "1d75caec2b7b9fd2b16dbf2101855aa172805f9c5de8d1c98199d9371f9be831"),
+    ("C", 2, "47e359d877b09444692744fd38b3c3faf738d3a589f77cba58fb56fd91960194"),
+    ("C", 3, "278decf695ed8ea75d64d42dd75ab8a7b9dc424ff3760d2e45f06f845cbd9b18"),
+    ("C", 4, "e2cabf15405d80ead81470387af0159d430be6a9f3f664d362d0935381b8e4f2"),
+    ("C", 5, "66de74392875f3648fce763e273daf47d70c8f55734c1ebb64d4f7740c89fa9d"),
+    ("C", 6, "d447463bc332f36d288fabc6910d09ec272a6af0c03629d072ca98d4d284cd6a"),
+    ("C", 7, "b85ba2ab278bd2b93058bc9b5926d033b088dfe12a6231365c18f8f2e539a3aa"),
+    ("C", 8, "1a905202f52674b0ae346eedc540b13901a2a3bd8e5e42eb27bea1740428f3f3"),
+    ("C", 9, "d7bd05f427568676f47cbde2dd5c78f2d79e1dcd3891ab3c489745ab892f838b"),
+    ("D", 3, "c2db6c6db4a072c1962c654c2c8c777d112d20a84a342be246266f0d01e20d1a"),
+    ("D", 4, "3c1c6bd4344b452d73e94ed532758bf9a9c30d5178697d697043c625a24a7bae"),
+    ("D", 5, "584dc0a097f4e6b1ba1f30e78f86ad71c54a2cb25b5fa3ffd14794e7a5200fde"),
+    ("D", 6, "c58042256a4ed5bef434aa4ff37deb2f3a63c49ec2979aec5da184f7a46bd117"),
+    ("D", 7, "74818e2e929859f637bf94970d4444b1569673b89ec6b25a295c25553fcb1f7c"),
+    ("D", 8, "e382c048973015dd6ea05843cf7980d45b80aaab739a836456eb10ecdea871c7"),
+    ("D", 9, "ec7f4dc191392ec15a7f13c4747bc73000f4ec2613122af0d4139bb007c29e6b"),
+    ("E", 6, "6dde3d2a5e3b9b9b725163f4e0861a65eb8ab225dc43236a05442c3a543718c2"),
+    ("E", 7, "77433d8acaa1818202866bba317a44ddf5a6b5052911f1d8261763ae4ec2d272"),
+    ("E", 8, "fea6aec9e6599aa76325616d27e7d0af34f6bed56a22cbcdff514e3458da437a"),
+    ("F", 4, "e55b6d593888fa4ddcae158b31e723985621d1e72bed87fc631c74ea509bbb52"),
+    ("G", 2, "0e66893e42112ce33bfd3d121cd51c2e557431d1035dd8a146d5daab8b8ed5b1"),
+]
+
+
+@pytest.mark.parametrize("family,rank,digest", ROOT_SYSTEM_DIGESTS)
+def test_root_system_json_digest(family, rank, digest):
+    text = json.dumps(root_system_to_json(build_root_system(family, rank)),
+                      sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _root_count(family, rank):
+    if family == "A":
+        return rank * (rank + 1)
+    if family in "BC":
+        return 2 * rank * rank
+    if family == "D":
+        return 2 * rank * (rank - 1)
+    return {("E", 6): 72, ("E", 7): 126, ("E", 8): 240,
+            ("F", 4): 48, ("G", 2): 12}[(family, rank)]
+
+
+SUPPORTED_UP_TO_RANK_8 = (
+    [("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 9)]
+    + [("C", r) for r in range(1, 9)] + [("D", r) for r in range(3, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("family,rank", SUPPORTED_UP_TO_RANK_8)
+def test_root_system_oracle(family, rank):
+    """Weyl closure, the classical root count and the highest root.
+
+    Plain tuple arithmetic only, nothing from the generator: a set that
+    holds the simple roots, is closed under the simple reflections and has
+    the right size is the root system.
+    """
+    rs = build_root_system(family, rank)
+    roots = set(rs.roots)
+    ip = lambda a, b: sum(x * y for x, y in zip(a, b))
+    assert len(roots) == len(rs.roots) == _root_count(family, rank)
+    assert set(rs.simple_roots) <= roots
+    for a in rs.simple_roots:
+        for b in rs.roots:
+            c = 2 * ip(b, a) / ip(a, a)
+            assert tuple(y - c * x for x, y in zip(a, b)) in roots
+    for a in rs.positive_roots:
+        assert tuple(x + y for x, y in zip(rs.theta, a)) not in roots
+
+
 def test_form_dimension_mismatch():
     with pytest.raises(ValueError):
         dot(vec(1, 0), vec(1, 0, 0))
@@ -128,13 +222,22 @@ def test_parse_algebra():
 
 
 def test_fundamental_weights_pair_correctly():
-    for family, rank in [("B", 3), ("C", 3), ("D", 4), ("D", 6), ("A", 3)]:
+    for family, rank in [("B", 3), ("C", 3), ("D", 4), ("D", 6), ("A", 3),
+                         ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]:
         rs = build_root_system(family, rank)
         for i in range(1, rank + 1):
             w = fundamental_weight(rs, i)
             for j, a in enumerate(rs.simple_roots, start=1):
                 pairing = 2 * rs.form(w, a) / rs.form(a, a)
                 assert pairing == (1 if i == j else 0)
+
+
+def test_type_a_fundamental_weights():
+    rs = build_root_system("A", 3)
+    q = Q(1, 4)
+    assert fundamental_weight(rs, 1) == (3 * q, -q, -q, -q)
+    assert fundamental_weight(rs, 2) == (2 * q, 2 * q, -2 * q, -2 * q)
+    assert fundamental_weight(rs, 3) == (q, q, q, -3 * q)
 
 
 def test_spin_weights_are_half_integral():
