@@ -27,9 +27,9 @@ from .liealg import (
 from .pbw import (
     CapExceededError,
     StateVector,
+    component_kernel,
     graded_basis,
     is_singular,
-    singular_kernel,
 )
 from .rootdata import (
     UnsupportedAlgebraError,
@@ -328,20 +328,23 @@ def cmd_singular_verify(cfg: RunConfig, family: str, n: int) -> int:
 
 def cmd_singular_search(cfg: RunConfig, weight: str, degree: int) -> int:
     rs = parse_algebra(cfg.algebra)
-    lr = build_realization(rs.family, rs.rank)
     wt = serialize.parse_weight(weight)
     if len(wt) != rs.ambient:
         raise ValueError(
             f"weight needs {rs.ambient} coordinates for {rs.label}"
         )
     k = _parse_level(cfg)
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    lr = build_realization(rs.family, rs.rank)
     try:
-        kernel = singular_kernel(lr, k, wt, degree, cap=cfg.cap)
-        size = len(graded_basis(lr, wt, degree, cap=cfg.cap))
+        basis = graded_basis(lr, wt, degree, cap=cfg.cap)
     except CapExceededError as exc:
         payload = {"algebra": rs.label, "status": "capped", "detail": str(exc)}
         _emit(payload, cfg, [f"{rs.label}: capped ({exc})"])
         return OK
+    kernel = component_kernel(lr, k, wt, degree, basis)
+    size = len(basis)
     payload = {
         "algebra": rs.label,
         "level": serialize.frac_str(k),

@@ -1,12 +1,18 @@
 """Exact Gaussian elimination over the rationals, sparse rows.
 
 A matrix is a list of rows; each row is a dict mapping column index to a
-nonzero Fraction.  Everything is deterministic: pivots are chosen as the
-first nonzero column, rows in order.
+nonzero Fraction.  `rref` eliminates in one streaming pass: rows go in
+shortest first, and each is reduced on insertion by the pivot rows found so
+far, leftmost column first.  One back-substitution pass, highest pivot
+first, then clears each pivot column in the other rows.  The pivot columns
+are the leftmost linearly independent columns and the reduced row echelon
+form is unique, so the output does not depend on the order or scale of the
+input rows.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction as Q
 from typing import Dict, List, Sequence, Tuple
 
@@ -24,27 +30,53 @@ def row_sub(target: Row, factor: Q, source: Row) -> None:
 
 
 def rref(rows: Sequence[Row], ncols: int) -> Tuple[List[Row], List[int]]:
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    work = [dict(r) for r in rows if r]
-    pivots: List[int] = []
-    reduced: List[Row] = []
-    for col in range(ncols):
-        idx = next((i for i, r in enumerate(work) if r.get(col)), None)
-        if idx is None:
+    """Reduced row echelon form; returns (rows, pivot column list).
+
+    Columns >= ncols are carried along but never pivot; a row that cancels
+    or whose leading entry lies there is dropped.  The carried entries are
+    unique only when no nonzero combination of the rows vanishes on the
+    first ncols columns, as in `invert` of an invertible matrix.
+    """
+    found: Dict[int, Row] = {}
+    for row in sorted((r for r in rows if r), key=len):
+        row = dict(row)
+        heap = list(row)
+        heapq.heapify(heap)
+        lead = None
+        while heap:
+            col = heapq.heappop(heap)
+            val = row.get(col)
+            if not val:
+                continue                # cancelled, or a repeated heap entry
+            pivot = found.get(col)
+            if pivot is None:
+                lead = col
+                break
+            del row[col]
+            for c, v in pivot.items():
+                if c == col:
+                    continue
+                old = row.get(c)
+                if old is None:
+                    row[c] = -val * v
+                    heapq.heappush(heap, c)
+                else:
+                    new = old - val * v
+                    if new:
+                        row[c] = new
+                    else:
+                        del row[c]
+        if lead is None or lead >= ncols:
             continue
-        row = work.pop(idx)
-        inv = 1 / row[col]
-        row = {c: v * inv for c, v in row.items()}
-        for other in work:
-            if col in other:
-                row_sub(other, other[col], row)
-        for other in reduced:
-            if col in other:
-                row_sub(other, other[col], row)
-        work = [r for r in work if r]
-        reduced.append(row)
-        pivots.append(col)
-    return reduced, pivots
+        inv = 1 / row[lead]
+        found[lead] = {c: v * inv for c, v in row.items()}
+
+    pivots = sorted(found)
+    for col in reversed(pivots):
+        row = found[col]
+        for pc in [c for c in row if c != col and c in found]:
+            row_sub(row, row[pc], found[pc])
+    return [found[c] for c in pivots], pivots
 
 
 def nullspace(rows: Sequence[Row], ncols: int) -> List[Row]:

@@ -62,7 +62,7 @@ def test_singular_search_capped(capsys):
                        "--level=-2", "--weight", "0,0,0,0,0,0",
                        "--degree", "5", "--cap", "1000")
     assert code == 0
-    assert "capped" in out
+    assert out == "D6: capped (graded component exceeds cap 1000)\n"
 
 
 def test_collapse_audit_exit_zero(capsys):
@@ -288,6 +288,26 @@ def test_bad_level_refused_before_building(monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: not an exact rational")
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("--level=abc", "--weight", "0,0,0,0,0,0,0,0", "--degree", "2"),
+     "error: not an exact rational"),
+    (("--level=-2", "--weight", "0,0,0", "--degree", "2"),
+     "error: weight needs 8 coordinates for E8"),
+    (("--level=-2", "--weight", "0,0,0,0,0,0,0,0", "--degree", "-1"),
+     "error: degree must be nonnegative"),
+])
+def test_bad_search_arguments_refused_before_building(monkeypatch, capsys,
+                                                       argv, error):
+    def build_realization(*args, **kwargs):
+        raise AssertionError("built the realization before checking arguments")
+
+    monkeypatch.setattr("vkg.cli.build_realization", build_realization)
+    code, out, err = run(capsys, "singular-search", "--algebra", "E8", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(error)
 
 
 def test_involutions_refused_above_cap(monkeypatch, capsys):

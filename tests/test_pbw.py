@@ -308,6 +308,15 @@ def test_graded_basis_deep_modes_oracle():
     assert ((-3, B2.e(B2.rs.theta)),) in got
 
 
+def test_no_singular_vector_at_generic_level_d4():
+    # Gorelik-Kac: V^k(D4) is simple when k + 6 < 0, so the 422-monomial
+    # component of weight (1,1,0,0) and degree 4 has no singular vector.
+    k = Q(-15, 2)
+    assert k + D4.rs.dual_coxeter < 0
+    assert len(graded_basis(D4, vec(1, 1, 0, 0), 4)) == 422
+    assert singular_kernel(D4, k, vec(1, 1, 0, 0), 4) == []
+
+
 def test_graded_basis_negative_coordinate_weight():
     w = vec(1, -1, 0, 0)
     got = graded_basis(D4, w, 2)
