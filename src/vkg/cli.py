@@ -27,9 +27,9 @@ from .liealg import (
 from .pbw import (
     CapExceededError,
     StateVector,
-    component_kernel,
     graded_basis,
     is_singular,
+    singular_kernel,
 )
 from .rootdata import (
     UnsupportedAlgebraError,
@@ -338,13 +338,12 @@ def cmd_singular_search(cfg: RunConfig, weight: str, degree: int) -> int:
         raise ValueError("degree must be nonnegative")
     lr = build_realization(rs.family, rs.rank)
     try:
-        basis = graded_basis(lr, wt, degree, cap=cfg.cap)
+        kernel = singular_kernel(lr, k, wt, degree, cap=cfg.cap)
+        size = len(graded_basis(lr, wt, degree, cap=cfg.cap))
     except CapExceededError as exc:
         payload = {"algebra": rs.label, "status": "capped", "detail": str(exc)}
         _emit(payload, cfg, [f"{rs.label}: capped ({exc})"])
         return OK
-    kernel = component_kernel(lr, k, wt, degree, basis)
-    size = len(basis)
     payload = {
         "algebra": rs.label,
         "level": serialize.frac_str(k),

@@ -20,13 +20,17 @@ Row = Dict[int, Q]
 
 
 def row_sub(target: Row, factor: Q, source: Row) -> None:
-    """target -= factor * source, dropping entries that cancel."""
+    """target -= factor * source, factor nonzero; drops cancelled entries."""
     for col, val in source.items():
-        new = target.get(col, Q(0)) - factor * val
-        if new:
-            target[col] = new
+        old = target.get(col)
+        if old is None:
+            target[col] = -factor * val
         else:
-            target.pop(col, None)
+            new = old - factor * val
+            if new:
+                target[col] = new
+            else:
+                del target[col]
 
 
 def rref(rows: Sequence[Row], ncols: int) -> Tuple[List[Row], List[int]]:
@@ -35,7 +39,7 @@ def rref(rows: Sequence[Row], ncols: int) -> Tuple[List[Row], List[int]]:
     Columns >= ncols are carried along but never pivot; a row that cancels
     or whose leading entry lies there is dropped.  The carried entries are
     unique only when no nonzero combination of the rows vanishes on the
-    first ncols columns, as in `invert` of an invertible matrix.
+    first ncols columns; no caller in the package depends on them.
     """
     found: Dict[int, Row] = {}
     for row in sorted((r for r in rows if r), key=len):
@@ -52,20 +56,10 @@ def rref(rows: Sequence[Row], ncols: int) -> Tuple[List[Row], List[int]]:
             if pivot is None:
                 lead = col
                 break
-            del row[col]
-            for c, v in pivot.items():
-                if c == col:
-                    continue
-                old = row.get(c)
-                if old is None:
-                    row[c] = -val * v
+            row_sub(row, val, pivot)    # clears col: the pivot has 1 there
+            for c in pivot:
+                if c > col:
                     heapq.heappush(heap, c)
-                else:
-                    new = old - val * v
-                    if new:
-                        row[c] = new
-                    else:
-                        del row[c]
         if lead is None or lead >= ncols:
             continue
         inv = 1 / row[lead]

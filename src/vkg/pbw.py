@@ -327,14 +327,8 @@ def singular_kernel(lr: LieRealization, k, weight: Vec, degree: int,
     Brute force: enumerate the component, assemble the stacked constraint
     matrix exactly, and eliminate.  An empty list means no singular vectors.
     """
-    basis = graded_basis(lr, weight, degree, cap=cap)
-    return component_kernel(lr, k, weight, degree, basis)
-
-
-def component_kernel(lr: LieRealization, k, weight: Vec, degree: int,
-                     basis: Sequence[Monomial]) -> List[StateVector]:
-    """`singular_kernel` on a component already enumerated as `basis`."""
     k = Q(k)
+    basis = graded_basis(lr, weight, degree, cap=cap)
     if not basis:
         return []
     matrix = constraint_rows(_Engine(lr, k), basis)
