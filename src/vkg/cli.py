@@ -232,6 +232,8 @@ def _bracket_witness(lr, triple) -> dict:
 
 def cmd_bracket_audit(cfg: RunConfig, samples: int) -> int:
     rs = parse_algebra(cfg.algebra)
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     lr = build_realization(rs.family, rs.rank)
     n = lr.dim
     rng = random.Random(cfg.seed)

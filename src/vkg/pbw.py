@@ -7,6 +7,13 @@ the vacuum.  The straightening rule is the affine commutator
     [a(m), b(n)] = [a, b](m + n) + m delta_{m+n,0} k (a | b),
 
 with x(m) vacuum = 0 for m >= 0.  Everything is exact over the rationals.
+
+Coefficients: inside the straightening engine (the level, the bracket and
+form constants and the memo) a coefficient is an ``int`` whenever it is
+integral, and a ``Fraction`` only otherwise; at an integral level on the A-E
+realizations that is every coefficient.  Every coefficient that leaves the
+engine, in a ``StateVector``, an ``act_gen`` image or a ``constraint_rows``
+row, is a ``Fraction``, so no caller ever divides two ints.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import linalg
 from .liealg import LieRealization
@@ -23,6 +30,8 @@ from .rootdata import Vec, vadd, vscale, vzero
 Gen = Tuple[int, int]          # (mode, base index); tuple order = PBW order
 Monomial = Tuple[Gen, ...]
 Terms = Dict[Monomial, Q]
+Coef = Union[int, Q]           # engine coefficient: an int when integral
+EngineTerms = Dict[Monomial, Coef]
 
 
 class LoopGenerator(NamedTuple):
@@ -98,61 +107,76 @@ def proportional(a: StateVector, b: StateVector) -> Optional[Q]:
 
 
 class _Engine:
-    """Normal-ordering engine for one realization at one level."""
+    """Normal-ordering engine for one realization at one level.
+
+    The level and the bracket and form constants are held as ``Coef`` (see
+    the module docstring), so ``act_mono`` adds and multiplies plain ints
+    whenever they are integral.
+    """
 
     def __init__(self, lr: LieRealization, k: Q):
         self.lr = lr
-        self.k = Q(k)
-        self._memo: Dict[Tuple[int, int, Monomial], Terms] = {}
+        self.k = _lift(Q(k))
+        self._brackets: Dict[Tuple[int, int], Tuple[Tuple[int, Coef], ...]] = {}
+        self._memo: Dict[Tuple[int, int, Monomial], EngineTerms] = {}
 
     def act_gen(self, gen: Gen, terms: Terms) -> Terms:
-        out: Terms = {}
+        """Normal-ordered image of gen on a combination; Fraction in and out."""
+        out: EngineTerms = {}
         for mono, coef in terms.items():
+            coef = _lift(coef)
             for m2, c2 in self.act_mono(gen, mono).items():
-                new = out.get(m2, Q(0)) + coef * c2
-                if new:
-                    out[m2] = new
-                else:
-                    out.pop(m2, None)
-        return out
+                _acc(out, m2, coef * c2)
+        return {m: Q(c) for m, c in out.items()}
 
-    def act_mono(self, gen: Gen, mono: Monomial) -> Terms:
+    def act_mono(self, gen: Gen, mono: Monomial) -> EngineTerms:
+        """Normal-ordered image of gen on one monomial, with ``Coef`` values."""
         key = (gen[0], gen[1], mono)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
         mode, base = gen
         if not mono:
-            result: Terms = {} if mode >= 0 else {(gen,): Q(1)}
+            result = {} if mode >= 0 else {(gen,): 1}
             self._memo[key] = result
             return result
         first, rest = mono[0], mono[1:]
         if gen <= first:
-            result = {(gen,) + mono: Q(1)}
+            result = {(gen,) + mono: 1}
             self._memo[key] = result
             return result
-        out: Terms = {}
+        out: EngineTerms = {}
         # reorder: first * (gen . rest)
         for m2, c2 in self.act_mono(gen, rest).items():
             for m3, c3 in self.act_mono(first, m2).items():
                 _acc(out, m3, c2 * c3)
         # commutator [gen.base, first.base](mode + first.mode) . rest
         new_mode = mode + first[0]
-        for idx, coef in self.lr.bracket(base, first[1]):
+        pair = (base, first[1])
+        brackets = self._brackets.get(pair)
+        if brackets is None:
+            brackets = self._brackets[pair] = tuple(
+                (idx, _lift(coef)) for idx, coef in self.lr.bracket(*pair)
+            )
+        for idx, coef in brackets:
             for m2, c2 in self.act_mono((new_mode, idx), rest).items():
                 _acc(out, m2, coef * c2)
         # central term
         if new_mode == 0:
-            f = self.lr.form(base, first[1])
+            f = self.lr.form(*pair)
             if f:
-                _acc(out, rest, Q(mode) * self.k * f)
-        out = {m: c for m, c in out.items() if c}
+                _acc(out, rest, mode * self.k * _lift(f))
         self._memo[key] = out
         return out
 
 
-def _acc(out: Terms, mono: Monomial, c: Q) -> None:
-    new = out.get(mono, Q(0)) + c
+def _lift(c: Q) -> Coef:
+    """The engine coefficient of an exact rational: its int when integral."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _acc(out: EngineTerms, mono: Monomial, c: Coef) -> None:
+    new = out.get(mono, 0) + c
     if new:
         out[mono] = new
     else:
@@ -232,16 +256,40 @@ def graded_basis(lr: LieRealization, weight: Vec, degree: int,
 
     Deterministic order (lexicographic in the generator stream); raises
     CapExceededError when a cap is given and the component is larger.
-    The search runs on integer-rescaled coordinates with a mass bound and a
+    """
+    out: List[Monomial] = []
+    _search(lr, weight, degree, cap, out)
+    return out
+
+
+def component_size(lr: LieRealization, weight: Vec, degree: int,
+                   cap: int) -> Optional[int]:
+    """Size of the graded component, or None if it exceeds the cap.
+
+    Counts without listing: the search of ``graded_basis`` with subtree
+    counts memoized, stopped as soon as the monomials found exceed the cap.
+    """
+    try:
+        return _search(lr, weight, degree, cap, None)
+    except CapExceededError:
+        return None
+
+
+def _search(lr: LieRealization, weight: Vec, degree: int,
+            cap: Optional[int], out: Optional[List[Monomial]]) -> int:
+    """Walk the monomials of a graded component and return how many there are.
+
+    With a list, every monomial is appended to it in generator-stream order;
+    without one, the count of the subtree under each (start index, remaining
+    degree, weight so far) is memoized.  The running total never exceeds the
+    size of the component, so passing the cap proves it too large.  The walk
+    runs on integer-rescaled coordinates with a mass bound and a
     per-coordinate reachability bound as prunes.
     """
     degree = int(degree)
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     dim = lr.rs.ambient
-    if degree == 0:
-        return [()] if weight == vzero(dim) else []
-
     scale = 1
     for coords in list(lr.weights) + [weight]:
         for x in coords:
@@ -253,11 +301,18 @@ def graded_basis(lr: LieRealization, weight: Vec, degree: int,
     gens: List[Gen] = [
         (mode, b) for mode in range(-degree, 0) for b in range(lr.dim)
     ]
-    out: List[Monomial] = []
     stack: List[Gen] = []
     cur = [0] * dim
+    memo: Dict[Tuple[int, int, Tuple[int, ...]], int] = {}
+    found = 0
 
-    def rec(start: int, remaining: int):
+    def proven(n: int) -> None:
+        nonlocal found
+        found += n
+        if cap is not None and found > cap:
+            raise CapExceededError(f"graded component exceeds cap {cap}")
+
+    def rec(start: int, remaining: int) -> int:
         need = 0
         worst = 0
         for c in range(dim):
@@ -268,15 +323,21 @@ def graded_basis(lr: LieRealization, weight: Vec, degree: int,
             if d > worst:
                 worst = d
         if remaining == 0:
-            if need == 0:
+            if need:
+                return 0
+            if out is not None:
                 out.append(tuple(stack))
-                if cap is not None and len(out) > cap:
-                    raise CapExceededError(
-                        f"graded component exceeds cap {cap}"
-                    )
-            return
+            proven(1)
+            return 1
         if need > remaining * max_mass or worst > remaining * max_coord:
-            return
+            return 0
+        if out is None:
+            key = (start, remaining, tuple(cur))
+            count = memo.get(key)
+            if count is not None:
+                proven(count)
+                return count
+        count = 0
         for gi in range(start, len(gens)):
             mode, b = gens[gi]
             if -mode > remaining:
@@ -285,22 +346,15 @@ def graded_basis(lr: LieRealization, weight: Vec, degree: int,
             for c in range(dim):
                 cur[c] += w[c]
             stack.append((mode, b))
-            rec(gi, remaining + mode)
+            count += rec(gi, remaining + mode)
             stack.pop()
             for c in range(dim):
                 cur[c] -= w[c]
+        if out is None:
+            memo[key] = count
+        return count
 
-    rec(0, degree)
-    return out
-
-
-def component_size(lr: LieRealization, weight: Vec, degree: int,
-                   cap: int) -> Optional[int]:
-    """Size of the graded component, or None if it exceeds the cap."""
-    try:
-        return len(graded_basis(lr, weight, degree, cap=cap))
-    except CapExceededError:
-        return None
+    return rec(0, degree)
 
 
 def constraint_rows(engine: _Engine,
@@ -315,9 +369,8 @@ def constraint_rows(engine: _Engine,
     for gidx, (_, gen) in enumerate(raising_generators(engine.lr)):
         for col, mono in enumerate(monomials):
             for imono, c in engine.act_mono(gen.key, mono).items():
-                row = rows.setdefault((gidx, imono), {})
-                row[col] = row.get(col, Q(0)) + c
-    return [r for r in rows.values() if r]
+                rows.setdefault((gidx, imono), {})[col] = Q(c)
+    return list(rows.values())
 
 
 def singular_kernel(lr: LieRealization, k, weight: Vec, degree: int,

@@ -310,6 +310,19 @@ def test_bad_search_arguments_refused_before_building(monkeypatch, capsys,
     assert err.startswith(error)
 
 
+@pytest.mark.parametrize("samples", ["-5", "0"])
+def test_bracket_audit_needs_a_sample(monkeypatch, capsys, samples):
+    def build_realization(*args, **kwargs):
+        raise AssertionError("built the realization before checking --samples")
+
+    monkeypatch.setattr("vkg.cli.build_realization", build_realization)
+    code, out, err = run(capsys, "bracket-audit", "--algebra", "D:6",
+                         "--samples", samples)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: samples must be at least 1")
+
+
 def test_involutions_refused_above_cap(monkeypatch, capsys):
     def enumerate_involutions(ell):
         raise AssertionError("enumerated despite the cap")

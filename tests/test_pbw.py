@@ -11,7 +11,10 @@ from vkg.pbw import (
     LoopGenerator,
     StateVector,
     apply,
+    _Engine,
     apply_string,
+    component_size,
+    constraint_rows,
     graded_basis,
     in_span_of_component,
     is_singular,
@@ -231,6 +234,78 @@ def test_graded_basis_cap():
     lr = build_realization("D", 6)
     with pytest.raises(CapExceededError):
         graded_basis(lr, vzero(6), 4, cap=50)
+
+
+COUNTED_COMPONENTS = [
+    # (family, rank, weight or "theta", degree, size, small enough to brute)
+    ("B", 2, "theta", 3, 18, True),
+    ("D", 4, (1, 1, 1, 1), 2, 3, True),
+    ("D", 4, (0, 0, 0, 0), 4, 779, False),
+    ("C", 3, (1, 1, 0), 5, 1361, False),
+    ("E", 6, "theta", 3, 240, False),
+    ("D", 6, (1, 1, 1, 1, 1, 1), 3, 15, False),
+]
+
+
+@pytest.mark.parametrize("family, rank, weight, degree, size, brute",
+                         COUNTED_COMPONENTS)
+def test_component_size_counts_the_graded_basis(family, rank, weight, degree,
+                                                size, brute):
+    lr = build_realization(family, rank)
+    w = lr.rs.theta if weight == "theta" else vec(*weight)
+    basis = graded_basis(lr, w, degree)
+    assert len(basis) == size
+    if brute:
+        assert set(basis) == brute_graded_basis(lr, w, degree)
+    for cap in (size + 100, size, size - 1, size // 2, 1):
+        try:
+            listed = len(graded_basis(lr, w, degree, cap=cap))
+        except CapExceededError:
+            listed = None
+        assert component_size(lr, w, degree, cap) == listed
+    assert component_size(lr, w, degree, size) == size
+    assert component_size(lr, w, degree, size - 1) is None
+
+
+def test_integer_and_rational_levels_agree():
+    # The engine keeps ints at an integral level and Fractions at a rational
+    # one; the images of a raising generator are affine in k either way.
+    lr, weight = D4, D4.rs.theta
+    basis = graded_basis(lr, weight, 2)
+    engines = {k: _Engine(lr, k) for k in (Q(-3), Q(-2), Q(-5, 2))}
+    saw_level = False
+    for _, g in raising_generators(lr):
+        for mono in basis:
+            img = {k: e.act_mono(g.key, mono) for k, e in engines.items()}
+            for k in (Q(-3), Q(-2)):
+                assert all(type(c) is int for c in img[k].values())
+            keys = set().union(*img.values())
+            for m in keys:
+                lo, hi = img[Q(-3)].get(m, 0), img[Q(-2)].get(m, 0)
+                assert img[Q(-5, 2)].get(m, 0) == Q(lo + hi) / 2
+                saw_level |= lo != hi
+    assert saw_level
+
+
+@pytest.mark.parametrize("k", [Q(-2), Q(-5, 2)])
+def test_coefficients_leave_the_engine_as_fractions(k):
+    def all_fractions(terms):
+        return all(type(c) is Q for c in terms.values())
+
+    engine = _Engine(D4, k)
+    basis = graded_basis(D4, vec(1, 1, 1, 1), 2)
+    rows = constraint_rows(engine, basis)
+    assert rows and all(all_fractions(row) for row in rows)
+    v = w1_d4(k)
+    assert all_fractions(v.terms)
+    theta = gen(D4, D4.rs.theta, -1)
+    assert all_fractions(engine.act_gen(theta.key, v.terms))
+    assert all_fractions(apply_string(D4, [theta], v).terms)
+    ok, (_, image) = is_singular(D4, apply(D4, theta, vacuum(D4, k)))
+    assert not ok and image.terms and all_fractions(image.terms)
+    c = proportional(w1_d4(k).scaled(3), w1_d4(k))
+    assert type(c) is Q and c == 3
+    assert type(proportional(v, v.scaled(-2))) is Q
 
 
 def test_is_singular_examples():

@@ -6,13 +6,28 @@ from pathlib import Path
 import vkg
 
 
-def test_no_assert_statements():
-    """Correctness checks in the package must survive ``python -O``."""
+def _nodes():
     sources = sorted(Path(vkg.__file__).parent.glob("*.py"))
     assert any(p.name == "linalg.py" for p in sources)
-    found = []
     for path in sources:
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)]
+        for node in ast.walk(tree):
+            yield path.name, node
+
+
+def test_no_assert_statements():
+    """Correctness checks in the package must survive ``python -O``."""
+    found = [f"{name}:{node.lineno}" for name, node in _nodes()
+             if isinstance(node, ast.Assert)]
+    assert not found, found
+
+
+def test_no_float_literals():
+    """Arithmetic in the package is exact: no float constants or float()."""
+    found = [
+        f"{name}:{node.lineno}" for name, node in _nodes()
+        if (isinstance(node, ast.Constant) and isinstance(node.value, float))
+        or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "float")
+    ]
     assert not found, found
