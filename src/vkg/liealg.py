@@ -8,7 +8,9 @@ Two constructions, both with every structure constant an exact rational:
 
 * The simply-laced types (A, D as an alternative, E6/E7/E8) come from a
   bimultiplicative sign cocycle eps on the root lattice with
-  eps(alpha, alpha) = (-1)^((alpha,alpha)/2).
+  eps(alpha, alpha) = (-1)^((alpha,alpha)/2).  It is evaluated on the int
+  simple-root coefficients of the roots; only the table values are
+  ``Fraction``.
 
 Conventions common to both: the Cartan basis elements h_i equal nu(d_i) for
 stored dual weights d_i, [e_alpha, e_{-alpha}] = (e_alpha | e_{-alpha}) *
@@ -17,6 +19,7 @@ nu(alpha), and [h, e_alpha] = alpha(h) e_alpha.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -30,7 +33,6 @@ from .rootdata import (
     Vec,
     build_root_system,
     minimal_grading_data,
-    vadd,
     vscale,
     vzero,
 )
@@ -255,72 +257,63 @@ def _matrix_duals(rs: RootSystem) -> Tuple[Vec, ...]:
 
 
 def _build_cocycle_realization(rs: RootSystem) -> LieRealization:
+    """N_{a,b} = eps(a, b) sgn(a) sgn(b) sgn(a + b) on simple-root coefficients.
+
+    eps(a, b) = (-1)^(a U b), with U upper triangular: 1 on the diagonal and
+    the Gram entries mod 2 above it.  The parity row a U is a bitmask made
+    once per root.
+    """
     simple = rs.simple_roots
     rank = rs.rank
     gram = [[int(rs.form(simple[i], simple[j])) for j in range(rank)]
             for i in range(rank)]
-    # parity bits of the bimultiplicative cocycle on the simple-root basis
-    bits = [[0] * rank for _ in range(rank)]
-    for i in range(rank):
-        bits[i][i] = 1
-        for j in range(i + 1, rank):
-            bits[i][j] = gram[i][j] % 2
-
-    coeffs = dict(zip(rs.roots, rs.coefficients))
-
-    def eps(a: Vec, b: Vec) -> int:
-        ma, mb = coeffs[a], coeffs[b]
-        par = 0
-        for i in range(rank):
-            if not ma[i]:
-                continue
-            row = bits[i]
-            par += ma[i] * sum(row[j] * mb[j] for j in range(rank) if mb[j])
-        return -1 if par % 2 else 1
-
-    positive = set(rs.positive_roots)
-    sgn = lambda a: 1 if a in positive else -1
-
-    duals = tuple(simple)
-    labels, weights, root_index = _ordered_basis(rs, duals)
-    root_set = set(rs.roots)
-    dim = len(labels)
+    coeffs = rs.coefficients
+    mask = lambda bits: sum(1 << j for j, b in enumerate(bits) if b % 2)
+    parity_row = [
+        mask([sum(c[i] for i in range(j + 1) if i == j or gram[i][j] % 2)
+              for j in range(rank)])
+        for c in coeffs
+    ]
+    parity = [mask(c) for c in coeffs]
+    sgn = [1 if sum(c) > 0 else -1 for c in coeffs]
+    position = {c: p for p, c in enumerate(coeffs)}
+    npos = len(rs.positive_roots)
+    labels, weights, root_index = _ordered_basis(rs, simple)
+    index = [root_index[a] for a in rs.roots]
     bracket: Dict[Tuple[int, int], Tuple[Term, ...]] = {}
     form: Dict[Tuple[int, int], Q] = {}
     for i in range(rank):
         for j in range(rank):
-            f = rs.form(simple[i], simple[j])
-            if f:
-                form[(i, j)] = f
-    for a in rs.roots:
-        ia = root_index[a]
-        na = vscale(-1, a)
-        form[(ia, root_index[na])] = Q(1)
+            if gram[i][j]:
+                form[(i, j)] = Q(gram[i][j])
+    for p, ca in enumerate(coeffs):
+        ia = index[p]
+        neg = (p + npos) % len(coeffs)
+        form[(ia, index[neg])] = Q(1)
         for i in range(rank):
-            c = rs.form(simple[i], a)
+            c = sum(g * m for g, m in zip(gram[i], ca))
             if c:
-                bracket[(i, ia)] = ((ia, c),)
-                bracket[(ia, i)] = ((ia, -c),)
-        for b in rs.roots:
-            if b <= a:
+                bracket[(i, ia)] = ((ia, Q(c)),)
+                bracket[(ia, i)] = ((ia, Q(-c)),)
+        for q, cb in enumerate(coeffs):
+            ib = index[q]
+            if ib <= ia:
                 continue
-            ib = root_index[b]
-            s = vadd(a, b)
-            if s in root_set:
-                n = eps(a, b) * sgn(a) * sgn(b) * sgn(s)
-                bracket[(ia, ib)] = ((root_index[s], Q(n)),)
-                bracket[(ib, ia)] = ((root_index[s], Q(-n)),)
-            elif b == na:
-                terms = tuple(
-                    (i, Q(c)) for i, c in enumerate(coeffs[a]) if c
-                )
+            r = position.get(tuple(map(operator.add, ca, cb)))
+            if r is not None:
+                odd = (parity_row[p] & parity[q]).bit_count() % 2
+                n = (-1 if odd else 1) * sgn[p] * sgn[q] * sgn[r]
+                bracket[(ia, ib)] = ((index[r], Q(n)),)
+                bracket[(ib, ia)] = ((index[r], Q(-n)),)
+            elif q == neg:
+                terms = tuple((i, Q(m)) for i, m in enumerate(ca) if m)
                 bracket[(ia, ib)] = terms
                 bracket[(ib, ia)] = tuple((i, -c) for i, c in terms)
     return LieRealization(
         rs=rs,
         labels=tuple(labels),
         weights=tuple(weights),
-        cartan_duals=duals,
+        cartan_duals=simple,
         bracket_table=bracket,
         form_table=form,
         root_index=root_index,

@@ -275,6 +275,11 @@ def component_size(lr: LieRealization, weight: Vec, degree: int,
         return None
 
 
+# ``_search`` recurses once per generator of a monomial, so up to ``degree``
+# frames deep; this keeps it well inside Python's default recursion limit.
+MAX_SEARCH_DEGREE = 500
+
+
 def _search(lr: LieRealization, weight: Vec, degree: int,
             cap: Optional[int], out: Optional[List[Monomial]]) -> int:
     """Walk the monomials of a graded component and return how many there are.
@@ -289,6 +294,9 @@ def _search(lr: LieRealization, weight: Vec, degree: int,
     degree = int(degree)
     if degree < 0:
         raise ValueError("degree must be nonnegative")
+    if degree > MAX_SEARCH_DEGREE:
+        raise ValueError(f"degree {degree} exceeds the search depth bound "
+                         f"{MAX_SEARCH_DEGREE}")
     dim = lr.rs.ambient
     scale = 1
     for coords in list(lr.weights) + [weight]:

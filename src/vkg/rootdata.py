@@ -8,18 +8,24 @@ the root of greatest height, and the fundamental weights come from the
 inverse Cartan matrix.  The invariant bilinear form is the ambient dot
 product divided by a per-type scale chosen so that the highest root theta
 satisfies ``(theta, theta) = 2``.  All arithmetic is exact.
+
+Roots are generated, checked and analysed in the doubled lattice: 2 * root
+as an int tuple, which is integral for every type and sorts like the roots.
+``Fraction`` appears only in the public fields and in caller-given weights.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from . import linalg
 
 Vec = Tuple[Q, ...]
+Lat = Tuple[int, ...]  # a root in doubled ambient coordinates
 
 SUPPORTED_FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -55,6 +61,11 @@ def dot(a: Vec, b: Vec) -> Q:
     return sum((x * y for x, y in zip(a, b)), Q(0))
 
 
+def _idot(a: Sequence, b: Sequence):
+    """Dot product without the dimension check; exact on ints or Fractions."""
+    return sum(map(operator.mul, a, b))
+
+
 def basis_vector(dim: int, i: int, value=1) -> Vec:
     v = [Q(0)] * dim
     v[i] = Q(value)
@@ -63,7 +74,15 @@ def basis_vector(dim: int, i: int, value=1) -> Vec:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Immutable root-system data with the normalized invariant form."""
+    """Immutable root-system data with the normalized invariant form.
+
+    ``roots``, ``theta``, ``rho`` and ``scale`` are ``Fraction`` data.
+    ``coefficients`` and ``lattice`` give each root, in the order of
+    ``roots``, as int tuples: its simple-root coefficients and its doubled
+    ambient coordinates, so the form of two lattice vectors is their dot
+    product over 4 * scale.  Both follow from the roots and are left out of
+    == and hash.
+    """
 
     family: str
     rank: int
@@ -74,9 +93,8 @@ class RootSystem:
     theta: Vec
     rho: Vec
     scale: Q  # form(a, b) = dot(a, b) / scale
-    # simple-root coefficients of each root, in the order of ``roots``;
-    # determined by roots and simple_roots, so left out of == and hash
     coefficients: Tuple[Tuple[int, ...], ...] = field(compare=False)
+    lattice: Tuple[Lat, ...] = field(compare=False)
     dual_coxeter: Q = field(init=False)
 
     def __post_init__(self):
@@ -106,8 +124,8 @@ _MIN_RANK = {"A": 1, "B": 2, "C": 1, "D": 3}
 _EXCEPTIONAL = (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))
 
 
-def _simple_roots(family: str, rank: int) -> Tuple[int, List[Vec]]:
-    """Ambient dimension and simple roots alpha_1 .. alpha_rank, Bourbaki order."""
+def _simple_roots(family: str, rank: int) -> Tuple[int, List[Lat]]:
+    """Ambient dimension and the doubled simple roots, in Bourbaki order."""
     if not (rank >= _MIN_RANK.get(family, rank + 1)
             or (family, rank) in _EXCEPTIONAL):
         raise UnsupportedAlgebraError(
@@ -115,27 +133,27 @@ def _simple_roots(family: str, rank: int) -> Tuple[int, List[Vec]]:
             "A(l>=1), B(l>=2), C(l>=1), D(l>=3), E6/E7/E8, F4, G2"
         )
     if family == "G":
-        return 3, [vec(1, -1, 0), vec(-2, 1, 1)]
+        return 3, [(2, -2, 0), (-4, 2, 2)]
     dim = {"A": rank + 1, "E": 8}.get(family, rank)
-    e = lambda i: basis_vector(dim, i)
-    half = Q(1, 2)
+    e = lambda i: tuple(2 * (j == i) for j in range(dim))
     if family == "E":
-        alpha1 = vec(half, *[-half] * 6, half)
+        alpha1 = (1, -1, -1, -1, -1, -1, -1, 1)
         return dim, [alpha1, vadd(e(0), e(1))] + [
             vsub(e(i + 1), e(i)) for i in range(rank - 2)
         ]
     if family == "F":
         return dim, [vsub(e(1), e(2)), vsub(e(2), e(3)), e(3),
-                     vec(half, -half, -half, -half)]
+                     (1, -1, -1, -1)]
     chain = [vsub(e(i), e(i + 1)) for i in range(dim - 1)]
-    last = {"A": [], "B": [e(rank - 1)], "C": [vscale(2, e(rank - 1))],
+    last = {"A": [], "B": [e(rank - 1)], "C": [vadd(e(rank - 1), e(rank - 1))],
             "D": [vadd(e(rank - 2), e(rank - 1))]}[family]
     return dim, chain + last
 
 
-def _cartan_matrix(simple: Sequence[Vec]) -> List[List[int]]:
+def _cartan_matrix(simple: Sequence[Sequence]) -> List[List[int]]:
     """C[i][j] = <alpha_i, alpha_j^vee> = 2 (alpha_i, alpha_j) / (alpha_j, alpha_j)"""
-    return [[int(2 * dot(a, b) / dot(b, b)) for b in simple] for a in simple]
+    # an exact int quotient, so // is exact on Fractions and ints alike
+    return [[2 * _idot(a, b) // _idot(b, b) for b in simple] for a in simple]
 
 
 def _positive_coefficients(cartan: Sequence[Sequence[int]]):
@@ -176,59 +194,52 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     Supported: A_l (l >= 1), B_l (l >= 2), C_l (l >= 1), D_l (l >= 3),
     E6, E7, E8, F4, G2.  Only the simple roots are given; the positive
     roots are generated from them by root strings, and theta is the root
-    of greatest height.
+    of greatest height.  All of it runs in the doubled lattice.
     """
     family = family.upper()
     dim, simple = _simple_roots(family, rank)
-    by_root = {}
-    for c in _positive_coefficients(_cartan_matrix(simple)):
-        root = _vsum((vscale(m, a) for m, a in zip(c, simple) if m), dim)
-        by_root[root] = c
+    cols = list(zip(*simple))
+    by_root = {tuple(_idot(c, col) for col in cols): c
+               for c in _positive_coefficients(_cartan_matrix(simple))}
     pos = sorted(by_root)
     theta = max(pos, key=lambda a: sum(by_root[a]))
-    roots = tuple(pos + [vscale(-1, a) for a in pos])
+    lattice = tuple(pos) + tuple(tuple(-x for x in a) for a in pos)
+    _validate(f"{family}{rank}", lattice, simple, len(pos), theta)
     coefficients = tuple(by_root[a] for a in pos)
     coefficients += tuple(tuple(-m for m in c) for c in coefficients)
-    rho = vscale(Q(1, 2), _vsum(pos, dim))
-    scale = dot(theta, theta) / 2
-    rs = RootSystem(
+    halve = lambda a: tuple(Q(x, 2) for x in a)
+    roots = tuple(map(halve, lattice))
+    # the doubled positive roots sum to 4 rho
+    rho = tuple(Q(sum(col), 4) for col in zip(*pos))
+    return RootSystem(
         family=family,
         rank=rank,
         ambient=dim,
         roots=roots,
-        positive_roots=tuple(pos),
-        simple_roots=tuple(simple),
-        theta=theta,
+        positive_roots=roots[:len(pos)],
+        simple_roots=tuple(map(halve, simple)),
+        theta=halve(theta),
         rho=rho,
-        scale=scale,
+        scale=Q(_idot(theta, theta), 8),
         coefficients=coefficients,
+        lattice=lattice,
     )
-    _validate(rs)
-    return rs
 
 
-def _vsum(vs: Iterable[Vec], dim: int) -> Vec:
-    total = vzero(dim)
-    for v in vs:
-        total = vadd(total, v)
-    return total
-
-
-def _validate(rs: RootSystem):
-    if rs.form(rs.theta, rs.theta) != 2:
-        raise ValueError(f"(theta, theta) != 2 for {rs.label}")
-    root_set = set(rs.roots)
-    if len(root_set) != len(rs.roots):
-        raise ValueError(f"repeated roots in {rs.label}")
-    for a in rs.simple_roots:
+def _validate(label: str, lattice: Sequence[Lat], simple: Sequence[Lat],
+              npos: int, theta: Lat):
+    root_set = set(lattice)
+    if len(root_set) != len(lattice):
+        raise ValueError(f"repeated roots in {label}")
+    for a in simple:
         if a not in root_set:
-            raise ValueError(f"simple root {a} not a root of {rs.label}")
+            raise ValueError(f"simple root {a} not a root of {label}")
     # theta is the highest root: theta + alpha is never a root
-    for a in rs.positive_roots:
-        if vadd(rs.theta, a) in root_set:
-            raise ValueError(f"theta + {a} is a root of {rs.label}")
-    if rs.theta not in root_set:
-        raise ValueError(f"theta is not a root of {rs.label}")
+    for a in lattice[:npos]:
+        if tuple(map(operator.add, theta, a)) in root_set:
+            raise ValueError(f"theta + {a} is a root of {label}")
+    if theta not in root_set:
+        raise ValueError(f"theta is not a root of {label}")
 
 
 def parse_algebra(label: str) -> RootSystem:
@@ -262,7 +273,8 @@ def fundamental_weight(rs: RootSystem, i: int) -> Vec:
     cartan = [{j: Q(c) for j, c in enumerate(row) if c}
               for row in _cartan_matrix(rs.simple_roots)]
     row = linalg.invert(cartan, rs.rank)[i - 1]
-    return _vsum((vscale(c, a) for c, a in zip(row, rs.simple_roots)), rs.ambient)
+    return tuple(sum(map(operator.mul, row, col), Q(0))
+                 for col in zip(*rs.simple_roots))
 
 
 def is_dominant_integral(rs: RootSystem, mu: Vec) -> bool:
@@ -334,9 +346,9 @@ def canonical_type(family: str, rank: int) -> Tuple[str, int]:
     return (family, rank)
 
 
-def _span_dim(vectors: Sequence[Vec]) -> int:
+def _span_dim(vectors: Sequence[Sequence]) -> int:
     """Dimension of the linear span of the given vectors."""
-    rows = [{c: x for c, x in enumerate(v) if x} for v in vectors]
+    rows = [{c: Q(x) for c, x in enumerate(v) if x} for v in vectors]
     return linalg.rank(rows, len(vectors[0]) if vectors else 0)
 
 
@@ -373,22 +385,6 @@ def classify_subsystem(roots: Sequence[Vec], form_fn) -> Tuple[str, int]:
     )
 
 
-def _positive_half(block: Sequence[Vec]) -> list:
-    """Lexicographically positive half: first nonzero coordinate positive."""
-    pos = [a for a in block if a > vscale(-1, a)]
-    if 2 * len(pos) != len(block):
-        raise ValueError("root block is not closed under negation")
-    return pos
-
-
-def _highest_root(pos: Sequence[Vec], root_set) -> Vec:
-    """The unique positive root beta with beta + alpha never a root."""
-    tops = [b for b in pos if all(vadd(b, a) not in root_set for a in pos)]
-    if len(tops) != 1:
-        raise ValueError(f"expected a unique highest root, got {tops}")
-    return tops[0]
-
-
 def minimal_grading_data(rs: RootSystem) -> GradingData:
     """Decompose the algebra by ad(x) eigenvalues, x = theta^vee / 2.
 
@@ -396,12 +392,14 @@ def minimal_grading_data(rs: RootSystem) -> GradingData:
     roots orthogonal to theta split into irreducible subsystems; each one is
     reported with its highest-root norm and its dual Coxeter number with
     respect to the restricted (ambient) form, which is half of the Casimir
-    eigenvalue (theta_i, theta_i + 2 rho_i).
+    eigenvalue (theta_i, theta_i + 2 rho_i).  Everything is computed on the
+    doubled lattice, where form(a, b) = 2 (a, b) / (theta, theta) with int
+    dot products.
     """
-    f = rs.form
-    theta = rs.theta
-    zero_roots = [a for a in rs.roots if f(a, theta) == 0]
-    half = sum(1 for a in rs.roots if f(a, theta) == 1)
+    theta = tuple(int(2 * x) for x in rs.theta)
+    norm = _idot(theta, theta)  # form(a, b) = 2 * _idot(a, b) / norm
+    zero_roots = [a for a in rs.lattice if not _idot(a, theta)]
+    half = sum(1 for a in rs.lattice if 2 * _idot(a, theta) == norm)
     # connected components under (alpha, beta) != 0
     remaining = set(zero_roots)
     comps = []
@@ -411,31 +409,38 @@ def minimal_grading_data(rs: RootSystem) -> GradingData:
         frontier = [seed]
         while frontier:
             a = frontier.pop()
-            new = {b for b in remaining - block if f(a, b) != 0}
+            new = {b for b in remaining - block if _idot(a, b)}
             block |= new
             frontier.extend(new)
         remaining -= block
         comps.append(sorted(block))
+    comps.sort(key=lambda block: (-len(block), block))
+    to_root = dict(zip(rs.lattice, rs.roots))
     components = []
     for block in comps:
         block_set = frozenset(block)
-        pos = _positive_half(block)
-        theta_i = _highest_root(pos, block_set)
-        rho_i = vscale(Q(1, 2), _vsum(pos, rs.ambient))
-        h0 = f(theta_i, vadd(theta_i, vscale(2, rho_i))) / 2
-        fam, trank = classify_subsystem(block, f)
+        pos = [a for a in block if a > tuple(-x for x in a)]  # lex positive
+        if 2 * len(pos) != len(block):
+            raise ValueError("root block is not closed under negation")
+        # the highest root: beta + alpha is never a root
+        tops = [b for b in pos if all(
+            tuple(map(operator.add, b, a)) not in block_set for a in pos)]
+        if len(tops) != 1:
+            raise ValueError(f"expected a unique highest root, got {tops}")
+        theta_i = tops[0]
+        two_rho_i = [sum(col) for col in zip(*pos)]  # 2 rho_i, doubled
+        fam, trank = classify_subsystem(block, _idot)
         components.append(
             RootSubsystem(
-                roots=tuple(block),
-                rank=_span_dim(block),
+                roots=tuple(to_root[a] for a in block),
+                rank=trank,  # canonical_type keeps the rank
                 family=fam,
                 type_rank=trank,
-                highest_root=theta_i,
-                theta_norm=f(theta_i, theta_i),
-                dual_coxeter0=h0,
+                highest_root=to_root[theta_i],
+                theta_norm=Q(2 * _idot(theta_i, theta_i), norm),
+                dual_coxeter0=Q(_idot(theta_i, vadd(theta_i, two_rho_i)), norm),
             )
         )
-    components.sort(key=lambda c: (-len(c.roots), c.roots))
     comp_rank = sum(c.rank for c in components)
     center = (rs.rank - 1) - comp_rank
     if center < 0:

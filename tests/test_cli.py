@@ -6,6 +6,7 @@ import pytest
 from vkg import serialize
 from vkg.cli import CAP_ENV_VAR, RunConfig, main, read_config_file
 from vkg.liealg import build_realization
+from vkg.pbw import MAX_SEARCH_DEGREE
 
 
 def run(capsys, *argv):
@@ -275,7 +276,8 @@ def test_deep_degree_is_usage_error(capsys):
     code, out, err = run(capsys, "singular-verify", "--algebra", "D:4",
                          "--family", "vn", "--n", "600", "--cap", "1000")
     assert code == 2 and out == ""
-    assert err.startswith("error:")
+    assert err == ("error: degree 1200 exceeds the search depth bound "
+                   f"{MAX_SEARCH_DEGREE}\n")
 
 
 def test_bad_level_refused_before_building(monkeypatch, capsys):

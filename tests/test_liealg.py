@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction as Q
 
@@ -20,6 +22,7 @@ from vkg.rootdata import (
     vec,
     vscale,
 )
+from vkg.serialize import realization_to_json
 
 
 def bracket_vec(lr, terms, idx):
@@ -197,3 +200,24 @@ def test_flip_root_pair_is_same_algebra():
     e, f = lr2.e(vec(1, 1, 0, 0)), lr2.e(vec(-1, -1, 0, 0))
     assert lr2.form(e, f) == 1
     assert dict(lr2.bracket(e, f)) == dict(lr.bracket(e, f))
+
+
+# SHA-256 of the compact, key-sorted JSON of realization_to_json, recorded
+# before the cocycle realization moved to int simple-root coefficients.  Any
+# change to the basis order, a structure constant or the form fails here.
+REALIZATION_DIGESTS = [
+    ("A", 3, "115fd440370dab45587891bc3479c2a9f0303fc0f46e352fea5999b0ab245508"),
+    ("B", 3, "5f23fcf4b3f7ca646e116a8ad9574f0bdf28671015ff1a16054ea53a2794e482"),
+    ("C", 3, "9d937e76a9be1156032413cd9d3a7d187ac6b884e0a1240ba30da42e56a976b1"),
+    ("D", 4, "f15dce3c14866bfa58c3726b764738117825e10f258b5078efc9b876c3a96b5e"),
+    ("E", 6, "336dddc6fe3a680b2fe58533a17509bf7b5b9f515e5ff6afcd55c7ca0a6f7fa8"),
+    ("E", 7, "a189dd672cb53caf09bba4aa1ba3b3781e3b50fc59535006dc26607c9209cfd6"),
+    ("E", 8, "0a89b5e081943f52675c41a8c41baf7176ff1e4440d789c5a3a35ac404f4e6c9"),
+]
+
+
+@pytest.mark.parametrize("family,rank,digest", REALIZATION_DIGESTS)
+def test_realization_json_digest(family, rank, digest):
+    text = json.dumps(realization_to_json(build_realization(family, rank)),
+                      sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

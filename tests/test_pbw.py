@@ -267,6 +267,15 @@ def test_component_size_counts_the_graded_basis(family, rank, weight, degree,
     assert component_size(lr, w, degree, size - 1) is None
 
 
+def test_deep_degree_is_refused_before_the_search():
+    # v_600 on D4 lives in degree 1200, deeper than the search may recurse.
+    weight = vec(1200, 0, 0, 0)
+    for search in (lambda: component_size(D4, weight, 1200, 1000),
+                   lambda: graded_basis(D4, weight, 1200, cap=1000)):
+        with pytest.raises(ValueError, match="degree 1200 exceeds"):
+            search()
+
+
 def test_integer_and_rational_levels_agree():
     # The engine keeps ints at an integral level and Fractions at a rational
     # one; the images of a raising generator are affine in k either way.

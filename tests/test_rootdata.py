@@ -141,6 +141,31 @@ def test_root_system_json_digest(family, rank, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("family,rank", [(f, r) for f, r, _ in ROOT_SYSTEM_DIGESTS])
+def test_lattice_doubles_the_roots(family, rank):
+    rs = build_root_system(family, rank)
+    assert len(rs.lattice) == len(rs.roots)
+    for lat, root in zip(rs.lattice, rs.roots):
+        assert all(type(x) is int and x == 2 * y for x, y in zip(lat, root))
+        assert len(lat) == len(root) == rs.ambient
+    order = lambda vs: sorted(range(len(vs)), key=vs.__getitem__)
+    assert order(rs.lattice) == order(rs.roots)
+
+
+@pytest.mark.parametrize("family,rank", [(f, r) for f, r, _ in ROOT_SYSTEM_DIGESTS])
+def test_minimal_grading_dimensions(family, rank):
+    """Kac-Wakimoto: dim g_1/2 = 2 h^vee - 4 in the minimal grading.
+
+    g = g_-1 + g_-1/2 + (g^natural + C x) + g_1/2 + g_1 with g_+-1 of
+    dimension 1, so dim g^natural = dim g - 4 h^vee + 5.
+    """
+    rs = build_root_system(family, rank)
+    gd = minimal_grading_data(rs)
+    dim_g = len(rs.roots) + rank
+    assert gd.dim_g_half == 2 * rs.dual_coxeter - 4
+    assert gd.dim_gnat == dim_g - 4 * rs.dual_coxeter + 5
+
+
 def _root_count(family, rank):
     if family == "A":
         return rank * (rank + 1)
