@@ -176,11 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_level(cfg: RunConfig, default=None) -> Q:
+def _parse_level(cfg: RunConfig) -> Q:
     if cfg.level is None:
-        if default is None:
-            raise ValueError("--level is required here")
-        return Q(default)
+        raise ValueError("--level is required here")
     return serialize.parse_frac(cfg.level)
 
 

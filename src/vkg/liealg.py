@@ -102,7 +102,7 @@ def _expand(basis: Sequence[Vec], target: Vec) -> List[Q]:
     return out
 
 
-def _ordered_basis(rs: RootSystem, duals: Sequence[Vec]):
+def _ordered_basis(rs: RootSystem):
     """Cartan elements first, then root vectors in lexicographic root order."""
     labels: List[Label] = [("h", i + 1) for i in range(rs.rank)]
     weights: List[Vec] = [vzero(rs.ambient)] * rs.rank
@@ -187,7 +187,7 @@ def _mat_trace_product(x: SparseMat, y: SparseMat) -> Q:
 def _build_matrix_realization(rs: RootSystem) -> LieRealization:
     mats, factor = _matrix_basis(rs)
     duals = _matrix_duals(rs)
-    labels, weights, root_index = _ordered_basis(rs, duals)
+    labels, weights, root_index = _ordered_basis(rs)
     matrices = [mats[lab] for lab in labels]
 
     # every matrix position determines at most one basis element
@@ -278,7 +278,7 @@ def _build_cocycle_realization(rs: RootSystem) -> LieRealization:
     sgn = [1 if sum(c) > 0 else -1 for c in coeffs]
     position = {c: p for p, c in enumerate(coeffs)}
     npos = len(rs.positive_roots)
-    labels, weights, root_index = _ordered_basis(rs, simple)
+    labels, weights, root_index = _ordered_basis(rs)
     index = [root_index[a] for a in rs.roots]
     bracket: Dict[Tuple[int, int], Tuple[Term, ...]] = {}
     form: Dict[Tuple[int, int], Q] = {}
@@ -544,46 +544,23 @@ def _acc_double_bracket(lr, acc, upper, lower, v):
 def dynkin_flip(lr: LieRealization) -> Dict[int, Term]:
     """The involutive automorphism swapping the two fork nodes of D_l.
 
-    Implemented as conjugation by the orthogonal swap of the two middle
-    matrix indices; every basis element maps to +-1 times a basis element.
-    Returns a map basis index -> (image index, sign).
+    e_alpha maps to e_alpha', where alpha' is alpha with its last coordinate
+    negated, h_l maps to -h_l, and every other h_i is fixed; on the matrix
+    realization this is conjugation by the swap of the two middle indices.
+    Returns a map basis index -> (image index, sign), certified an
+    involutive automorphism by ``_check_flip``.
     """
     rs = lr.rs
     if rs.family != "D":
         raise UnsupportedAlgebraError(f"dynkin_flip needs type D, got {rs.label}")
-    l = rs.rank
-
-    def flip_weight(w: Vec) -> Vec:
-        return w[:-1] + (-w[-1],)
-
     out: Dict[int, Term] = {}
-    for idx, lab in enumerate(lr.labels):
-        if lab[0] == "h":
-            out[idx] = (idx, Q(-1) if lab[1] == l else Q(1))
-            continue
-        root = lab[1]
-        target = flip_weight(root)
-        sign = _flip_sign(lr, root, target)
-        out[idx] = (lr.e(target), sign)
+    for idx, (kind, data) in enumerate(lr.labels):
+        if kind == "h":
+            out[idx] = (idx, Q(-1) if data == rs.rank else Q(1))
+        else:
+            out[idx] = (lr.e(data[:-1] + (-data[-1],)), Q(1))
     _check_flip(lr, out)
     return out
-
-
-def _flip_sign(lr: LieRealization, root: Vec, target: Vec) -> Q:
-    """Sign of the matrix conjugation on e_root, read off one matrix entry."""
-    mats, _ = _matrix_cache(lr.rs)
-    l = lr.rs.rank
-    swap = lambda a: {l - 1: l, l: l - 1}.get(a, a)
-    src = mats[("e", root)]
-    dst = mats[("e", target)]
-    (pos, val) = next(iter(sorted(src.items())))
-    new_pos = (swap(pos[0]), swap(pos[1]))
-    return val / dst[new_pos]
-
-
-@lru_cache(maxsize=None)
-def _matrix_cache(rs: RootSystem):
-    return _matrix_basis(rs)
 
 
 def _check_flip(lr: LieRealization, out: Dict[int, Term]):

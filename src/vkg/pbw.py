@@ -18,7 +18,6 @@ row, is a ``Fraction``, so no caller ever divides two ints.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -288,8 +287,8 @@ def _search(lr: LieRealization, weight: Vec, degree: int,
     without one, the count of the subtree under each (start index, remaining
     degree, weight so far) is memoized.  The running total never exceeds the
     size of the component, so passing the cap proves it too large.  The walk
-    runs on integer-rescaled coordinates with a mass bound and a
-    per-coordinate reachability bound as prunes.
+    runs on the doubled root coordinates of ``rs.lattice`` with a mass bound
+    and a per-coordinate reachability bound as prunes.
     """
     degree = int(degree)
     if degree < 0:
@@ -297,13 +296,13 @@ def _search(lr: LieRealization, weight: Vec, degree: int,
     if degree > MAX_SEARCH_DEGREE:
         raise ValueError(f"degree {degree} exceeds the search depth bound "
                          f"{MAX_SEARCH_DEGREE}")
-    dim = lr.rs.ambient
-    scale = 1
-    for coords in list(lr.weights) + [weight]:
-        for x in coords:
-            scale = scale * x.denominator // math.gcd(scale, x.denominator)
-    target = [int(x * scale) for x in weight]
-    wints = [[int(x * scale) for x in w] for w in lr.weights]
+    rs = lr.rs
+    dim = rs.ambient
+    if any((2 * x).denominator != 1 for x in weight):
+        return 0    # off the doubled lattice that every root lies in
+    target = [int(2 * x) for x in weight]
+    doubled = dict(zip(rs.roots, rs.lattice))
+    wints = [doubled.get(w, (0,) * dim) for w in lr.weights]
     max_mass = max((sum(abs(c) for c in w) for w in wints), default=0)
     max_coord = max((abs(c) for w in wints for c in w), default=0)
     gens: List[Gen] = [

@@ -1,5 +1,9 @@
 """Constructors for the explicit singular vectors, and the involution sums.
 
+Every formula vector has the shape (sum_i c_i e_a(-1) e_b(-1) ...)^n 1 at a
+fixed level, and ``_power`` is the one path that builds it.  Each vector is
+built at its paper level; ``StateVector.at_level`` moves it to another.
+
 The D-type families are built literally from their defining formulas; the
 signs come out right in the canonical matrix realization because every
 summand carries the same total weight, so any Chevalley-compatible sign
@@ -28,11 +32,12 @@ from .pbw import (
     singular_kernel,
     vacuum,
 )
-from .rootdata import Vec, basis_vector, vadd, vscale, vzero
+from .rootdata import Vec, basis_vector, vadd, vscale
 
 DEFAULT_COMPONENT_CAP = 200_000
 
 PairInvolution = Tuple[Tuple[int, int], ...]
+Summand = Tuple[Q, Sequence[LoopGenerator]]
 
 
 def enumerate_involutions(l: int) -> List[PairInvolution]:
@@ -87,29 +92,44 @@ def _eps(lr: LieRealization, i: int) -> Vec:
     return basis_vector(lr.rs.ambient, i - 1)
 
 
-def _gen(lr: LieRealization, root: Vec, mode: int = -1) -> LoopGenerator:
-    return LoopGenerator(lr.e(root), mode)
+def vadd_eps(lr, i, j) -> Vec:
+    return vadd(_eps(lr, i), _eps(lr, j))
 
 
-def _check_cap(lr: LieRealization, weight: Vec, degree: int, cap: int):
-    if component_size(lr, weight, degree, cap) is None:
+def vsub_eps(lr, i, j) -> Vec:
+    return vadd(_eps(lr, i), vscale(-1, _eps(lr, j)))
+
+
+def _products(lr: LieRealization, signed_roots) -> List[Summand]:
+    """Summands (sign, prod_r e_r(-1)) from tuples (sign, root, root, ...)."""
+    return [(Q(s), [LoopGenerator(lr.e(r), -1) for r in roots])
+            for s, *roots in signed_roots]
+
+
+def _power(lr: LieRealization, summands: Sequence[Summand], level, n: int = 1,
+           weight: Optional[Vec] = None, degree: Optional[int] = None,
+           cap: Optional[int] = None) -> StateVector:
+    """(sum of coef * product of loop generators)^n 1 at the given level.
+
+    The one construction path of the formula vectors.  With a cap, the
+    (weight, degree) component is counted first and refused when larger;
+    with a weight and degree, the result must land in that component.
+    """
+    if cap is not None and component_size(lr, weight, degree, cap) is None:
         raise CapExceededError(
             f"graded component at degree {degree} exceeds cap {cap}"
         )
-
-
-def _apply_operator(lr, summands, state: StateVector,
-                    engine: Optional[_Engine] = None) -> StateVector:
-    """Image of state under a sum of products of loop generators."""
-    if engine is None:
-        engine = _Engine(lr, state.level)
-    total: Optional[StateVector] = None
-    for coef, gens in summands:
-        piece = apply_string(lr, gens, state, engine=engine).scaled(coef)
-        total = piece if total is None else total + piece
-    if total is None:
+    if not summands:
         raise ValueError("operator has no summands")
-    return total
+    engine = _Engine(lr, level)
+    state = vacuum(lr, level)
+    for _ in range(n):
+        pieces = [apply_string(lr, gens, state, engine=engine).scaled(coef)
+                  for coef, gens in summands]
+        state = sum(pieces[1:], pieces[0])
+    if weight is not None and (state.weight, state.degree) != (weight, degree):
+        raise ValueError("vector landed outside its weight and degree")
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -128,63 +148,41 @@ def build_v_n(lr: LieRealization, n: int,
     if n < 1:
         raise ValueError("n must be positive")
     l = rs.rank
-    weight = vscale(2 * n, _eps(lr, 1))
-    _check_cap(lr, weight, 2 * n, cap)
-    summands = [
-        (Q(1), [_gen(lr, vsub_eps(lr, 1, i)), _gen(lr, vadd_eps(lr, 1, i))])
-        for i in range(2, l + 1)
-    ]
-    state = vacuum(lr, Q(n - l + 1))
-    engine = _Engine(lr, state.level)
-    for _ in range(n):
-        state = _apply_operator(lr, summands, state, engine=engine)
-    if state.weight != weight or state.degree != 2 * n:
-        raise ValueError("v_n landed outside its weight and degree")
-    return state
+    summands = _products(lr, [(1, vsub_eps(lr, 1, i), vadd_eps(lr, 1, i))
+                              for i in range(2, l + 1)])
+    return _power(lr, summands, Q(n - l + 1), n, cap=cap,
+                  weight=vscale(2 * n, _eps(lr, 1)), degree=2 * n)
 
 
-def vadd_eps(lr, i, j) -> Vec:
-    return vadd(_eps(lr, i), _eps(lr, j))
-
-
-def vsub_eps(lr, i, j) -> Vec:
-    return vadd(_eps(lr, i), vscale(-1, _eps(lr, j)))
-
-
-def build_w1_D(lr: LieRealization, level=Q(-2)) -> StateVector:
-    """The three-term quadratic vector supported in the D4 subalgebra."""
+def build_w1_D(lr: LieRealization) -> StateVector:
+    """The three-term quadratic vector at level -2, in the D4 subalgebra."""
     rs = lr.rs
     if rs.family != "D" or rs.rank < 4:
         raise UnsupportedAlgebraError("build_w1_D needs type D of rank >= 4")
-    return _matching_vector(lr, level)
+    return _matching_vector(lr)
 
 
-def build_w3_D4(lr: LieRealization, level=Q(-2)) -> StateVector:
-    """The companion quadratic vector of D4 with eps_4 reflected."""
+def build_w3_D4(lr: LieRealization) -> StateVector:
+    """The companion quadratic vector of D4 at level -2, eps_4 reflected."""
     rs = lr.rs
     if (rs.family, rs.rank) != ("D", 4):
         raise UnsupportedAlgebraError("build_w3_D4 needs D4")
-    vac = vacuum(lr, Q(level))
-    terms = [
-        (Q(1), [_gen(lr, vadd_eps(lr, 1, 2)), _gen(lr, vsub_eps(lr, 3, 4))]),
-        (Q(-1), [_gen(lr, vadd_eps(lr, 1, 3)), _gen(lr, vsub_eps(lr, 2, 4))]),
-        (Q(1), [_gen(lr, vsub_eps(lr, 1, 4)), _gen(lr, vadd_eps(lr, 2, 3))]),
-    ]
-    return _apply_operator(lr, terms, vac)
+    return _power(lr, _products(lr, [
+        (1, vadd_eps(lr, 1, 2), vsub_eps(lr, 3, 4)),
+        (-1, vadd_eps(lr, 1, 3), vsub_eps(lr, 2, 4)),
+        (1, vsub_eps(lr, 1, 4), vadd_eps(lr, 2, 3)),
+    ]), Q(-2))
 
 
 # the three perfect matchings of {1, 2, 3, 4}, with their signs
 _D4_MATCHINGS = (((1, 2), (3, 4), 1), ((1, 3), (2, 4), -1), ((1, 4), (2, 3), 1))
 
 
-def _matching_vector(lr, level) -> StateVector:
+def _matching_vector(lr) -> StateVector:
     """sum over _D4_MATCHINGS of sign * e_{eps_i+eps_j}(-1) e_{eps_k+eps_m}(-1) 1."""
-    vac = vacuum(lr, Q(level))
-    summands = []
-    for *pairs, sign in _D4_MATCHINGS:
-        gens = [_gen(lr, vadd_eps(lr, i, j)) for i, j in pairs]
-        summands.append((Q(sign), gens))
-    return _apply_operator(lr, summands, vac)
+    return _power(lr, _products(lr, [
+        (sign, vadd_eps(lr, *a), vadd_eps(lr, *b)) for a, b, sign in _D4_MATCHINGS
+    ]), Q(-2))
 
 
 def build_w_n(lr: LieRealization, n: int,
@@ -199,57 +197,35 @@ def build_w_n(lr: LieRealization, n: int,
     if n < 1:
         raise ValueError("n must be positive")
     l = rs.rank // 2
-    weight = vscale(n, _vsum_eps(lr, rs.rank))
-    _check_cap(lr, weight, n * l, cap)
-    summands = []
-    for p in enumerate_involutions(l):
-        gens = [_gen(lr, vadd_eps(lr, i, j)) for i, j in p]
-        summands.append((Q(involution_sign(p)), gens))
-    state = vacuum(lr, Q(n - 2 * l + 1))
-    engine = _Engine(lr, state.level)
-    for _ in range(n):
-        state = _apply_operator(lr, summands, state, engine=engine)
-    if state.weight != weight or state.degree != n * l:
-        raise ValueError("w_n landed outside its weight and degree")
-    return state
-
-
-def _vsum_eps(lr, upto: int) -> Vec:
-    total = vzero(lr.rs.ambient)
-    for i in range(1, upto + 1):
-        total = vadd(total, _eps(lr, i))
-    return total
+    summands = _products(lr, [
+        (involution_sign(p), *(vadd_eps(lr, i, j) for i, j in p))
+        for p in enumerate_involutions(l)
+    ])
+    return _power(lr, summands, Q(n - 2 * l + 1), n, cap=cap,
+                  weight=(Q(n),) * rs.rank, degree=n * l)
 
 
 def theta_image(lr: LieRealization, v: StateVector) -> StateVector:
     """Image of v under the order-two diagram automorphism of D_l.
 
-    Applied factor-wise with the realization's signs, then re-normal-ordered
+    Applied factor-wise with the flip's signs, then re-normal-ordered
     through the standard engine.
     """
     flip = dynkin_flip(lr)
-    engine = _Engine(lr, v.level)
-    total: Optional[StateVector] = None
+    summands = []
     for mono, coef in v.terms.items():
-        gens = []
-        c = coef
-        for mode, b in mono:
-            b2, s = flip[b]
-            gens.append(LoopGenerator(b2, mode))
-            c *= s
-        piece = apply_string(lr, gens, vacuum(lr, v.level),
-                             engine=engine).scaled(c)
-        total = piece if total is None else total + piece
-    if total is None:
-        raise ValueError("theta_image needs a nonzero vector")
-    return total
+        gens = [LoopGenerator(flip[b][0], mode) for mode, b in mono]
+        for _, b in mono:
+            coef *= flip[b][1]
+        summands.append((coef, gens))
+    return _power(lr, summands, v.level)
 
 
 # ---------------------------------------------------------------------------
 # The B-type conformal-weight-two vectors
 
 
-def build_w1_B(lr: LieRealization, level=Q(-2)) -> StateVector:
+def build_w1_B(lr: LieRealization) -> StateVector:
     """The quadratic singular vector of so(2l+1) at level -2.
 
     For l >= 3 this is the displayed three-term combination (for l >= 4 it
@@ -262,20 +238,16 @@ def build_w1_B(lr: LieRealization, level=Q(-2)) -> StateVector:
     rs = lr.rs
     if rs.family != "B" or rs.rank < 2:
         raise UnsupportedAlgebraError("build_w1_B needs type B of rank >= 2")
-    level = Q(level)
     if rs.rank >= 4:
-        return _matching_vector(lr, level)
+        return _matching_vector(lr)
     if rs.rank == 3:
-        vac = vacuum(lr, level)
-        terms = [
-            (Q(1), [_gen(lr, vadd_eps(lr, 1, 2)), _gen(lr, _eps(lr, 3))]),
-            (Q(-1), [_gen(lr, vadd_eps(lr, 1, 3)), _gen(lr, _eps(lr, 2))]),
-            (Q(1), [_gen(lr, _eps(lr, 1)), _gen(lr, vadd_eps(lr, 2, 3))]),
-        ]
-        return _apply_operator(lr, terms, vac)
+        return _power(lr, _products(lr, [
+            (1, vadd_eps(lr, 1, 2), _eps(lr, 3)),
+            (-1, vadd_eps(lr, 1, 3), _eps(lr, 2)),
+            (1, _eps(lr, 1), vadd_eps(lr, 2, 3)),
+        ]), Q(-2))
     # l = 2: solve on the full (eps_1, degree 2) component
-    weight = _eps(lr, 1)
-    kernel = singular_kernel(lr, level, weight, 2)
+    kernel = singular_kernel(lr, Q(-2), _eps(lr, 1), 2)
     if len(kernel) != 1:
         raise ValueError(
             f"expected a one-dimensional kernel for B2, got {len(kernel)}"
@@ -360,30 +332,27 @@ def e7_d6_a1_subalgebra(lr: LieRealization):
     return tuple(pos), a1_root, generators
 
 
-def resolve_signs(lr: LieRealization, level=Q(-4)):
-    """Solve for the support coefficients of the E7 vector.
+def resolve_signs(lr: LieRealization):
+    """Solve for the support coefficients of the E7 vector at level -4.
 
     Returns (coefficients, monomials).  Raises if the solution space on the
     displayed support is not one-dimensional, or if the resolved
     coefficients fail to share one magnitude.
     """
-    level = Q(level)
     products = e7_support_products(lr)
     weights = {vadd(a, b) for a, b in products}
     if len(weights) != 1:
         raise ValueError("support products are not weight-homogeneous")
     monos: List[Tuple] = []
     for a, b in products:
-        state = apply_string(
-            lr, [_gen(lr, a), _gen(lr, b)], vacuum(lr, level)
-        )
+        state = _power(lr, _products(lr, [(1, a, b)]), Q(-4))
         if state.support_size() != 1:
             raise ValueError(f"product {a} * {b} is not one monomial")
         ((mono, c),) = state.terms.items()
         if c != 1:
             raise ValueError(f"product {a} * {b} has coefficient {c}")
         monos.append(mono)
-    rows = constraint_rows(_Engine(lr, level), monos)
+    rows = constraint_rows(_Engine(lr, Q(-4)), monos)
     kernel = linalg.nullspace(rows, len(monos))
     if len(kernel) != 1:
         raise ValueError(
@@ -400,14 +369,12 @@ def resolve_signs(lr: LieRealization, level=Q(-4)):
     return sol, monos
 
 
-def build_vE7(lr: LieRealization, level=Q(-4)) -> StateVector:
+def build_vE7(lr: LieRealization) -> StateVector:
     """The quadratic singular vector of E7 at level -4, signs resolved."""
-    level = Q(level)
-    sol, monos = resolve_signs(lr, level)
-    products = e7_support_products(lr)
-    weight = vadd(*products[0])
+    sol, monos = resolve_signs(lr)
+    weight = vadd(*e7_support_products(lr)[0])
     terms = {m: c for m, c in zip(monos, sol) if c}
-    return StateVector(level, weight, Q(2), terms)
+    return StateVector(Q(-4), weight, Q(2), terms)
 
 
 # ---------------------------------------------------------------------------

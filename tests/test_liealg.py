@@ -221,3 +221,25 @@ def test_realization_json_digest(family, rank, digest):
     text = json.dumps(realization_to_json(build_realization(family, rank)),
                       sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# SHA-256 of the sorted flip map [index, image index, sign] on D3-D10,
+# recorded while the signs were still read off the so(2l) matrices.
+FLIP_DIGESTS = [
+    (3, "e10f2ab63d6bb79caf8e7d547e2d541cef8cd90d1fa66b6255237b85949b9dae"),
+    (4, "4eb3bffed3953f5cfb73123591eb915c7bdd2e8530633c4f7209cce8449dbc63"),
+    (5, "f7f9a9587208cb4c9802aba0ad11f9c18249de970a81b93652a5921fc4d01eb5"),
+    (6, "c6a2a612f098319e96ff801d9ff4df72d8a71cf7240d9fb0cf04b8648991eaa6"),
+    (7, "7bd7c412384fad4e5e9e4fcf0e214b452faabe647c12c2c7188e6b4bb8e0c398"),
+    (8, "2eb118e30115cae730956c39729bbae31ff52317d13a108fcbdcfc00a34b9056"),
+    (9, "8c5597d0d08622eaba9c99621c19cbe3a265163de65bef4be83358b36574f696"),
+    (10, "2c57710a7a6e63a594c34384d5becf2b6d72eee196c58fbe8f563573ba28e176"),
+]
+
+
+@pytest.mark.parametrize("rank,digest", FLIP_DIGESTS)
+def test_dynkin_flip_digest(rank, digest):
+    flip = dynkin_flip(build_realization("D", rank))
+    rows = sorted([i, j, str(s)] for i, (j, s) in flip.items())
+    text = json.dumps(rows, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

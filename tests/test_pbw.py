@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction as Q
 
@@ -452,3 +454,40 @@ def test_serialize_round_trip_random_states(data):
 def test_fraction_string_round_trip(num, den):
     q = Q(num, den)
     assert serialize.parse_frac(serialize.frac_str(q)) == q
+
+
+# SHA-256 of the compact JSON of graded_basis, recorded while the search ran
+# on LCM-rescaled coordinates, with the size of each component.  The two D4
+# weights off the root lattice have empty components.
+GRADED_BASIS_DIGESTS = [
+    ("D", 4, (1, 1, 0, 0), 4, 422,
+     "ad4ecb4a3e0f6973813dfe28de3f37360cb5c2a06301ba05d97cf35bd0292d96"),
+    ("B", 3, (1, 1, 0), 4, 244,
+     "efad17a5131b94964a11739eec704a198f2ef691a4661a9a70788e572035a09f"),
+    ("A", 3, (1, 0, 0, -1), 4, 136,
+     "ed76a41ff81716599a2fd2f14cc22c61d915107c33a8ee95a2db2de2723f7c8b"),
+    ("C", 3, (1, 1, 0), 5, 1361,
+     "1015f754218a2eabbeb8d0eb2ec0a8921cf4bba83ccb2c4754a873ef6e4bec52"),
+    ("E", 8, (0,) * 8, 2, 164,
+     "dce4d922e741291e418f6190c00b31ae57a13ec35b41d3710375dc162621e1d2"),
+    ("B", 2, (1, 0), 2, 5,
+     "e29a7b4cfa3abf2bb8970447dcf297b3f2609f1eaaa654771e81977decf54603"),
+    ("D", 4, (Q(1, 3), 0, 0, 0), 2, 0,
+     "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    ("D", 4, (Q(1, 2),) * 4, 2, 0,
+     "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+]
+
+
+@pytest.mark.parametrize("family, rank, weight, degree, size, digest",
+                         GRADED_BASIS_DIGESTS)
+def test_graded_basis_digest(family, rank, weight, degree, size, digest):
+    lr = build_realization(family, rank)
+    basis = graded_basis(lr, vec(*weight), degree)
+    text = json.dumps([[list(g) for g in m] for m in basis],
+                      separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert len(basis) == size
+    assert component_size(lr, vec(*weight), degree, size) == size
+    if size:
+        assert component_size(lr, vec(*weight), degree, size - 1) is None

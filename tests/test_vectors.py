@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 from fractions import Fraction as Q
 
 import pytest
@@ -12,6 +14,7 @@ from vkg.pbw import (
     vacuum,
 )
 from vkg.rootdata import vadd, vec, vscale
+from vkg.serialize import state_to_json
 from vkg.vectors import (
     build_v_n,
     build_vE7,
@@ -488,3 +491,57 @@ def test_all_constructors_lie_in_their_components():
     cases.append((lr7, build_vE7(lr7)))
     for lr, v in cases:
         assert in_span_of_component(lr, v)
+
+
+def _vector_cases():
+    D = {l: build_realization("D", l) for l in range(4, 8)}
+    B = {l: build_realization("B", l) for l in range(2, 6)}
+    E7 = build_realization("E", 7)
+    cases = {f"w1 D{l}": (D[l], build_w1_D(D[l])) for l in range(4, 8)}
+    cases.update({f"w1 B{l}": (B[l], build_w1_B(B[l])) for l in range(2, 6)})
+    cases.update({f"v_1 D{l}": (D[l], build_v_n(D[l], 1)) for l in range(4, 8)})
+    cases["v_2 D5"] = (D[5], build_v_n(D[5], 2))
+    cases["v_3 D6"] = (D[6], build_v_n(D[6], 3))
+    cases["w3 D4"] = (D[4], build_w3_D4(D[4]))
+    for l, n in ((6, 1), (4, 2)):
+        w = build_w_n(D[l], n)
+        cases[f"w_{n} D{l}"] = (D[l], w)
+        cases[f"theta w_{n} D{l}"] = (D[l], theta_image(D[l], w))
+    cases["vE7"] = (E7, build_vE7(E7))
+    return cases
+
+
+# SHA-256 of the compact, key-sorted JSON of state_to_json, recorded before
+# the formula vectors moved onto one construction path.  A change to a
+# monomial, a coefficient, the level, the weight or the degree fails here.
+VECTOR_DIGESTS = {
+    "w1 D4": "61108101791bb49c73dd909a216222a4713ee3d1825806fd816411d016aaf69d",
+    "w1 D5": "269c6ba671cdb96e5badd92a70ec396730990def933a600c335e5c9f83e76e23",
+    "w1 D6": "37c5416442cc218c996e32bdbfcc92bc550e51f264b86c81674f95afb1af6915",
+    "w1 D7": "e3bb1aa6bb89618499d486d67b9e8a27b9aac2fdf44dabfb44a80666310012a8",
+    "w1 B2": "953d5da95b5e636543bbd37099d61eb8a8a699e759348eda42353cec0ad235fc",
+    "w1 B3": "c750bd60662e81f6918ae32306e3e023c626fb948b1fa9476bb3d3ac4195b92d",
+    "w1 B4": "61108101791bb49c73dd909a216222a4713ee3d1825806fd816411d016aaf69d",
+    "w1 B5": "269c6ba671cdb96e5badd92a70ec396730990def933a600c335e5c9f83e76e23",
+    "v_1 D4": "3faa6f996e5f0b49b3dfd1a66c2ce19550a3ae98b661e8f9201357c0e99e56d2",
+    "v_1 D5": "f11cfd898881a7d175c8fb5d2899beea85f983bd2c2db3db3dbc1e89665d7dda",
+    "v_1 D6": "333cfa8f2bfd470a32f219083a371ccc71f8fb3a26ba5ef84ca06184d93c64d4",
+    "v_1 D7": "5cb104824fa53fd9e9d284bf837799b5dd2d5acb5b5c636bc2abf550af4a778a",
+    "v_2 D5": "472f2c54765077356d8766781c8e9ef8a56bee6b43ff73004ec2050ff1e444e5",
+    "v_3 D6": "58ae879a4d625e7e2ac6d431faaeb269af142eab55182c0f5b0f74f13037a210",
+    "w3 D4": "309bb390f1f295473aa5ee86830f75413fad800191f2d37777a96a20cb850033",
+    "w_1 D6": "9b583589650ee969fe514ef0251bd4bb11e4e4570dcd6d83b8a4cb2de395b9ee",
+    "theta w_1 D6": "5f59715bd51717b7ff80b5ac90fb4e07a7322c2042f2cc20ae36e1829b5c9e88",
+    "w_2 D4": "545755d095023a505d7a42a14c13ee7e76b9ab303077912cd89932a498d5bd2b",
+    "theta w_2 D4": "33180c7a8531e666666cb96f9192aec19409f25dc40d7e6ed1ecbcce27742100",
+    "vE7": "b6498c9435aa7bbf34eee566cc3b6b1d5b318b12ccc6b9d113dc1775506cc94c",
+}
+
+
+def test_vector_json_digest():
+    got = {}
+    for name, (lr, v) in _vector_cases().items():
+        text = json.dumps(state_to_json(lr, v), sort_keys=True,
+                          separators=(",", ":"))
+        got[name] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == VECTOR_DIGESTS
