@@ -302,7 +302,8 @@ def _search(lr: LieRealization, weight: Vec, degree: int,
         return 0    # off the doubled lattice that every root lies in
     target = [int(2 * x) for x in weight]
     doubled = dict(zip(rs.roots, rs.lattice))
-    wints = [doubled.get(w, (0,) * dim) for w in lr.weights]
+    wints = [(0,) * dim if lab[0] == "h" else doubled[w]
+             for lab, w in zip(lr.labels, lr.weights)]
     max_mass = max((sum(abs(c) for c in w) for w in wints), default=0)
     max_coord = max((abs(c) for w in wints for c in w), default=0)
     gens: List[Gen] = [

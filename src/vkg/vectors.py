@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction as Q
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .liealg import LieRealization, UnsupportedAlgebraError, dynkin_flip
@@ -100,33 +100,38 @@ def vsub_eps(lr, i, j) -> Vec:
     return vadd(_eps(lr, i), vscale(-1, _eps(lr, j)))
 
 
-def _products(lr: LieRealization, signed_roots) -> List[Summand]:
+def _products(lr: LieRealization, signed_roots) -> Iterator[Summand]:
     """Summands (sign, prod_r e_r(-1)) from tuples (sign, root, root, ...)."""
-    return [(Q(s), [LoopGenerator(lr.e(r), -1) for r in roots])
-            for s, *roots in signed_roots]
+    return ((Q(s), [LoopGenerator(lr.e(r), -1) for r in roots])
+            for s, *roots in signed_roots)
 
 
-def _power(lr: LieRealization, summands: Sequence[Summand], level, n: int = 1,
+def _power(lr: LieRealization, summands: Iterable[Summand], level, n: int = 1,
            weight: Optional[Vec] = None, degree: Optional[int] = None,
            cap: Optional[int] = None) -> StateVector:
     """(sum of coef * product of loop generators)^n 1 at the given level.
 
     The one construction path of the formula vectors.  With a cap, the
-    (weight, degree) component is counted first and refused when larger;
-    with a weight and degree, the result must land in that component.
+    (weight, degree) component is counted first and refused when larger,
+    before ``summands`` is read, so a lazy iterable of summands is not built
+    for a refused component; with a weight and degree, the result must land
+    in that component.
     """
     if cap is not None and component_size(lr, weight, degree, cap) is None:
         raise CapExceededError(
             f"graded component at degree {degree} exceeds cap {cap}"
         )
+    summands = list(summands)
     if not summands:
         raise ValueError("operator has no summands")
     engine = _Engine(lr, level)
     state = vacuum(lr, level)
     for _ in range(n):
-        pieces = [apply_string(lr, gens, state, engine=engine).scaled(coef)
-                  for coef, gens in summands]
-        state = sum(pieces[1:], pieces[0])
+        total: Optional[StateVector] = None
+        for coef, gens in summands:
+            piece = apply_string(lr, gens, state, engine=engine).scaled(coef)
+            total = piece if total is None else total + piece
+        state = total
     if weight is not None and (state.weight, state.degree) != (weight, degree):
         raise ValueError("vector landed outside its weight and degree")
     return state
@@ -197,12 +202,13 @@ def build_w_n(lr: LieRealization, n: int,
     if n < 1:
         raise ValueError("n must be positive")
     l = rs.rank // 2
-    summands = _products(lr, [
-        (involution_sign(p), *(vadd_eps(lr, i, j) for i, j in p))
-        for p in enumerate_involutions(l)
-    ])
-    return _power(lr, summands, Q(n - 2 * l + 1), n, cap=cap,
-                  weight=(Q(n),) * rs.rank, degree=n * l)
+
+    def signed_products():  # lazy: the (2l-1)!! involutions follow the cap
+        for p in enumerate_involutions(l):
+            yield (involution_sign(p), *(vadd_eps(lr, i, j) for i, j in p))
+
+    return _power(lr, _products(lr, signed_products()), Q(n - 2 * l + 1), n,
+                  cap=cap, weight=(Q(n),) * rs.rank, degree=n * l)
 
 
 def theta_image(lr: LieRealization, v: StateVector) -> StateVector:

@@ -277,6 +277,15 @@ def test_component_cap_refusal():
         build_w_n(lr, 1, cap=10)
 
 
+def test_w_n_cap_is_checked_before_the_involutions(monkeypatch):
+    def refuse(l):
+        raise AssertionError("involutions listed before the cap check")
+
+    monkeypatch.setattr("vkg.vectors.enumerate_involutions", refuse)
+    with pytest.raises(CapExceededError):
+        build_w_n(build_realization("D", 8), 1, cap=10)
+
+
 # ---------------------------------------------------------------------------
 # oracle equivalence with the brute-force kernel
 
