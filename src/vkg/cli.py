@@ -380,20 +380,15 @@ def cmd_collapse(cfg: RunConfig, audit: bool, polynomials: bool,
         ]
         for r in t5:
             text.append(
-                f"  {r['algebra']:>8} k={serialize.frac_str(r['k']):>6} -> "
-                f"{r['stored']['target']:>8} k'="
-                f"{serialize.frac_str(r['stored']['k_prime']):>6}  "
-                f"{'ok' if r['ok'] else 'MISMATCH ' + json.dumps(_row_json(r))}"
+                _table5_line(r) + "  "
+                + ("ok" if r["ok"] else "MISMATCH " + json.dumps(_row_json(r)))
             )
         _emit(payload, cfg, text, _latex_table5(t5), _csv_table5(t5))
         return OK if not bad else CHECK_FAILED
 
     if polynomials:
-        algebras = ([parse_algebra(cfg.algebra)] if cfg.algebra
-                    else [build_root_system(*g)
-                          for g in collapsing.DEFAULT_AUDIT_ALGEBRAS])
         rows = []
-        for rs in algebras:
+        for rs in _table_algebras(cfg):
             p = collapsing.p_of_k((rs.family, rs.rank))
             rows.append(
                 {
@@ -446,11 +441,8 @@ def cmd_collapse(cfg: RunConfig, audit: bool, polynomials: bool,
         ])
         return OK
 
-    algebras = ([parse_algebra(cfg.algebra)] if cfg.algebra
-                else [build_root_system(*g)
-                      for g in collapsing.DEFAULT_AUDIT_ALGEBRAS])
     rows = []
-    for rs in algebras:
+    for rs in _table_algebras(cfg):
         for row in collapsing.stored_table5_rows((rs.family, rs.rank)):
             rows.append(
                 {
@@ -466,14 +458,24 @@ def cmd_collapse(cfg: RunConfig, audit: bool, polynomials: bool,
             {"algebra": a, "target": t, "k": k, "k_prime": kp}
             for a, t, k, kp in collapsing.TABLE5_SUPER
         ]
-    text = [
+    text = [_table5_line(r) for r in rows]
+    _emit(payload, cfg, text, _latex_table5(rows), _csv_table5(rows))
+    return OK
+
+
+def _table_algebras(cfg: RunConfig) -> list:
+    """The --algebra root system alone, or every default audit algebra."""
+    if cfg.algebra:
+        return [parse_algebra(cfg.algebra)]
+    return [build_root_system(*g) for g in collapsing.DEFAULT_AUDIT_ALGEBRAS]
+
+
+def _table5_line(r: dict) -> str:
+    return (
         f"  {r['algebra']:>8} k={serialize.frac_str(r['k']):>6} -> "
         f"{r['stored']['target']:>8} k'="
         f"{serialize.frac_str(r['stored']['k_prime']):>6}"
-        for r in rows
-    ]
-    _emit(payload, cfg, text, _latex_table5(rows), _csv_table5(rows))
-    return OK
+    )
 
 
 def _row_json(r: dict) -> dict:
@@ -514,12 +516,22 @@ def _csv_table5(rows) -> List[str]:
 
 
 def cmd_kl(cfg: RunConfig, quotient: str, limit: int) -> int:
+    if limit < 0:
+        raise ValueError("limit must be nonnegative")
     rs = parse_algebra(cfg.algebra)
     k = _parse_level(cfg)
     spec = conformal.kl_spectrum((rs.family, rs.rank), k, quotient)
+    name, level = canonical_name(*spec.algebra), serialize.frac_str(spec.level)
+    head = f"{name} at k = {level} ({quotient})"
+    if limit > cfg.cap:
+        detail = f"limit {limit} exceeds cap {cfg.cap}"
+        payload = {"algebra": name, "level": level, "quotient": quotient,
+                   "status": "capped", "detail": detail}
+        _emit(payload, cfg, [f"{head}: capped ({detail})"])
+        return OK
     payload = {
-        "algebra": canonical_name(*spec.algebra),
-        "level": serialize.frac_str(spec.level),
+        "algebra": name,
+        "level": level,
         "quotient": spec.quotient,
         "provenance": spec.provenance,
         "families": [
@@ -532,10 +544,7 @@ def cmd_kl(cfg: RunConfig, quotient: str, limit: int) -> int:
             for f in spec.families
         ],
     }
-    text = [
-        f"{payload['algebra']} at k = {payload['level']} "
-        f"({quotient}): {spec.provenance}",
-    ]
+    text = [f"{head}: {spec.provenance}"]
     for f in payload["families"]:
         marker = " ... " if f["infinite"] else ""
         text.append(

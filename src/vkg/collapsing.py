@@ -101,15 +101,17 @@ def is_collapsing(g: GType, k) -> bool:
     return p_of_k(g).evaluate(k) == 0
 
 
+def _levels(rs, gd, k: Q) -> Tuple[List[Q], Q]:
+    """Levels k + (h - h0_i)/2 of the components and k + h/2 of the center."""
+    h = rs.dual_coxeter
+    return [k + (h - c.dual_coxeter0) / 2 for c in gd.components], k + h / 2
+
+
 def component_level(g: GType, k, i: int) -> Q:
-    """Level k_i = k + (h - h0_i)/2 of component i of the centralizer."""
-    k = Q(k)
+    """Level k_i = k + (h - h0_i)/2 of component i; i = -1 is the center."""
     rs = build_root_system(*g)
-    gd = minimal_grading_data(rs)
-    if i == -1:  # the abelian center
-        return k + rs.dual_coxeter / 2
-    comp = gd.components[i]
-    return k + (rs.dual_coxeter - comp.dual_coxeter0) / 2
+    levels, center_level = _levels(rs, minimal_grading_data(rs), Q(k))
+    return center_level if i == -1 else levels[i]
 
 
 def collapsed_level(g: GType, k) -> Tuple[str, Q]:
@@ -125,12 +127,8 @@ def collapsed_level(g: GType, k) -> Tuple[str, Q]:
         raise NotCollapsingError(f"{canonical_name(*g)} at k = {k}")
     rs = build_root_system(*g)
     gd = minimal_grading_data(rs)
-    survivors = []
-    for i, comp in enumerate(gd.components):
-        ki = k + (rs.dual_coxeter - comp.dual_coxeter0) / 2
-        if ki:
-            survivors.append((comp, ki))
-    center_level = k + rs.dual_coxeter / 2
+    levels, center_level = _levels(rs, gd, k)
+    survivors = [(comp, ki) for comp, ki in zip(gd.components, levels) if ki]
     center_survives = gd.center_dim > 0 and center_level != 0
     if not survivors and not center_survives:
         return ("C", Q(0))

@@ -1,6 +1,8 @@
 """Sugawara conformal weights, collapsing-level weight equations, and the
 classified module lists for the relevant categories of locally finite
-modules.
+modules.  The module lists are one ordered case table, _CASES: each row
+holds a quotient, a condition on (family, rank, k, h_dual), a builder of the
+weight families and a provenance string, and the first matching row wins.
 
 Levels are always non-critical here: k = -h is rejected.  All outputs are
 exact rational numbers or explicit weight families; a family is either a
@@ -20,6 +22,7 @@ from .rootdata import (
     build_root_system,
     canonical_name,
     canonical_type,
+    casimir_eigenvalue,
     fundamental_weight,
     is_dominant_integral,
     vadd,
@@ -48,8 +51,7 @@ def _shifted_level(rs: RootSystem, k) -> Q:
 def sugawara_weight(rs: RootSystem, mu: Vec, k) -> Q:
     """(mu, mu + 2 rho) / (2 (k + h)): the L(0) eigenvalue on weight mu."""
     k = _shifted_level(rs, k)
-    num = rs.form(mu, vadd(mu, vscale(2, rs.rho)))
-    return num / (2 * (k + rs.dual_coxeter))
+    return casimir_eigenvalue(rs, mu) / (2 * (k + rs.dual_coxeter))
 
 
 def w_lowest_weight(rs: RootSystem, mu: Vec, k) -> Q:
@@ -144,139 +146,98 @@ class KLSpectrum:
 QUOTIENTS = ("simple", "intermediate", "vbar")
 
 
-def _trivial_spectrum(g: GType, k: Q, why: str, dim: int) -> KLSpectrum:
-    zero = vzero(dim)
-    fam = WeightFamily(zero, zero, 1, "trivial weight only")
-    return KLSpectrum(g, k, "simple", (fam,), why)
-
-
 def deligne_series() -> Tuple[GType, ...]:
     return (("A", 2), ("G", 2), ("D", 4), ("F", 4), ("E", 6), ("E", 7), ("E", 8))
+
+
+def _ladder(rs: RootSystem, i: int, top: Optional[int],
+            var: str) -> WeightFamily:
+    """var * omega_i for 0 <= var <= top, or for every var >= 0 if None."""
+    span = f"all {var} >= 0" if top is None else f"0 <= {var} <= {top}"
+    count = None if top is None else top + 1
+    return WeightFamily(vzero(rs.ambient), fundamental_weight(rs, i), count,
+                        f"{var}*omega{i}, {span}")
+
+
+def _trivial(rs: RootSystem) -> Tuple[WeightFamily, ...]:
+    zero = vzero(rs.ambient)
+    return (WeightFamily(zero, zero, 1, "trivial weight only"),)
+
+
+def _spin(rs: RootSystem) -> Tuple[WeightFamily, ...]:
+    return (_ladder(rs, rs.rank, None, "t"),
+            _ladder(rs, rs.rank - 1, None, "t"))
+
+
+# (quotient, condition on (family, rank, k, h_dual), families, provenance).
+# The first matching row wins, so the order is part of the contract: D4 at
+# k = -2 is the Deligne row before the even-rank-D and the D-ladder rows.
+_CASES = (
+    ("simple", lambda f, r, k, h: (f, r) in deligne_series()
+     and k == -h / 6 - 1,
+     _trivial, "unique module at the exceptional-series level"),
+    ("simple", lambda f, r, k, h: (f, r) == ("E", 8) and k == -10,
+     _trivial, "unique module at k = -10"),
+    ("simple", lambda f, r, k, h: f == "D" and r % 2 == 0 and r >= 4
+     and k == -h / 2 + 1,
+     _trivial, "unique module for even-rank D at k = 2 - rank"),
+    ("simple", lambda f, r, k, h: f == "D" and r >= 4 and k == -2,
+     lambda rs: (_ladder(rs, 1, rs.rank - 4, "j"),),
+     "simple quotient of type D at level -2: finite omega1 ladder"),
+    ("simple", lambda f, r, k, h: f == "B" and r >= 3 and k == -2,
+     lambda rs: (_ladder(rs, 1, 2 * (rs.rank - 3) + 1, "j"),),
+     "simple quotient of type B at level -2: finite omega1 ladder"),
+    ("simple", lambda f, r, k, h: (f, r) == ("B", 2) and k == -2,
+     lambda rs: (_ladder(rs, 1, None, "j"),),
+     "B2 at level -2: the quadratic quotient is already simple"),
+    ("simple", lambda f, r, k, h: f == "D" and r % 2 == 1 and r >= 5
+     and k == 2 - r,
+     _spin, "odd-rank D at k = 2 - rank: the two spin ladders"),
+    # For D4 this list is the quotient by w1 and w3 together: in Zhu's
+    # algebra w1 alone also allows j*omega3 (ROADMAP, Zhu's-algebra
+    # certification).  The provenance text and the list stay as stored.
+    ("intermediate", lambda f, r, k, h: f == "D" and r >= 4 and k == -2,
+     lambda rs: (_ladder(rs, 1, None, "j"),),
+     "type D at level -2, quotient by the quadratic vector: "
+     "infinite omega1 ladder"),
+    ("intermediate", lambda f, r, k, h: f == "B" and r >= 2 and k == -2,
+     lambda rs: (_ladder(rs, 1, None, "j"),),
+     "type B at level -2, quotient by the quadratic vector: "
+     "infinite omega1 ladder"),
+    ("intermediate", lambda f, r, k, h: (f, r) == ("D", 6) and k == -4,
+     lambda rs: (_ladder(rs, 6, None, "s"),),
+     "D6 at level -4, quotient by the quadratic and one cubic vector: "
+     "single spin ladder"),
+    ("vbar", lambda f, r, k, h: f == "D" and r >= 3 and k == 2 - r,
+     _spin, "type D at k = 2 - rank, quotient by the quadratic vector: "
+     "two spin ladders"),
+)
+
+_NOT_CLASSIFIED = {
+    "simple": "no classification stored for simple {g} at k = {k}",
+    "intermediate": "no intermediate quotient stored for {g} at k = {k}",
+    "vbar": "no vbar classification stored for {g} at k = {k}",
+}
 
 
 def kl_spectrum(g: GType, k, quotient: str = "simple") -> KLSpectrum:
     """Complete irreducible-module lists in the locally finite category.
 
-    Covered cases (exact level matches, canonical algebra types):
-
-    * simple quotients with one module: the exceptional series at
-      k = -h/6 - 1, even-rank D at k = -h/2 + 1, and E8 at k = -10;
-    * type D at k = -2: simple bound j <= rank - 4, intermediate infinite;
-    * type B at k = -2: simple bound j <= 2(rank-3) + 1 for rank >= 3,
-      the same infinite family for rank 2 and for every intermediate case;
-    * type D at k = 2 - rank: the two spin-weight families for the quotient
-      by the quadratic vector ('vbar'); for odd rank these also classify
-      the simple quotient;
-    * D6 at k = -4, intermediate: the single spin family.
-
-    Anything else raises NotClassifiedError.
+    The answer is the first row of _CASES that matches the canonical algebra
+    type, the exact level and the quotient.  For odd-rank D the 'vbar' spin
+    ladders at k = 2 - rank also classify the simple quotient.  Anything
+    else raises NotClassifiedError.
     """
-    fam_g, rank = canonical_type(*g)
-    g = (fam_g, rank)
-    rs = build_root_system(fam_g, rank)
+    g = canonical_type(*g)
+    rs = build_root_system(*g)
     k = _shifted_level(rs, k)
     if quotient not in QUOTIENTS:
         raise ValueError(f"unknown quotient {quotient!r}; pick from {QUOTIENTS}")
-    dim = rs.ambient
-    zero = vzero(dim)
-
-    if quotient == "simple":
-        if g in deligne_series() and k == -rs.dual_coxeter / 6 - 1:
-            return _trivial_spectrum(
-                g, k, "unique module at the exceptional-series level", dim
-            )
-        if g == ("E", 8) and k == -10:
-            return _trivial_spectrum(g, k, "unique module at k = -10", dim)
-        if fam_g == "D" and rank % 2 == 0 and rank >= 4 \
-                and k == -rs.dual_coxeter / 2 + 1:
-            return _trivial_spectrum(
-                g, k, "unique module for even-rank D at k = 2 - rank", dim
-            )
-        if fam_g == "D" and rank >= 4 and k == -2:
-            w1 = fundamental_weight(rs, 1)
-            fam = WeightFamily(
-                zero, w1, rank - 4 + 1, f"j*omega1, 0 <= j <= {rank - 4}"
-            )
-            return KLSpectrum(
-                g, k, quotient, (fam,),
-                "simple quotient of type D at level -2: finite omega1 ladder",
-            )
-        if fam_g == "B" and rank >= 3 and k == -2:
-            bound = 2 * (rank - 3) + 1
-            w1 = fundamental_weight(rs, 1)
-            fam = WeightFamily(
-                zero, w1, bound + 1, f"j*omega1, 0 <= j <= {bound}"
-            )
-            return KLSpectrum(
-                g, k, quotient, (fam,),
-                "simple quotient of type B at level -2: finite omega1 ladder",
-            )
-        if g == ("B", 2) and k == -2:
-            w1 = fundamental_weight(rs, 1)
-            fam = WeightFamily(zero, w1, None, "j*omega1, all j >= 0")
-            return KLSpectrum(
-                g, k, quotient, (fam,),
-                "B2 at level -2: the quadratic quotient is already simple",
-            )
-        if fam_g == "D" and rank % 2 == 1 and rank >= 5 and k == 2 - rank:
-            return KLSpectrum(
-                g, k, quotient, _spin_families(rs),
-                "odd-rank D at k = 2 - rank: the two spin ladders",
-            )
-        raise NotClassifiedError(
-            f"no classification stored for simple {canonical_name(*g)} at k = {k}"
-        )
-
-    if quotient == "intermediate":
-        if fam_g == "D" and rank >= 4 and k == -2:
-            w1 = fundamental_weight(rs, 1)
-            fam = WeightFamily(zero, w1, None, "j*omega1, all j >= 0")
-            return KLSpectrum(
-                g, k, quotient, (fam,),
-                "type D at level -2, quotient by the quadratic vector: "
-                "infinite omega1 ladder",
-            )
-        if fam_g == "B" and rank >= 2 and k == -2:
-            w1 = fundamental_weight(rs, 1)
-            fam = WeightFamily(zero, w1, None, "j*omega1, all j >= 0")
-            return KLSpectrum(
-                g, k, quotient, (fam,),
-                "type B at level -2, quotient by the quadratic vector: "
-                "infinite omega1 ladder",
-            )
-        if g == ("D", 6) and k == -4:
-            wl = fundamental_weight(rs, 6)
-            fam = WeightFamily(
-                vzero(dim), wl, None, "s*omega6, all s >= 0"
-            )
-            return KLSpectrum(
-                g, k, quotient, (fam,),
-                "D6 at level -4, quotient by the quadratic and one cubic "
-                "vector: single spin ladder",
-            )
-        raise NotClassifiedError(
-            f"no intermediate quotient stored for {canonical_name(*g)} at k = {k}"
-        )
-
-    # quotient == "vbar": quotient by the rank-one quadratic vector
-    if fam_g == "D" and rank >= 3 and k == 2 - rank:
-        return KLSpectrum(
-            g, k, quotient, _spin_families(rs),
-            "type D at k = 2 - rank, quotient by the quadratic vector: "
-            "two spin ladders",
-        )
+    for q, matches, families, why in _CASES:
+        if q == quotient and matches(*g, k, rs.dual_coxeter):
+            return KLSpectrum(g, k, quotient, families(rs), why)
     raise NotClassifiedError(
-        f"no vbar classification stored for {canonical_name(*g)} at k = {k}"
-    )
-
-
-def _spin_families(rs: RootSystem) -> Tuple[WeightFamily, ...]:
-    dim = rs.ambient
-    wl = fundamental_weight(rs, rs.rank)
-    wl1 = fundamental_weight(rs, rs.rank - 1)
-    return (
-        WeightFamily(vzero(dim), wl, None, f"t*omega{rs.rank}, all t >= 0"),
-        WeightFamily(vzero(dim), wl1, None, f"t*omega{rs.rank - 1}, all t >= 0"),
+        _NOT_CLASSIFIED[quotient].format(g=canonical_name(*g), k=k)
     )
 
 

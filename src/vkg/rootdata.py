@@ -246,24 +246,22 @@ def parse_algebra(label: str) -> RootSystem:
     """Parse labels such as 'D:4', 'D4', 'so(8)', 'sl(6)', 'sp(6)', 'E7'."""
     s = label.strip().replace(":", "")
     low = s.lower()
-    for name, fam in (("sl(", "A"), ("so(", None), ("sp(", "C")):
-        if low.startswith(name) and low.endswith(")"):
-            n = int(low[len(name):-1])
-            if fam == "A":
-                return build_root_system("A", n - 1)
-            if fam == "C":
-                if n % 2:
-                    raise UnsupportedAlgebraError(f"sp({n}) needs even n")
-                return build_root_system("C", n // 2)
-            if n % 2:
-                return build_root_system("B", (n - 1) // 2)
-            return build_root_system("D", n // 2)
-    fam = s[:1].upper()
+    matrix = low[:3] if low.endswith(")") else ""
     try:
-        rank = int(s[1:])
+        n = int(low[3:-1] if matrix in ("sl(", "so(", "sp(") else s[1:])
     except ValueError:
         raise UnsupportedAlgebraError(f"cannot parse algebra label {label!r}")
-    return build_root_system(fam, rank)
+    if matrix == "sl(":
+        return build_root_system("A", n - 1)
+    if matrix == "sp(":
+        if n % 2:
+            raise UnsupportedAlgebraError(f"sp({n}) needs even n")
+        return build_root_system("C", n // 2)
+    if matrix == "so(":
+        if n % 2:
+            return build_root_system("B", (n - 1) // 2)
+        return build_root_system("D", n // 2)
+    return build_root_system(s[:1].upper(), n)
 
 
 def fundamental_weight(rs: RootSystem, i: int) -> Vec:

@@ -337,3 +337,70 @@ def test_involutions_refused_above_cap(monkeypatch, capsys):
         "ell": 8, "status": "capped",
         "detail": "2027025 involutions exceed cap 200000",
     }
+
+
+def _refuse_materialize(monkeypatch):
+    def materialize(self, limit=10):
+        raise AssertionError("materialized despite the limit check")
+
+    monkeypatch.setattr("vkg.conformal.WeightFamily.materialize", materialize)
+
+
+def test_kl_limit_above_cap_is_capped(monkeypatch, capsys):
+    _refuse_materialize(monkeypatch)
+    code, out, _ = run(capsys, "kl", "--algebra", "D:6", "--level=-2",
+                       "--quotient", "intermediate", "--limit", "200001",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "algebra": "so(12)", "level": "-2", "quotient": "intermediate",
+        "status": "capped", "detail": "limit 200001 exceeds cap 200000",
+    }
+    code, out, _ = run(capsys, "kl", "--algebra", "D:6", "--level=-2",
+                       "--limit", "1001", "--cap", "1000")
+    assert code == 0
+    assert out == ("so(12) at k = -2 (simple): capped "
+                   "(limit 1001 exceeds cap 1000)\n")
+
+
+def test_kl_negative_limit_is_usage_error(monkeypatch, capsys):
+    _refuse_materialize(monkeypatch)
+    code, out, err = run(capsys, "kl", "--algebra", "D:6", "--level=-2",
+                         "--quotient", "intermediate", "--limit", "-3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: limit must be nonnegative\n"
+
+
+def test_unparsable_matrix_label(capsys):
+    code, out, err = run(capsys, "roots", "--algebra", "sl(x)")
+    assert code == 2 and out == ""
+    assert err == "error: cannot parse algebra label 'sl(x)'\n"
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (("roots", "--algebra", "so(0)"), 2),
+    (("roots", "--algebra", "sl(0)"), 2),
+    (("roots", "--algebra", "sl(x)"), 2),
+    (("roots", "--algebra", "D:-3"), 2),
+    (("roots", "--algebra", ""), 2),
+    (("weights", "--algebra", "D:4", "--level=-6", "--mu", "0,0,0,0"), 2),
+    (("kl", "--algebra", "D:4", "--level=-6"), 2),
+    (("collapse", "--algebra", "A:1"), 2),
+    (("collapse", "--algebra", "A:1", "--polynomials"), 2),
+    (("collapse", "--algebra", "A:1", "--level=-1"), 2),
+    (("collapse", "--algebra", "A:1", "--audit"), 0),
+    (("singular-verify", "--algebra", "B:3", "--family", "w3"), 2),
+    (("singular-verify", "--algebra", "A:3", "--family", "w1"), 2),
+    (("singular-verify", "--algebra", "B:3", "--family", "wn"), 2),
+    (("singular-verify", "--algebra", "B:3", "--family", "theta-wn"), 2),
+    (("singular-verify", "--algebra", "A:3", "--family", "vn"), 2),
+    (("singular-verify", "--algebra", "E6", "--family", "ve7"), 2),
+    (("involutions", "--ell", "0"), 2),
+    (("kl", "--algebra", "D:6", "--level=-2", "--limit", "-1"), 2),
+])
+def test_exit_code_sweep(capsys, argv, exit_code):
+    """Every input ends in exit 0, 1 or 2 through main(), never a traceback."""
+    code, _, err = run(capsys, *argv)
+    assert code == exit_code
+    assert code == 0 or err.startswith("error: ")

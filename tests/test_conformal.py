@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as Q
 
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 from vkg.conformal import (
     CriticalLevelError,
     NotClassifiedError,
+    QUOTIENTS,
     collapse_ell_roots,
     deligne_level_roots,
     deligne_series,
@@ -251,3 +253,42 @@ def test_cross_module_conformal_consistency():
         spec = kl_spectrum(("B", rank), -2)
         for j, mu in enumerate(spec.weights()):
             assert w_lowest_weight(rs, mu, -2) == Q(j * (j + 2), 2 * (2 * rank - 3))
+
+
+KL_GRID_ALGEBRAS = (
+    [("A", r) for r in range(1, 8)] + [("B", r) for r in range(2, 9)]
+    + [("C", r) for r in range(1, 8)] + [("D", r) for r in range(3, 11)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+KL_GRID_LEVELS = sorted({Q(n, d) for n in range(-32, 3) for d in (1, 2, 3, 6)})
+KL_GRID_DIGEST = (
+    "559f9c36cdb1a901170a768a87fba677c0ff8e1f71b6f6c1f05344760ee62e43"
+)
+
+
+def _kl_grid_line(g, k, quotient):
+    try:
+        spec = kl_spectrum(g, k, quotient)
+    except ValueError as exc:  # critical level, not classified, bad quotient
+        return f"{g} {k} {quotient}: {type(exc).__name__}: {exc}"
+    fams = " ; ".join(
+        f"{f.label} | {','.join(map(str, f.base))} | "
+        f"{','.join(map(str, f.step))} | {f.count}"
+        for f in spec.families
+    )
+    return (f"{g} {k} {quotient}: {spec.algebra} {spec.level} "
+            f"{spec.quotient} {spec.provenance} :: {fams}")
+
+
+def test_kl_spectrum_digest():
+    """Every answer of the case table on a grid of 34 algebras, 88 levels
+    and the three quotients plus an unknown one, byte for byte."""
+    lines = [
+        _kl_grid_line(g, k, q)
+        for g in KL_GRID_ALGEBRAS for k in KL_GRID_LEVELS
+        for q in QUOTIENTS + ("bogus",)
+    ]
+    assert (len(KL_GRID_ALGEBRAS), len(KL_GRID_LEVELS)) == (34, 88)
+    assert sum("::" in line for line in lines) == 51
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == KL_GRID_DIGEST
