@@ -523,8 +523,10 @@ def cmd_kl(cfg: RunConfig, quotient: str, limit: int) -> int:
     spec = conformal.kl_spectrum((rs.family, rs.rank), k, quotient)
     name, level = canonical_name(*spec.algebra), serialize.frac_str(spec.level)
     head = f"{name} at k = {level} ({quotient})"
-    if limit > cfg.cap:
-        detail = f"limit {limit} exceeds cap {cfg.cap}"
+    total = sum(limit if f.infinite else f.count for f in spec.families)
+    if limit > cfg.cap or total > cfg.cap:
+        detail = (f"limit {limit} exceeds cap {cfg.cap}" if limit > cfg.cap
+                  else f"{total} weights exceed cap {cfg.cap}")
         payload = {"algebra": name, "level": level, "quotient": quotient,
                    "status": "capped", "detail": detail}
         _emit(payload, cfg, [f"{head}: capped ({detail})"])

@@ -1,20 +1,19 @@
 """Explicit bracket realizations over a Chevalley-style basis.
 
-Two constructions, both with every structure constant an exact rational:
+One table builder fills every realization, with every structure constant an
+exact rational: [h, e_alpha] = alpha(h) e_alpha, [e_alpha, e_{-alpha}] =
+(e_alpha | e_{-alpha}) nu(alpha), and [e_alpha, e_beta] = N_{alpha,beta}
+e_{alpha+beta} when alpha + beta is a root, where the Cartan basis elements
+h_i equal nu(d_i) for stored dual weights d_i.  Two sources supply the duals,
+the pairings (e_alpha | e_{-alpha}) and the constants N_{alpha,beta}:
 
-* so(n) and sp(n) come from their matrix realizations (antisymmetric with
-  respect to the anti-diagonal form, and the standard symplectic form), which
-  pins every sign canonically.
+* so(n) and sp(n) (types B, C, D): their matrix realizations, antisymmetric
+  with respect to the anti-diagonal form and the standard symplectic form,
+  which pin every sign canonically; N is read off the matrix commutators.
 
-* The simply-laced types (A, D as an alternative, E6/E7/E8) come from a
-  bimultiplicative sign cocycle eps on the root lattice with
-  eps(alpha, alpha) = (-1)^((alpha,alpha)/2).  It is evaluated on the int
-  simple-root coefficients of the roots; only the table values are
-  ``Fraction``.
-
-Conventions common to both: the Cartan basis elements h_i equal nu(d_i) for
-stored dual weights d_i, [e_alpha, e_{-alpha}] = (e_alpha | e_{-alpha}) *
-nu(alpha), and [h, e_alpha] = alpha(h) e_alpha.
+* The simply-laced types A and E6/E7/E8: a bimultiplicative sign cocycle eps
+  on the root lattice with eps(alpha, alpha) = (-1)^((alpha,alpha)/2),
+  evaluated on the int simple-root coefficients, with every pairing 1.
 """
 
 from __future__ import annotations
@@ -114,23 +113,68 @@ def _ordered_basis(rs: RootSystem):
     return labels, weights, root_index
 
 
+def _build_tables(rs: RootSystem, duals: Sequence[Vec], pairing,
+                  structure) -> LieRealization:
+    """The bracket and form tables over the basis of ``_ordered_basis``.
+
+    ``pairing[p]`` is (e_a|e_-a) and ``structure(p, q, r)`` is N_{a,b} for
+    the roots at positions p, q and r = p + q of ``rs.coefficients``.  a(h_i)
+    and nu(a) are linear in those int coefficients, so the loop runs on ints
+    wherever they are integral; only the stored values are ``Fraction``.
+    """
+    coeffs = rs.coefficients
+    gram = [[rs.form(di, dj) for dj in duals] for di in duals]
+    # column j: nu(alpha_j) in the Cartan basis and alpha_j(h_i) = (d_i|alpha_j)
+    cols = [_expand(duals, a) for a in rs.simple_roots]
+    lift = lambda rows: [[int(q) if q.denominator == 1 else q for q in row]
+                         for row in rows]
+    nu = lift(zip(*cols))
+    act = lift([sum(map(operator.mul, g, c)) for c in zip(*nu)]
+               for g in lift(gram))
+    position = {c: p for p, c in enumerate(coeffs)}
+    npos = len(rs.positive_roots)
+    labels, weights, root_index = _ordered_basis(rs)
+    index = [root_index[a] for a in rs.roots]
+    bracket: Dict[Tuple[int, int], Tuple[Term, ...]] = {}
+    form = {(i, j): g for i, row in enumerate(gram)
+            for j, g in enumerate(row) if g}
+    order = sorted(range(len(coeffs)), key=index.__getitem__)
+    for k, p in enumerate(order):
+        ca, ia = coeffs[p], index[p]
+        neg = (p + npos) % len(coeffs)
+        form[(ia, index[neg])] = Q(pairing[p])
+        for i, row in enumerate(act):
+            c = sum(map(operator.mul, row, ca))
+            if c:
+                bracket[(i, ia)] = ((ia, Q(c)),)
+                bracket[(ia, i)] = ((ia, Q(-c)),)
+        for q in order[k + 1:]:
+            ib = index[q]
+            r = position.get(tuple(map(operator.add, ca, coeffs[q])))
+            if r is not None:
+                n = structure(p, q, r)
+                bracket[(ia, ib)] = ((index[r], Q(n)),)
+                bracket[(ib, ia)] = ((index[r], Q(-n)),)
+            elif q == neg:
+                coroot = (sum(map(operator.mul, row, ca)) for row in nu)
+                terms = tuple((i, Q(pairing[p] * c))
+                              for i, c in enumerate(coroot) if c)
+                bracket[(ia, ib)] = terms
+                bracket[(ib, ia)] = tuple((i, -c) for i, c in terms)
+    return LieRealization(rs=rs, labels=tuple(labels), weights=tuple(weights),
+                          cartan_duals=tuple(duals), bracket_table=bracket,
+                          form_table=form, root_index=root_index)
+
+
 # ---------------------------------------------------------------------------
-# Matrix realizations for so(n) and sp(n)
+# Structure constants from the so(n) and sp(n) matrices
 
 
 def _matrix_basis(rs: RootSystem):
     """Sparse matrices for the chosen basis of so(n) / sp(n)."""
     l = rs.rank
-    if rs.family == "B":
-        n, factor = 2 * l + 1, Q(1, 2)
-    elif rs.family == "D":
-        n, factor = 2 * l, Q(1, 2)
-    elif rs.family == "C":
-        n, factor = 2 * l, Q(1)
-    else:
-        raise UnsupportedAlgebraError(
-            f"matrix realization only for B/C/D, not {rs.label}"
-        )
+    n = 2 * l + (rs.family == "B")
+    factor = Q(1) if rs.family == "C" else Q(1, 2)
     pr = lambda i: n - 1 - i
     mats: Dict[Label, SparseMat] = {}
     for i in range(l):
@@ -175,149 +219,70 @@ def _mat_bracket(x: SparseMat, y: SparseMat) -> SparseMat:
     return {k: v for k, v in out.items() if v}
 
 
-def _mat_trace_product(x: SparseMat, y: SparseMat) -> Q:
-    total = Q(0)
-    for (a, b), xv in x.items():
-        yv = y.get((b, a))
-        if yv:
-            total += xv * yv
-    return total
+def _matrix_constants(rs: RootSystem):
+    """Duals, pairings factor * tr(X_a X_-a) and N_{a,b} for B, C and D.
 
-
-def _build_matrix_realization(rs: RootSystem) -> LieRealization:
+    h_i is the diagonal matrix ``mats[("h", i)]`` and d_i = scale e_i, so
+    a(h_i) is the i-th coordinate of a.  Each X_a is certified a weight
+    vector of a, and each [X_a, X_b] to equal N_{a,b} X_{a+b}; either
+    failure raises ValueError.
+    """
     mats, factor = _matrix_basis(rs)
-    duals = _matrix_duals(rs)
-    labels, weights, root_index = _ordered_basis(rs)
-    matrices = [mats[lab] for lab in labels]
+    l, xs = rs.rank, [mats[("e", a)] for a in rs.roots]
+    diag = {k: tuple(mats[("h", i + 1)].get((k, k), 0) for i in range(l))
+            for x in xs for pos in x for k in pos}
+    for a, x in zip(rs.roots, xs):
+        if any(tuple(map(operator.sub, diag[r], diag[c])) != a for r, c in x):
+            raise ValueError(f"matrix of root {a} is not a weight vector")
+    neg = lambda p: (p + len(rs.positive_roots)) % len(xs)
+    pairing = [factor * sum(v * xs[neg(p)].get((c, r), 0)
+                            for (r, c), v in x.items())
+               for p, x in enumerate(xs)]
 
-    # every matrix position determines at most one basis element
-    pos_map: Dict[Tuple[int, int], Tuple[int, Q]] = {}
-    for idx, mat in enumerate(matrices):
-        for pos, val in mat.items():
-            if pos in pos_map:
-                raise ValueError(f"ambiguous matrix position {pos}")
-            pos_map[pos] = (idx, val)
+    def structure(p: int, q: int, r: int) -> Q:
+        br = _mat_bracket(xs[p], xs[q])
+        pos, v = next(iter(xs[r].items()))
+        n = br.get(pos, Q(0)) / v
+        if br != {k: n * w for k, w in xs[r].items()}:
+            raise ValueError(f"[X_a, X_b] is not N X_(a+b) for a = "
+                             f"{rs.roots[p]}, b = {rs.roots[q]}")
+        return n
 
-    def decompose(m: SparseMat) -> Dict[int, Q]:
-        coeffs: Dict[int, Q] = {}
-        for pos, val in m.items():
-            idx, base_val = pos_map[pos]
-            c = val / base_val
-            prev = coeffs.get(idx)
-            if prev is None:
-                coeffs[idx] = c
-            elif prev != c:
-                raise ValueError("inconsistent matrix decomposition")
-        # exact reconstruction check
-        recon: SparseMat = {}
-        for idx, c in coeffs.items():
-            for pos, val in matrices[idx].items():
-                recon[pos] = recon.get(pos, Q(0)) + c * val
-        if {k: v for k, v in recon.items() if v} != m:
-            raise ValueError("matrix is not in the span of the basis")
-        return coeffs
-
-    dim = len(labels)
-    bracket: Dict[Tuple[int, int], Tuple[Term, ...]] = {}
-    form: Dict[Tuple[int, int], Q] = {}
-    for a in range(dim):
-        for b in range(a, dim):
-            f = factor * _mat_trace_product(matrices[a], matrices[b])
-            if f:
-                form[(a, b)] = f
-                form[(b, a)] = f
-            if a == b:
-                continue
-            br = _mat_bracket(matrices[a], matrices[b])
-            if br:
-                terms = tuple(sorted(decompose(br).items()))
-                bracket[(a, b)] = terms
-                bracket[(b, a)] = tuple((i, -c) for i, c in terms)
-    return LieRealization(
-        rs=rs,
-        labels=tuple(labels),
-        weights=tuple(weights),
-        cartan_duals=duals,
-        bracket_table=bracket,
-        form_table=form,
-        root_index=root_index,
-    )
-
-
-def _matrix_duals(rs: RootSystem) -> Tuple[Vec, ...]:
-    l, dim = rs.rank, rs.ambient
-    unit = lambda i: tuple(Q(1) if j == i else Q(0) for j in range(dim))
-    if rs.family == "C":
-        return tuple(vscale(2, unit(i)) for i in range(l))
-    return tuple(unit(i) for i in range(l))
+    duals = [tuple(rs.scale * (j == i) for j in range(l)) for i in range(l)]
+    return duals, pairing, structure
 
 
 # ---------------------------------------------------------------------------
-# Cocycle realization for the simply-laced types
+# Structure constants from a sign cocycle, for the simply-laced types
 
 
-def _build_cocycle_realization(rs: RootSystem) -> LieRealization:
-    """N_{a,b} = eps(a, b) sgn(a) sgn(b) sgn(a + b) on simple-root coefficients.
+def _cocycle_constants(rs: RootSystem):
+    """Simple-root duals, every pairing 1, and a sign cocycle N_{a,b}.
 
-    eps(a, b) = (-1)^(a U b), with U upper triangular: 1 on the diagonal and
-    the Gram entries mod 2 above it.  The parity row a U is a bitmask made
-    once per root.
+    N_{a,b} = eps(a, b) sgn(a) sgn(b) sgn(a + b) on simple-root
+    coefficients, with eps(a, b) = (-1)^(a U b) and U upper triangular: 1
+    on the diagonal and the Gram entries mod 2 above it.  The parity row
+    a U is a bitmask made once per root.
     """
-    simple = rs.simple_roots
-    rank = rs.rank
-    gram = [[int(rs.form(simple[i], simple[j])) for j in range(rank)]
-            for i in range(rank)]
-    coeffs = rs.coefficients
+    rank, coeffs = rs.rank, rs.coefficients
+    # (alpha_i|alpha_j) is odd for i < j exactly when alpha_i + alpha_j is a root
+    roots = set(coeffs)
+    upper = [[i == j or tuple(int(k in (i, j)) for k in range(rank)) in roots
+              for j in range(rank)] for i in range(rank)]
     mask = lambda bits: sum(1 << j for j, b in enumerate(bits) if b % 2)
     parity_row = [
-        mask([sum(c[i] for i in range(j + 1) if i == j or gram[i][j] % 2)
+        mask([sum(c[i] for i in range(j + 1) if upper[i][j])
               for j in range(rank)])
         for c in coeffs
     ]
     parity = [mask(c) for c in coeffs]
     sgn = [1 if sum(c) > 0 else -1 for c in coeffs]
-    position = {c: p for p, c in enumerate(coeffs)}
-    npos = len(rs.positive_roots)
-    labels, weights, root_index = _ordered_basis(rs)
-    index = [root_index[a] for a in rs.roots]
-    bracket: Dict[Tuple[int, int], Tuple[Term, ...]] = {}
-    form: Dict[Tuple[int, int], Q] = {}
-    for i in range(rank):
-        for j in range(rank):
-            if gram[i][j]:
-                form[(i, j)] = Q(gram[i][j])
-    for p, ca in enumerate(coeffs):
-        ia = index[p]
-        neg = (p + npos) % len(coeffs)
-        form[(ia, index[neg])] = Q(1)
-        for i in range(rank):
-            c = sum(g * m for g, m in zip(gram[i], ca))
-            if c:
-                bracket[(i, ia)] = ((ia, Q(c)),)
-                bracket[(ia, i)] = ((ia, Q(-c)),)
-        for q, cb in enumerate(coeffs):
-            ib = index[q]
-            if ib <= ia:
-                continue
-            r = position.get(tuple(map(operator.add, ca, cb)))
-            if r is not None:
-                odd = (parity_row[p] & parity[q]).bit_count() % 2
-                n = (-1 if odd else 1) * sgn[p] * sgn[q] * sgn[r]
-                bracket[(ia, ib)] = ((index[r], Q(n)),)
-                bracket[(ib, ia)] = ((index[r], Q(-n)),)
-            elif q == neg:
-                terms = tuple((i, Q(m)) for i, m in enumerate(ca) if m)
-                bracket[(ia, ib)] = terms
-                bracket[(ib, ia)] = tuple((i, -c) for i, c in terms)
-    return LieRealization(
-        rs=rs,
-        labels=tuple(labels),
-        weights=tuple(weights),
-        cartan_duals=simple,
-        bracket_table=bracket,
-        form_table=form,
-        root_index=root_index,
-    )
+
+    def structure(p: int, q: int, r: int) -> int:
+        odd = (parity_row[p] & parity[q]).bit_count() % 2
+        return (-1 if odd else 1) * sgn[p] * sgn[q] * sgn[r]
+
+    return rs.simple_roots, [1] * len(coeffs), structure
 
 
 @lru_cache(maxsize=None)
@@ -325,14 +290,15 @@ def build_realization(family: str, rank: int) -> LieRealization:
     """Bracket realization: matrices for B/C/D, sign cocycle for A and E."""
     rs = build_root_system(family, rank)
     if rs.family in ("B", "C", "D"):
-        lr = _build_matrix_realization(rs)
+        source = _matrix_constants
     elif rs.family in ("A", "E"):
-        lr = _build_cocycle_realization(rs)
+        source = _cocycle_constants
     else:
         raise UnsupportedAlgebraError(
             f"no bracket realization for {rs.label}; root-data operations "
             "remain available"
         )
+    lr = _build_tables(rs, *source(rs))
     _spot_check(lr)
     return lr
 

@@ -363,6 +363,19 @@ def test_kl_limit_above_cap_is_capped(monkeypatch, capsys):
                    "(limit 1001 exceeds cap 1000)\n")
 
 
+def test_kl_limit_caps_the_total_over_families(monkeypatch, capsys):
+    # each of the two spin ladders would list 600 weights: 1200 in total
+    _refuse_materialize(monkeypatch)
+    code, out, _ = run(capsys, "kl", "--algebra", "D:6", "--level=-4",
+                       "--quotient", "vbar", "--limit", "600", "--cap",
+                       "1000", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "algebra": "so(12)", "level": "-4", "quotient": "vbar",
+        "status": "capped", "detail": "1200 weights exceed cap 1000",
+    }
+
+
 def test_kl_negative_limit_is_usage_error(monkeypatch, capsys):
     _refuse_materialize(monkeypatch)
     code, out, err = run(capsys, "kl", "--algebra", "D:6", "--level=-2",

@@ -202,14 +202,26 @@ def test_flip_root_pair_is_same_algebra():
     assert dict(lr2.bracket(e, f)) == dict(lr.bracket(e, f))
 
 
-# SHA-256 of the compact, key-sorted JSON of realization_to_json, recorded
-# before the cocycle realization moved to int simple-root coefficients.  Any
-# change to the basis order, a structure constant or the form fails here.
+# SHA-256 of the compact, key-sorted JSON of realization_to_json.  A3, B3,
+# C3, D4 and E6-E8 were recorded before the cocycle realization moved to int
+# simple-root coefficients, the rest while the matrix and cocycle tables
+# still had a builder each.  Any change to the basis order, a structure
+# constant or the form fails here.
 REALIZATION_DIGESTS = [
+    ("A", 1, "6a86f9f1a6bb73c23da88a4739fcb8e5fa93479b4e2baa97cf622860e46d3ff9"),
+    ("A", 2, "7b4ee8779437f15323d00faf3e1a0ff704f656337385e9dc81b122632cac7b1d"),
     ("A", 3, "115fd440370dab45587891bc3479c2a9f0303fc0f46e352fea5999b0ab245508"),
+    ("B", 2, "b20b76b127d2530c75d0af3e5d31a88cf59deea7adf76498314a344c087d4628"),
     ("B", 3, "5f23fcf4b3f7ca646e116a8ad9574f0bdf28671015ff1a16054ea53a2794e482"),
+    ("B", 4, "f1d74c9498003089cfbf67a337cd4d0e235806a9c9fdec39dba4cbe196f66fbf"),
+    ("C", 1, "e2151cf663c01148f61bbacd2a3db36ce6e90859cf34c76abb568b2772d5697d"),
+    ("C", 2, "5c974b867244e4f6fcf5afae36b73fb50e432635c33e81940c50dff93b209dc4"),
     ("C", 3, "9d937e76a9be1156032413cd9d3a7d187ac6b884e0a1240ba30da42e56a976b1"),
+    ("D", 3, "a091f550f069ca11de9b961d353db1ce014d33d7e3ee06b97e9cdc14d03207ea"),
     ("D", 4, "f15dce3c14866bfa58c3726b764738117825e10f258b5078efc9b876c3a96b5e"),
+    ("D", 5, "7a8811927e6be3a8a6c437062c828d62ae35db53470ccc3a74c07f4182011560"),
+    ("D", 6, "ac5a458c0187dadd52654009cb88579bddbd657c7b5f77528d778399748491dd"),
+    ("D", 8, "60d3f743aae82821b5507c28b92921cd1b3322f6c11d2b59c53e817d9ecabfc1"),
     ("E", 6, "336dddc6fe3a680b2fe58533a17509bf7b5b9f515e5ff6afcd55c7ca0a6f7fa8"),
     ("E", 7, "a189dd672cb53caf09bba4aa1ba3b3781e3b50fc59535006dc26607c9209cfd6"),
     ("E", 8, "0a89b5e081943f52675c41a8c41baf7176ff1e4440d789c5a3a35ac404f4e6c9"),
@@ -221,6 +233,42 @@ def test_realization_json_digest(family, rank, digest):
     text = json.dumps(realization_to_json(build_realization(family, rank)),
                       sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("family,rank",
+                         [(f, r) for f, r, _ in REALIZATION_DIGESTS])
+def test_realization_values_are_fractions(family, rank):
+    # the digests read values through frac_str, which also accepts ints
+    lr = build_realization(family, rank)
+    values = [c for terms in lr.bracket_table.values() for _, c in terms]
+    values += list(lr.form_table.values())
+    assert values and all(type(v) is Q for v in values)
+
+
+def _flip_sign(x):
+    x[max(x)] = -x[max(x)]
+
+
+def _misplace(x):
+    x[(0, 2)] = x.pop((0, 1))
+
+
+@pytest.mark.parametrize("corrupt", [_flip_sign, _misplace])
+def test_corrupted_root_matrix_is_refused(monkeypatch, corrupt):
+    """A root matrix off by one sign fails [X_a, X_b] = N X_(a+b); one with
+    an entry moved is no longer a weight vector of its root."""
+    import vkg.liealg as liealg
+
+    matrix_basis = liealg._matrix_basis
+
+    def corrupted(rs):
+        mats, factor = matrix_basis(rs)
+        corrupt(mats[("e", vec(1, -1, 0, 0))])
+        return mats, factor
+
+    monkeypatch.setattr(liealg, "_matrix_basis", corrupted)
+    with pytest.raises(ValueError):
+        build_realization.__wrapped__("D", 4)
 
 
 # SHA-256 of the sorted flip map [index, image index, sign] on D3-D10,
