@@ -1,7 +1,11 @@
 """Batch command-line surface for the exact affine vertex algebra toolkit.
 
 Verbs: roots, bracket-audit, singular-verify, singular-search, collapse,
-kl, weights, involutions.  Exit codes: 0 success / verified, 1 a
+kl, weights, involutions.  `build_parser` binds each verb to its `cmd_*`
+function, which takes the resolved `RunConfig` and the parsed arguments;
+`main()` only resolves the configuration and calls it.  An input that
+would cause work beyond the size cap is refused by `_capped`, which writes
+every `capped` report.  Exit codes: 0 success / verified / capped, 1 a
 mathematical check failed (a JSON witness is printed), 2 usage or
 configuration error.  All rationals cross this boundary as "p/q" strings.
 """
@@ -9,34 +13,19 @@ configuration error.  All rationals cross this boundary as "p/q" strings.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import collapsing, conformal, serialize, vectors
-from .liealg import (
-    LieRealization,
-    build_realization,
-    invariance_holds,
-    jacobi_holds,
-)
-from .pbw import (
-    CapExceededError,
-    StateVector,
-    graded_basis,
-    is_singular,
-    singular_kernel,
-)
-from .rootdata import (
-    UnsupportedAlgebraError,
-    build_root_system,
-    canonical_name,
-    parse_algebra,
-)
+from .liealg import build_realization, invariance_holds, jacobi_holds
+from .pbw import CapExceededError, graded_basis, is_singular, singular_kernel
+from .rootdata import UnsupportedAlgebraError, canonical_name, parse_algebra
 
 DEFAULT_CAP = vectors.DEFAULT_COMPONENT_CAP
 CAP_ENV_VAR = "VKG_CAP"
@@ -87,22 +76,33 @@ def resolve_config(args) -> RunConfig:
         cap = int(file_cfg["cap"])
     if os.environ.get(CAP_ENV_VAR):
         cap = int(os.environ[CAP_ENV_VAR])
-    if getattr(args, "cap", None) is not None:
+    if args.cap is not None:
         cap = args.cap
-    fmt = file_cfg.get("format", "text")
-    if getattr(args, "format", None):
-        fmt = args.format
     seed = int(file_cfg.get("seed", 0))
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         seed = args.seed
     return RunConfig(
         verb=args.verb,
         algebra=getattr(args, "algebra", None),
         level=getattr(args, "level", None),
-        fmt=fmt,
+        fmt=args.format or file_cfg.get("format", "text"),
         cap=cap,
         seed=seed,
     )
+
+
+# --family -> constructor(lr, n, cap).  Each entry looks `vectors.build_*`
+# up when it is called, so a wrapper installed on the module is seen.
+FAMILIES = {
+    "w1": lambda lr, n, cap: (vectors.build_w1_B(lr) if lr.rs.family == "B"
+                              else vectors.build_w1_D(lr)),
+    "w3": lambda lr, n, cap: vectors.build_w3_D4(lr),
+    "vn": lambda lr, n, cap: vectors.build_v_n(lr, n, cap=cap),
+    "wn": lambda lr, n, cap: vectors.build_w_n(lr, n, cap=cap),
+    "theta-wn": lambda lr, n, cap: vectors.theta_image(
+        lr, vectors.build_w_n(lr, n, cap=cap)),
+    "ve7": lambda lr, n, cap: vectors.build_vE7(lr),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,7 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, algebra=True, level=False):
+    def verb(name, run, help, algebra=True, level=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--format", choices=FORMATS, default=None)
         p.add_argument("--config", default=None, help="key = value config file")
         p.add_argument("--cap", type=int, default=None,
@@ -124,55 +126,49 @@ def build_parser() -> argparse.ArgumentParser:
                            help="e.g. D:4, so(8), B:3, sl(6), E7")
         if level:
             p.add_argument("--level", default=None, help="exact rational p/q")
+        return p
 
-    p = sub.add_parser("roots", help="emit root-system data")
-    common(p)
+    p = verb("roots", cmd_roots, "emit root-system data")
     p.add_argument("--realization", action="store_true",
                    help="also emit the bracket and form tables")
 
-    p = sub.add_parser("bracket-audit", help="Jacobi/invariance sweeps")
-    common(p)
+    p = verb("bracket-audit", cmd_bracket_audit, "Jacobi/invariance sweeps")
     p.add_argument("--samples", type=int, default=10_000,
                    help="triple count for large algebras")
 
-    p = sub.add_parser("singular-verify", help="construct and verify a vector")
-    common(p, level=True)
-    p.add_argument("--family", required=True,
-                   choices=("w1", "w3", "vn", "wn", "theta-wn", "ve7"))
+    p = verb("singular-verify", cmd_singular_verify,
+             "construct and verify a vector", level=True)
+    p.add_argument("--family", required=True, choices=tuple(FAMILIES))
     p.add_argument("--n", type=int, default=1)
 
-    p = sub.add_parser("singular-search", help="kernel of the raising operators")
-    common(p, level=True)
+    p = verb("singular-search", cmd_singular_search,
+             "kernel of the raising operators", level=True)
     p.add_argument("--weight", required=True, help="comma-separated coordinates")
     p.add_argument("--degree", type=int, required=True)
 
-    p = sub.add_parser("collapse", help="collapsing-level tables and audits")
-    common(p, algebra=False, level=True)
+    p = verb("collapse", cmd_collapse, "collapsing-level tables and audits",
+             algebra=False, level=True)
     p.add_argument("--algebra", default=None)
     p.add_argument("--audit", action="store_true")
     p.add_argument("--polynomials", action="store_true")
     p.add_argument("--super", action="store_true", dest="include_super",
                    help="include the superalgebra reference rows")
 
-    p = sub.add_parser("kl", help="classified module families")
-    common(p, level=True)
+    p = verb("kl", cmd_kl, "classified module families", level=True)
     p.add_argument("--quotient", default="simple",
                    choices=conformal.QUOTIENTS)
     p.add_argument("--limit", type=int, default=6,
                    help="materialization bound for infinite families")
 
-    p = sub.add_parser("weights", help="conformal-weight computations")
-    common(p, level=True)
+    p = verb("weights", cmd_weights, "conformal-weight computations",
+             level=True)
     p.add_argument("--mu", required=True, help="comma-separated coordinates")
 
-    p = sub.add_parser("involutions", help="fixed-point-free involutions")
+    p = verb("involutions", cmd_involutions, "fixed-point-free involutions",
+             algebra=False)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--count", action="store_true")
     p.add_argument("--signs", action="store_true")
-    p.add_argument("--format", choices=FORMATS, default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
     return parser
 
 
@@ -193,13 +189,20 @@ def _emit(payload, cfg: RunConfig, text_lines, latex_lines=None, csv_lines=None)
         print("\n".join(text_lines))
 
 
+def _capped(cfg: RunConfig, head: str, fields: dict, detail: str) -> int:
+    """Refuse an input over the cap: report status "capped" and exit 0."""
+    payload = {**fields, "status": "capped", "detail": detail}
+    _emit(payload, cfg, [f"{head}: capped ({detail})"])
+    return OK
+
+
 # ---------------------------------------------------------------------------
 # verb implementations
 
 
-def cmd_roots(cfg: RunConfig, realization: bool = False) -> int:
+def cmd_roots(cfg: RunConfig, args) -> int:
     rs = parse_algebra(cfg.algebra)
-    if realization:
+    if args.realization:
         lr = build_realization(rs.family, rs.rank)
         payload = serialize.realization_to_json(lr)
         print(json.dumps(payload, indent=2))
@@ -221,37 +224,31 @@ def cmd_roots(cfg: RunConfig, realization: bool = False) -> int:
     return OK
 
 
-def _bracket_witness(lr, triple) -> dict:
-    return {
-        "triple": [serialize.base_label(lr, i) for i in triple],
-        "kind": "jacobi-or-invariance",
-    }
-
-
-def cmd_bracket_audit(cfg: RunConfig, samples: int) -> int:
+def cmd_bracket_audit(cfg: RunConfig, args) -> int:
     rs = parse_algebra(cfg.algebra)
+    samples = args.samples
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    lr = build_realization(rs.family, rs.rank)
-    n = lr.dim
-    rng = random.Random(cfg.seed)
+    n = len(rs.roots) + rs.rank
     exhaustive = n <= 30
+    if not exhaustive and samples > cfg.cap:
+        return _capped(cfg, rs.label, {"algebra": rs.label},
+                       f"{samples} samples exceed cap {cfg.cap}")
+    lr = build_realization(rs.family, rs.rank)
+    rng = random.Random(cfg.seed)
     if exhaustive:
-        triples = (
-            (a, b, c)
-            for a in range(n) for b in range(n) for c in range(n)
-        )
-        total = n ** 3
+        triples, total = itertools.product(range(n), repeat=3), n ** 3
     else:
-        triples = (
-            (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-            for _ in range(samples)
-        )
+        triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
+                   for _ in range(samples))
         total = samples
     checked = 0
-    for a, b, c in triples:
-        if not jacobi_holds(lr, a, b, c) or not invariance_holds(lr, a, b, c):
-            print(json.dumps(_bracket_witness(lr, (a, b, c))))
+    for triple in triples:
+        if not jacobi_holds(lr, *triple) or not invariance_holds(lr, *triple):
+            print(json.dumps({
+                "triple": [serialize.base_label(lr, i) for i in triple],
+                "kind": "jacobi-or-invariance",
+            }))
             return CHECK_FAILED
         checked += 1
     payload = {
@@ -268,35 +265,18 @@ def cmd_bracket_audit(cfg: RunConfig, samples: int) -> int:
     return OK
 
 
-def _build_family(lr: LieRealization, family: str, n: int, cap: int) -> StateVector:
-    if family == "w1":
-        if lr.rs.family == "B":
-            return vectors.build_w1_B(lr)
-        return vectors.build_w1_D(lr)
-    if family == "w3":
-        return vectors.build_w3_D4(lr)
-    if family == "vn":
-        return vectors.build_v_n(lr, n, cap=cap)
-    if family == "wn":
-        return vectors.build_w_n(lr, n, cap=cap)
-    if family == "theta-wn":
-        return vectors.theta_image(lr, vectors.build_w_n(lr, n, cap=cap))
-    if family == "ve7":
-        return vectors.build_vE7(lr)
-    raise ValueError(f"unknown family {family!r}")
-
-
-def cmd_singular_verify(cfg: RunConfig, family: str, n: int) -> int:
+def cmd_singular_verify(cfg: RunConfig, args) -> int:
+    family, n = args.family, args.n
     level = None if cfg.level is None else serialize.parse_frac(cfg.level)
     rs = parse_algebra(cfg.algebra)
     lr = build_realization(rs.family, rs.rank)
+    head = f"{rs.label} {family} n={n}"
     try:
-        v = _build_family(lr, family, n, cfg.cap)
+        v = FAMILIES[family](lr, n, cfg.cap)
     except CapExceededError as exc:
-        payload = {"algebra": rs.label, "family": family, "n": n,
-                   "status": "capped", "detail": str(exc)}
-        _emit(payload, cfg, [f"{rs.label} {family} n={n}: capped ({exc})"])
-        return OK
+        return _capped(cfg, head,
+                       {"algebra": rs.label, "family": family, "n": n},
+                       str(exc))
     if level is not None:
         v = v.at_level(level)
     ok, witness = is_singular(lr, v)
@@ -311,10 +291,8 @@ def cmd_singular_verify(cfg: RunConfig, family: str, n: int) -> int:
     }
     if ok:
         _emit(payload, cfg, [
-            f"{rs.label} {family} n={n}: singular at level "
-            f"{serialize.frac_str(v.level)}, degree "
-            f"{serialize.frac_str(v.degree)}, {v.support_size()} support "
-            "monomials",
+            f"{head}: singular at level {payload['level']}, degree "
+            f"{payload['degree']}, {payload['support']} support monomials",
         ])
         return OK
     label, image = witness
@@ -326,14 +304,15 @@ def cmd_singular_verify(cfg: RunConfig, family: str, n: int) -> int:
     return CHECK_FAILED
 
 
-def cmd_singular_search(cfg: RunConfig, weight: str, degree: int) -> int:
+def cmd_singular_search(cfg: RunConfig, args) -> int:
     rs = parse_algebra(cfg.algebra)
-    wt = serialize.parse_weight(weight)
+    wt = serialize.parse_weight(args.weight)
     if len(wt) != rs.ambient:
         raise ValueError(
             f"weight needs {rs.ambient} coordinates for {rs.label}"
         )
     k = _parse_level(cfg)
+    degree = args.degree
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     lr = build_realization(rs.family, rs.rank)
@@ -341,9 +320,7 @@ def cmd_singular_search(cfg: RunConfig, weight: str, degree: int) -> int:
         kernel = singular_kernel(lr, k, wt, degree, cap=cfg.cap)
         size = len(graded_basis(lr, wt, degree, cap=cfg.cap))
     except CapExceededError as exc:
-        payload = {"algebra": rs.label, "status": "capped", "detail": str(exc)}
-        _emit(payload, cfg, [f"{rs.label}: capped ({exc})"])
-        return OK
+        return _capped(cfg, rs.label, {"algebra": rs.label}, str(exc))
     payload = {
         "algebra": rs.label,
         "level": serialize.frac_str(k),
@@ -356,166 +333,160 @@ def cmd_singular_search(cfg: RunConfig, weight: str, degree: int) -> int:
     text = [
         f"{rs.label} at level {serialize.frac_str(k)}: component dimension "
         f"{size}, kernel dimension {len(kernel)}",
-    ]
-    for v in kernel:
-        text.append(json.dumps(serialize.state_to_json(lr, v)))
+    ] + [json.dumps(v) for v in payload["vectors"]]
     _emit(payload, cfg, text)
     return OK
 
 
-def cmd_collapse(cfg: RunConfig, audit: bool, polynomials: bool,
-                 include_super: bool) -> int:
-    if audit:
-        t1 = collapsing.table1_audit(collapsing.DEFAULT_AUDIT_ALGEBRAS)
-        t5 = collapsing.table5_audit()
-        bad = [r for r in t1 if not r["ok"]] + [r for r in t5 if not r["ok"]]
-        payload = {
-            "grading_rows": t1,
-            "collapsing_rows": [_row_json(r) for r in t5],
-            "failures": len(bad),
-        }
-        text = [
-            f"grading rows audited: {len(t1)}, collapsing rows audited: "
-            f"{len(t5)}, failures: {len(bad)}"
-        ]
-        for r in t5:
-            text.append(
-                _table5_line(r) + "  "
-                + ("ok" if r["ok"] else "MISMATCH " + json.dumps(_row_json(r)))
-            )
-        _emit(payload, cfg, text, _latex_table5(t5), _csv_table5(t5))
-        return OK if not bad else CHECK_FAILED
+# ---------------------------------------------------------------------------
+# collapse: the audit, the polynomials, one level, or the stored Table 5
 
-    if polynomials:
-        rows = []
-        for rs in _table_algebras(cfg):
-            p = collapsing.p_of_k((rs.family, rs.rank))
-            rows.append(
-                {
-                    "algebra": canonical_name(rs.family, rs.rank),
-                    "roots": [serialize.frac_str(r) for r in p.roots],
-                }
-            )
-        payload = {"polynomials": rows}
-        if include_super:
-            payload["super_reference"] = [
-                {"algebra": a, "p": p} for a, p in collapsing.TABLE4_SUPER
-            ]
-        text = [
-            f"{r['algebra']:>8}: (k - ({r['roots'][0]})) (k - ({r['roots'][1]}))"
+
+def cmd_collapse(cfg: RunConfig, args) -> int:
+    if args.audit:
+        return _collapse_audit(cfg)
+    if args.polynomials:
+        return _collapse_polynomials(cfg, args.include_super)
+    if cfg.algebra and cfg.level is not None:
+        return _collapse_level(cfg)
+    return _collapse_table(cfg, args.include_super)
+
+
+def _table_algebras(cfg: RunConfig) -> Sequence[collapsing.GType]:
+    """The --algebra type alone, or every default audit algebra."""
+    if cfg.algebra:
+        rs = parse_algebra(cfg.algebra)
+        return [(rs.family, rs.rank)]
+    return collapsing.DEFAULT_AUDIT_ALGEBRAS
+
+
+def _table5_row(algebra: str, k, target: str, k_prime) -> dict:
+    """One Table-5 row as every format reads it, rationals as strings."""
+    return {"algebra": algebra, "k": serialize.frac_str(k), "target": target,
+            "k_prime": serialize.frac_str(k_prime)}
+
+
+def _table5_line(r: dict) -> str:
+    return (f"  {r['algebra']:>8} k={r['k']:>6} -> {r['target']:>8} "
+            f"k'={r['k_prime']:>6}")
+
+
+def _emit_table5(payload, cfg: RunConfig, rows, text) -> None:
+    latex = (
+        [r"\begin{tabular}{c|c|c|c}",
+         r"$\mathfrak g$ & target & $k$ & $k'$ \\ \hline"]
+        + [rf"{r['algebra']} & {r['target']} & ${r['k']}$ & ${r['k_prime']}$ \\"
+           for r in rows]
+        + [r"\end{tabular}"]
+    )
+    csv_lines = ["algebra,k,target,k_prime"] + [
+        f"{r['algebra']},{r['k']},{r['target']},{r['k_prime']}" for r in rows
+    ]
+    _emit(payload, cfg, text, latex, csv_lines)
+
+
+def _audited_row(r: dict) -> dict:
+    """A `table5_audit` entry as a Table-5 row; a failing row also carries
+    the recomputed target and k', or why the level did not collapse."""
+    row = _table5_row(r["algebra"], r["k"], r["stored"]["target"],
+                      r["stored"]["k_prime"])
+    row["ok"] = r["ok"]
+    if not r["ok"]:
+        got = dict(r["recomputed"])
+        if "k_prime" in got:
+            got["k_prime"] = serialize.frac_str(got["k_prime"])
+        row["recomputed"] = got
+    return row
+
+
+def _collapse_audit(cfg: RunConfig) -> int:
+    t1 = collapsing.table1_audit(collapsing.DEFAULT_AUDIT_ALGEBRAS)
+    rows = [_audited_row(r) for r in collapsing.table5_audit()]
+    failures = sum(not r["ok"] for r in t1 + rows)
+    payload = {"grading_rows": t1, "collapsing_rows": rows,
+               "failures": failures}
+    text = [
+        f"grading rows audited: {len(t1)}, collapsing rows audited: "
+        f"{len(rows)}, failures: {failures}"
+    ] + [
+        _table5_line(r) + "  "
+        + ("ok" if r["ok"] else "MISMATCH " + json.dumps(r))
+        for r in rows
+    ]
+    _emit_table5(payload, cfg, rows, text)
+    return OK if not failures else CHECK_FAILED
+
+
+def _collapse_polynomials(cfg: RunConfig, include_super: bool) -> int:
+    rows = [
+        {
+            "algebra": canonical_name(*g),
+            "roots": [serialize.frac_str(r) for r in collapsing.p_of_k(g).roots],
+        }
+        for g in _table_algebras(cfg)
+    ]
+    payload = {"polynomials": rows}
+    if include_super:
+        payload["super_reference"] = [
+            {"algebra": a, "p": p} for a, p in collapsing.TABLE4_SUPER
+        ]
+    text = [
+        f"{r['algebra']:>8}: (k - ({r['roots'][0]})) (k - ({r['roots'][1]}))"
+        for r in rows
+    ]
+    latex = (
+        [r"\begin{tabular}{c|c}", r"$\mathfrak g$ & $p(k)$ \\ \hline"]
+        + [
+            rf"{r['algebra']} & $(k-({r['roots'][0]}))(k-({r['roots'][1]}))$ \\"
             for r in rows
         ]
-        latex = (
-            [r"\begin{tabular}{c|c}", r"$\mathfrak g$ & $p(k)$ \\ \hline"]
-            + [
-                rf"{r['algebra']} & $(k-({r['roots'][0]}))(k-({r['roots'][1]}))$ \\"
-                for r in rows
-            ]
-            + [r"\end{tabular}"]
-        )
-        _emit(payload, cfg, text, latex)
-        return OK
+        + [r"\end{tabular}"]
+    )
+    _emit(payload, cfg, text, latex)
+    return OK
 
-    if cfg.algebra and cfg.level is not None:
-        rs = parse_algebra(cfg.algebra)
-        g = (rs.family, rs.rank)
-        k = _parse_level(cfg)
-        if not collapsing.is_collapsing(g, k):
-            print(json.dumps({
-                "algebra": canonical_name(*g),
-                "level": serialize.frac_str(k),
-                "collapsing": False,
-            }))
-            return CHECK_FAILED
-        target, kp = collapsing.collapsed_level(g, k)
-        payload = {
-            "algebra": canonical_name(*g),
-            "level": serialize.frac_str(k),
-            "collapsing": True,
-            "target": target,
-            "k_prime": serialize.frac_str(kp),
-        }
-        _emit(payload, cfg, [
-            f"{canonical_name(*g)} at k = {serialize.frac_str(k)} collapses "
-            f"to {target} at k' = {serialize.frac_str(kp)}"
-        ])
-        return OK
 
-    rows = []
-    for rs in _table_algebras(cfg):
-        for row in collapsing.stored_table5_rows((rs.family, rs.rank)):
-            rows.append(
-                {
-                    "algebra": canonical_name(*row.algebra),
-                    "k": row.k,
-                    "stored": {"target": row.target, "k_prime": row.k_prime},
-                    "ok": None,
-                }
-            )
-    payload = {"rows": [_row_json(r) for r in rows]}
+def _collapse_level(cfg: RunConfig) -> int:
+    rs = parse_algebra(cfg.algebra)
+    g = (rs.family, rs.rank)
+    k = _parse_level(cfg)
+    payload = {"algebra": canonical_name(*g), "level": serialize.frac_str(k)}
+    if not collapsing.is_collapsing(g, k):
+        print(json.dumps({**payload, "collapsing": False}))
+        return CHECK_FAILED
+    target, kp = collapsing.collapsed_level(g, k)
+    payload.update(collapsing=True, target=target,
+                   k_prime=serialize.frac_str(kp))
+    _emit(payload, cfg, [
+        f"{payload['algebra']} at k = {payload['level']} collapses "
+        f"to {target} at k' = {payload['k_prime']}"
+    ])
+    return OK
+
+
+def _collapse_table(cfg: RunConfig, include_super: bool) -> int:
+    rows = [
+        _table5_row(canonical_name(*row.algebra), row.k, row.target,
+                    row.k_prime)
+        for g in _table_algebras(cfg)
+        for row in collapsing.stored_table5_rows(g)
+    ]
+    payload = {"rows": rows}
     if include_super:
         payload["super_reference"] = [
             {"algebra": a, "target": t, "k": k, "k_prime": kp}
             for a, t, k, kp in collapsing.TABLE5_SUPER
         ]
-    text = [_table5_line(r) for r in rows]
-    _emit(payload, cfg, text, _latex_table5(rows), _csv_table5(rows))
+    _emit_table5(payload, cfg, rows, [_table5_line(r) for r in rows])
     return OK
 
 
-def _table_algebras(cfg: RunConfig) -> list:
-    """The --algebra root system alone, or every default audit algebra."""
-    if cfg.algebra:
-        return [parse_algebra(cfg.algebra)]
-    return [build_root_system(*g) for g in collapsing.DEFAULT_AUDIT_ALGEBRAS]
+# ---------------------------------------------------------------------------
+# module lists, conformal weights, involutions
 
 
-def _table5_line(r: dict) -> str:
-    return (
-        f"  {r['algebra']:>8} k={serialize.frac_str(r['k']):>6} -> "
-        f"{r['stored']['target']:>8} k'="
-        f"{serialize.frac_str(r['stored']['k_prime']):>6}"
-    )
-
-
-def _row_json(r: dict) -> dict:
-    out = {
-        "algebra": r["algebra"],
-        "k": serialize.frac_str(r["k"]),
-        "target": r["stored"]["target"],
-        "k_prime": serialize.frac_str(r["stored"]["k_prime"]),
-    }
-    if r.get("ok") is not None:
-        out["ok"] = r["ok"]
-    return out
-
-
-def _latex_table5(rows) -> List[str]:
-    out = [
-        r"\begin{tabular}{c|c|c|c}",
-        r"$\mathfrak g$ & target & $k$ & $k'$ \\ \hline",
-    ]
-    for r in rows:
-        out.append(
-            rf"{r['algebra']} & {r['stored']['target']} & "
-            rf"${serialize.frac_str(r['k'])}$ & "
-            rf"${serialize.frac_str(r['stored']['k_prime'])}$ \\"
-        )
-    out.append(r"\end{tabular}")
-    return out
-
-
-def _csv_table5(rows) -> List[str]:
-    out = ["algebra,k,target,k_prime"]
-    for r in rows:
-        out.append(
-            f"{r['algebra']},{serialize.frac_str(r['k'])},"
-            f"{r['stored']['target']},{serialize.frac_str(r['stored']['k_prime'])}"
-        )
-    return out
-
-
-def cmd_kl(cfg: RunConfig, quotient: str, limit: int) -> int:
+def cmd_kl(cfg: RunConfig, args) -> int:
+    quotient, limit = args.quotient, args.limit
     if limit < 0:
         raise ValueError("limit must be nonnegative")
     rs = parse_algebra(cfg.algebra)
@@ -527,10 +498,8 @@ def cmd_kl(cfg: RunConfig, quotient: str, limit: int) -> int:
     if limit > cfg.cap or total > cfg.cap:
         detail = (f"limit {limit} exceeds cap {cfg.cap}" if limit > cfg.cap
                   else f"{total} weights exceed cap {cfg.cap}")
-        payload = {"algebra": name, "level": level, "quotient": quotient,
-                   "status": "capped", "detail": detail}
-        _emit(payload, cfg, [f"{head}: capped ({detail})"])
-        return OK
+        return _capped(cfg, head, {"algebra": name, "level": level,
+                                   "quotient": quotient}, detail)
     payload = {
         "algebra": name,
         "level": level,
@@ -546,22 +515,19 @@ def cmd_kl(cfg: RunConfig, quotient: str, limit: int) -> int:
             for f in spec.families
         ],
     }
-    text = [f"{head}: {spec.provenance}"]
-    for f in payload["families"]:
-        marker = " ... " if f["infinite"] else ""
-        text.append(
-            f"  {f['label']}: "
-            + " ; ".join(",".join(w) for w in f["weights"])
-            + marker
-        )
+    text = [f"{head}: {spec.provenance}"] + [
+        f"  {f['label']}: " + " ; ".join(",".join(w) for w in f["weights"])
+        + (" ... " if f["infinite"] else "")
+        for f in payload["families"]
+    ]
     _emit(payload, cfg, text)
     return OK
 
 
-def cmd_weights(cfg: RunConfig, mu: str) -> int:
+def cmd_weights(cfg: RunConfig, args) -> int:
     rs = parse_algebra(cfg.algebra)
     k = _parse_level(cfg)
-    w = serialize.parse_weight(mu)
+    w = serialize.parse_weight(args.mu)
     if len(w) != rs.ambient:
         raise ValueError(f"mu needs {rs.ambient} coordinates for {rs.label}")
     sug = conformal.sugawara_weight(rs, w, k)
@@ -576,7 +542,7 @@ def cmd_weights(cfg: RunConfig, mu: str) -> int:
         "theta_coeff_roots": [serialize.frac_str(r) for r in roots],
     }
     _emit(payload, cfg, [
-        f"{rs.label} at k = {serialize.frac_str(k)}, mu = {mu}:",
+        f"{rs.label} at k = {serialize.frac_str(k)}, mu = {args.mu}:",
         f"  Sugawara conformal weight: {payload['sugawara_weight']}",
         f"  reduced lowest weight:     {payload['w_lowest_weight']}",
         f"  theta-coefficient roots:   {', '.join(payload['theta_coeff_roots'])}",
@@ -584,19 +550,17 @@ def cmd_weights(cfg: RunConfig, mu: str) -> int:
     return OK
 
 
-def cmd_involutions(cfg: RunConfig, ell: int, count_only: bool,
-                    with_signs: bool) -> int:
+def cmd_involutions(cfg: RunConfig, args) -> int:
+    ell, with_signs = args.ell, args.signs
     if ell < 1:
         raise ValueError("--ell must be at least 1")
     n = vectors.double_factorial_odd(ell)
-    if count_only:
+    if args.count:
         _emit({"ell": ell, "count": n}, cfg, [str(n)])
         return OK
     if n > cfg.cap:
-        detail = f"{n} involutions exceed cap {cfg.cap}"
-        payload = {"ell": ell, "status": "capped", "detail": detail}
-        _emit(payload, cfg, [f"ell={ell}: capped ({detail})"])
-        return OK
+        return _capped(cfg, f"ell={ell}", {"ell": ell},
+                       f"{n} involutions exceed cap {cfg.cap}")
     invs = vectors.enumerate_involutions(ell)
     rows = []
     for p in invs:
@@ -605,47 +569,23 @@ def cmd_involutions(cfg: RunConfig, ell: int, count_only: bool,
             row["sign"] = vectors.involution_sign(p)
         rows.append(row)
     payload = {"ell": ell, "count": len(invs), "involutions": rows}
-    text = []
+    text, csv_lines = [], ["pairs" + (",sign" if with_signs else "")]
     for row in rows:
         s = " ".join(f"({i},{j})" for i, j in row["pairs"])
-        if with_signs:
-            s += f"  sign {row['sign']:+d}"
-        text.append(s)
-    text.append(f"count {len(invs)}")
-    csv_lines = ["pairs" + (",sign" if with_signs else "")]
-    for row in rows:
-        s = " ".join(f"({i},{j})" for i, j in row["pairs"])
+        text.append(s + (f"  sign {row['sign']:+d}" if with_signs else ""))
         csv_lines.append(s + (f",{row['sign']}" if with_signs else ""))
+    text.append(f"count {len(invs)}")
     _emit(payload, cfg, text, None, csv_lines)
     return OK
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        cfg = resolve_config(args)
-        if cfg.verb == "roots":
-            return cmd_roots(cfg, args.realization)
-        if cfg.verb == "bracket-audit":
-            return cmd_bracket_audit(cfg, args.samples)
-        if cfg.verb == "singular-verify":
-            return cmd_singular_verify(cfg, args.family, args.n)
-        if cfg.verb == "singular-search":
-            return cmd_singular_search(cfg, args.weight, args.degree)
-        if cfg.verb == "collapse":
-            return cmd_collapse(cfg, args.audit, args.polynomials,
-                                args.include_super)
-        if cfg.verb == "kl":
-            return cmd_kl(cfg, args.quotient, args.limit)
-        if cfg.verb == "weights":
-            return cmd_weights(cfg, args.mu)
-        if cfg.verb == "involutions":
-            return cmd_involutions(cfg, args.ell, args.count, args.signs)
-        raise ValueError(f"unknown verb {cfg.verb!r}")
+        return args.run(resolve_config(args), args)
     except (UnsupportedAlgebraError, conformal.NotClassifiedError,
             collapsing.NotCollapsingError, ValueError, OSError,
             RecursionError) as exc:

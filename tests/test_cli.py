@@ -1,9 +1,11 @@
+import dataclasses
+import hashlib
 import json
 from fractions import Fraction as Q
 
 import pytest
 
-from vkg import serialize
+from vkg import collapsing, serialize
 from vkg.cli import CAP_ENV_VAR, RunConfig, main, read_config_file
 from vkg.liealg import build_realization
 from vkg.pbw import MAX_SEARCH_DEGREE
@@ -339,6 +341,55 @@ def test_involutions_refused_above_cap(monkeypatch, capsys):
     }
 
 
+def test_bracket_audit_samples_above_cap_are_capped(monkeypatch, capsys):
+    def build_realization(*args, **kwargs):
+        raise AssertionError("built the realization despite the cap")
+
+    monkeypatch.setattr("vkg.cli.build_realization", build_realization)
+    code, out, _ = run(capsys, "bracket-audit", "--algebra", "E8",
+                       "--samples", "300000")
+    assert code == 0
+    assert out == "E8: capped (300000 samples exceed cap 200000)\n"
+    code, out, _ = run(capsys, "bracket-audit", "--algebra", "D:6",
+                       "--samples", "1001", "--cap", "1000", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "algebra": "D6", "status": "capped",
+        "detail": "1001 samples exceed cap 1000",
+    }
+
+
+@pytest.mark.parametrize("k, recomputed", [
+    (-10, {"target": "E7", "k_prime": "-4"}),   # only k' is wrong
+    (-7, {"error": "E8 at k = -7"}),             # not a collapsing level
+])
+def test_collapse_audit_witness_names_what_disagrees(monkeypatch, capsys,
+                                                     k, recomputed):
+    stored = collapsing.stored_table5_rows
+
+    def stored_table5_rows(g):
+        rows = stored(g)
+        if g == ("E", 8):   # the k = -10 row, patched to (k, E7, -5)
+            rows[0] = dataclasses.replace(rows[0], k=Q(k), k_prime=Q(-5))
+        return rows
+
+    monkeypatch.setattr("vkg.collapsing.stored_table5_rows",
+                        stored_table5_rows)
+    code, out, _ = run(capsys, "collapse", "--audit", "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["failures"] == 1
+    bad, = [r for r in payload["collapsing_rows"] if not r["ok"]]
+    assert bad == {"algebra": "E8", "k": str(k), "target": "E7",
+                   "k_prime": "-5", "ok": False, "recomputed": recomputed}
+    assert all("recomputed" not in r for r in payload["collapsing_rows"]
+               if r["ok"])
+    code, out, _ = run(capsys, "collapse", "--audit")
+    assert code == 1
+    line, = [ln for ln in out.splitlines() if "MISMATCH" in ln]
+    assert line.endswith(f'"recomputed": {json.dumps(recomputed)}}}')
+
+
 def _refuse_materialize(monkeypatch):
     def materialize(self, limit=10):
         raise AssertionError("materialized despite the limit check")
@@ -411,9 +462,186 @@ def test_unparsable_matrix_label(capsys):
     (("singular-verify", "--algebra", "E6", "--family", "ve7"), 2),
     (("involutions", "--ell", "0"), 2),
     (("kl", "--algebra", "D:6", "--level=-2", "--limit", "-1"), 2),
+    (("bracket-audit", "--algebra", "E8", "--samples", "300000"), 0),
 ])
 def test_exit_code_sweep(capsys, argv, exit_code):
     """Every input ends in exit 0, 1 or 2 through main(), never a traceback."""
     code, _, err = run(capsys, *argv)
     assert code == exit_code
     assert code == 0 or err.startswith("error: ")
+
+
+# Exit code, stdout and stderr of each invocation, hashed together.  Every
+# verb and format, the capped, exit-1 and usage-error paths; not --help.
+OUTPUT_DIGESTS = [
+    ("roots --algebra D:4",
+     "210dc8fc2ee609d7"),
+    ("roots --algebra B:2 --format json",
+     "18b044d2859d859a"),
+    ("roots --algebra B:2 --format latex",
+     "6d25304a73685183"),
+    ("roots --algebra B:2 --format csv",
+     "7d6dd30fe97c74e9"),
+    ("roots --algebra A:2 --realization",
+     "c0afcadfbd9a280c"),
+    ("roots --algebra sl(x)",
+     "a3c39365ae3a2671"),
+    ("bracket-audit --algebra B:2",
+     "3c76b918bd505a57"),
+    ("bracket-audit --algebra A:2 --format json",
+     "fd1f776ab1b78d9e"),
+    ("bracket-audit --algebra G2 --format latex",
+     "09ab3e9d049d8dea"),
+    ("bracket-audit --algebra D:6 --samples 200 --seed 3",
+     "1705a5f5f815ba92"),
+    ("bracket-audit --algebra D:6 --samples 200 --seed 3 --format csv",
+     "1705a5f5f815ba92"),
+    ("bracket-audit --algebra B:2 --samples 2000 --cap 1000",
+     "3c76b918bd505a57"),
+    ("bracket-audit --algebra D:6 --samples 0",
+     "827c266a31ffa61b"),
+    ("singular-verify --algebra D:4 --family w1",
+     "10d40abe07352ae6"),
+    ("singular-verify --algebra D:4 --family w3 --format json",
+     "d4ed298ab312da15"),
+    ("singular-verify --algebra D:6 --family wn --n 1",
+     "83f25a6566121bc6"),
+    ("singular-verify --algebra D:6 --family theta-wn --n 1 --format json",
+     "76048e49937bc8a1"),
+    ("singular-verify --algebra D:5 --family vn --n 1 --format latex",
+     "f5f14691e6d0dc2d"),
+    ("singular-verify --algebra B:4 --family w1 --format csv",
+     "53a2c974d2f6cddb"),
+    ("singular-verify --algebra E7 --family ve7",
+     "ef39214705a1148b"),
+    ("singular-verify --algebra D:4 --family wn --n 1 --level=-1",
+     "15ae40616910e150"),
+    ("singular-verify --algebra D:8 --family wn --n 2 --cap 1000",
+     "3fec90a3ebbe0729"),
+    ("singular-verify --algebra D:8 --family wn --n 2 --cap 1000 --format json",
+     "b6ccbf6b4c99cf33"),
+    ("singular-verify --algebra D:4 --family ve7",
+     "eb0e4641d0ab19ea"),
+    ("singular-verify --algebra D:4 --family vn --n 600 --cap 1000",
+     "8327de020efbc089"),
+    ("singular-verify --algebra D:4 --family bogus",
+     "d5d96467d31a20bd"),
+    ("singular-search --algebra D:4 --level=-2 --weight 1,1,1,1 --degree 2",
+     "57dce8c724c8807f"),
+    ("singular-search --algebra D:4 --level=-2 --weight 1,1,1,1 --degree 2 --format json",
+     "98aba295425947c0"),
+    ("singular-search --algebra D:4 --level=-2 --weight 1,1,1,1 --degree 2 --format csv",
+     "57dce8c724c8807f"),
+    ("singular-search --algebra D:6 --level=-2 --weight 0,0,0,0,0,0 --degree 5 --cap 1000",
+     "4ecd0c8d834c6f1e"),
+    ("singular-search --algebra D:6 --level=-2 --weight 0,0,0,0,0,0 --degree 5 --cap 1000 --format json",
+     "42968c19d931fa8a"),
+    ("singular-search --algebra E8 --level=abc --weight 0,0,0,0,0,0,0,0 --degree 2",
+     "b48c3b08e441c1af"),
+    ("singular-search --algebra D:4 --level=-2 --weight 1,1,1,1",
+     "e796b5c61a82df4d"),
+    ("collapse",
+     "f28b0f6d9df9c02a"),
+    ("collapse --format json",
+     "12c774f015246576"),
+    ("collapse --format latex",
+     "04e0d86a077447ef"),
+    ("collapse --format csv",
+     "f3e9a3a792359d75"),
+    ("collapse --super",
+     "f28b0f6d9df9c02a"),
+    ("collapse --super --format json",
+     "76f1640e4c168bf2"),
+    ("collapse --algebra G2",
+     "a8db76f4bcfe43c6"),
+    ("collapse --algebra E8 --format csv",
+     "8bfd9fbebe3b32dc"),
+    ("collapse --audit",
+     "12f95eda9a7d00ce"),
+    ("collapse --audit --format json",
+     "f41ae5af86742548"),
+    ("collapse --audit --format latex",
+     "afb85b5c4e41c31f"),
+    ("collapse --audit --format csv",
+     "e03e7ad363215966"),
+    ("collapse --audit --algebra A:1",
+     "12f95eda9a7d00ce"),
+    ("collapse --polynomials",
+     "b3f0c0ba4a45e5fc"),
+    ("collapse --polynomials --super --format json",
+     "481089e5bd531c3c"),
+    ("collapse --polynomials --format latex",
+     "471d5715b8b19726"),
+    ("collapse --polynomials --algebra D:5 --format csv",
+     "b79db9124f143ae3"),
+    ("collapse --algebra E8 --level=-10",
+     "c8ecc92757db696b"),
+    ("collapse --algebra E8 --level=-10 --format json",
+     "fd24d4271c37eafd"),
+    ("collapse --algebra E8 --level=-7",
+     "64975ab5d4600d0b"),
+    ("collapse --algebra A:1",
+     "eb10e6bd3a56b217"),
+    ("collapse --algebra A:1 --level=-1",
+     "282b340a1828413f"),
+    ("kl --algebra B:3 --level=-2",
+     "779914b32756d570"),
+    ("kl --algebra B:3 --level=-2 --format json",
+     "fdaafb238b2a8bbc"),
+    ("kl --algebra D:6 --level=-4 --quotient vbar --limit 3",
+     "e037723f537042c0"),
+    ("kl --algebra D:6 --level=-4 --quotient vbar --limit 3 --format latex",
+     "e037723f537042c0"),
+    ("kl --algebra D:6 --level=-2 --limit 1001 --cap 1000",
+     "a01c589979c9c2b9"),
+    ("kl --algebra D:6 --level=-4 --quotient vbar --limit 600 --cap 1000 --format json",
+     "ff595b6393dc17af"),
+    ("kl --algebra D:6 --level=-2 --limit -1",
+     "5a6a0b11953d5785"),
+    ("kl --algebra D:6 --level=-3",
+     "fd2b18a34a2b3349"),
+    ("kl --algebra D:6 --level=-2 --quotient bogus",
+     "c57b2233034541f9"),
+    ("weights --algebra D:4 --mu 1,0,0,0 --level=-2",
+     "68e969d0756b7a4a"),
+    ("weights --algebra D:4 --mu 1,0,0,0 --level=-2 --format json",
+     "1330c25db81a7d58"),
+    ("weights --algebra D:4 --mu 1,0,0,0 --level=-6",
+     "2b4dff43072e6ad7"),
+    ("involutions --ell 3",
+     "d57eb7c03f25e69a"),
+    ("involutions --ell 3 --signs --format csv",
+     "8863ae6e64c9d3f6"),
+    ("involutions --ell 2 --signs --format json",
+     "3dee6c21be074467"),
+    ("involutions --ell 3 --count --format json",
+     "f1f36bb0b6321783"),
+    ("involutions --ell 2 --format latex",
+     "e83a273e1dcb11f2"),
+    ("involutions --ell 8",
+     "8b40f7e2ff214e6f"),
+    ("involutions --ell 8 --format json",
+     "0a1b5722669e9e8f"),
+    ("involutions --ell 0",
+     "32e3e6d8858ab102"),
+    ("flubber",
+     "bb8555f11b711bce"),
+    ("bracket-audit --algebra B:2 --format latex",
+     "3c76b918bd505a57"),
+    ("singular-search --algebra D:4 --level=-2 --weight 1,1,1,1 --degree 2 --format latex",
+     "57dce8c724c8807f"),
+    ("weights --algebra D:4 --mu 1,0,0,0 --level=-2 --format csv",
+     "68e969d0756b7a4a"),
+    ("kl --algebra D:6 --level=-2 --quotient intermediate --limit 4 --format csv",
+     "0808d2787b990d94"),
+]
+
+
+def _digest(code, out, err):
+    text = f"{code}\0{out}\0{err}"
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("argv, digest", OUTPUT_DIGESTS)
+def test_cli_output_digest(capsys, argv, digest):
+    assert _digest(*run(capsys, *argv.split())) == digest

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction as Q
 
 import pytest
@@ -131,3 +133,14 @@ def test_super_rows_are_reference_only():
     assert len(TABLE5_SUPER) == 25
     assert all(len(row) == 4 for row in TABLE5_SUPER)
     assert all(isinstance(x, str) for row in TABLE5_SUPER for x in row)
+
+
+def _report_digest(report):
+    text = json.dumps(report, default=repr, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_audit_report_digest():
+    """The full reports, fields no CLI output shows included, stay fixed."""
+    assert _report_digest(table1_audit(DEFAULT_AUDIT_ALGEBRAS)) == "d785f21593d88bc2"
+    assert _report_digest(table5_audit()) == "fadfdc539c950a0e"
