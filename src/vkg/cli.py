@@ -7,7 +7,8 @@ function, which takes the resolved `RunConfig` and the parsed arguments;
 would cause work beyond the size cap is refused by `_capped`, which writes
 every `capped` report.  Exit codes: 0 success / verified / capped, 1 a
 mathematical check failed (a JSON witness is printed), 2 usage or
-configuration error.  All rationals cross this boundary as "p/q" strings.
+configuration error; a reader that closes stdout early ends the run with 0.
+All rationals cross this boundary as "p/q" strings.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Optional, Sequence
 from . import collapsing, conformal, serialize, vectors
 from .liealg import build_realization, invariance_holds, jacobi_holds
 from .pbw import CapExceededError, graded_basis, is_singular, singular_kernel
-from .rootdata import UnsupportedAlgebraError, canonical_name, parse_algebra
+from .rootdata import canonical_name, parse_algebra
 
 DEFAULT_CAP = vectors.DEFAULT_COMPONENT_CAP
 CAP_ENV_VAR = "VKG_CAP"
@@ -53,19 +54,23 @@ class RunConfig:
 
 def read_config_file(path: str) -> dict:
     """Plain key = value lines; '#' starts a comment; keys: cap, format, seed."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:  # missing, a directory, unreadable: a usage error
+        raise ValueError(str(exc)) from exc
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in ("cap", "format", "seed"):
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = value
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in ("cap", "format", "seed"):
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        out[key] = value
     return out
 
 
@@ -343,13 +348,31 @@ def cmd_singular_search(cfg: RunConfig, args) -> int:
 
 
 def cmd_collapse(cfg: RunConfig, args) -> int:
+    """Run the one mode the flags name; a flag that mode does not read is a
+    usage error, not silently ignored."""
+    level = cfg.level is not None
     if args.audit:
+        _refuse("--audit", {"--algebra": cfg.algebra is not None,
+                            "--level": level,
+                            "--polynomials": args.polynomials,
+                            "--super": args.include_super})
         return _collapse_audit(cfg)
     if args.polynomials:
+        _refuse("--polynomials", {"--level": level})
         return _collapse_polynomials(cfg, args.include_super)
-    if cfg.algebra and cfg.level is not None:
+    if level:
+        if not cfg.algebra:
+            raise ValueError("collapse --level needs --algebra")
+        _refuse("--level", {"--super": args.include_super})
         return _collapse_level(cfg)
     return _collapse_table(cfg, args.include_super)
+
+
+def _refuse(mode: str, given: dict) -> None:
+    """Usage error for the first flag in ``given`` that was set."""
+    for flag, on in given.items():
+        if on:
+            raise ValueError(f"collapse {mode} does not take {flag}")
 
 
 def _table_algebras(cfg: RunConfig) -> Sequence[collapsing.GType]:
@@ -585,10 +608,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        return args.run(resolve_config(args), args)
-    except (UnsupportedAlgebraError, conformal.NotClassifiedError,
-            collapsing.NotCollapsingError, ValueError, OSError,
-            RecursionError) as exc:
+        code = args.run(resolve_config(args), args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early: not an error of this run; point
+        # stdout at devnull so the flush at shutdown does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return OK
+    except (ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

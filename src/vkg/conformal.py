@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .rootdata import (
     RootSystem,
@@ -24,7 +24,6 @@ from .rootdata import (
     canonical_type,
     casimir_eigenvalue,
     fundamental_weight,
-    is_dominant_integral,
     vadd,
     vscale,
     vzero,
@@ -90,20 +89,6 @@ def solve_quoted_s_equation(j) -> Tuple[Q, Q]:
     """Exact solutions in s of (s + j)(s + j + 2) = j (j + 2)."""
     j = Q(j)
     return (Q(0), -2 * j - 2)
-
-
-def nonnegative_solutions(roots: Sequence[Q], half_integral=False) -> List[Q]:
-    """Filter roots to Z>=0 (or (1/2) Z>=0 when half_integral)."""
-    out = []
-    for r in roots:
-        if r < 0:
-            continue
-        if half_integral:
-            if (2 * r).denominator == 1:
-                out.append(r)
-        elif r.denominator == 1:
-            out.append(r)
-    return sorted(set(out))
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +224,3 @@ def kl_spectrum(g: GType, k, quotient: str = "simple") -> KLSpectrum:
     raise NotClassifiedError(
         _NOT_CLASSIFIED[quotient].format(g=canonical_name(*g), k=k)
     )
-
-
-def spectrum_is_dominant(spec: KLSpectrum, limit: int = 8) -> bool:
-    rs = build_root_system(*spec.algebra)
-    return all(is_dominant_integral(rs, w) for w in spec.weights(limit))

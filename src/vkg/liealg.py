@@ -14,6 +14,10 @@ the pairings (e_alpha | e_{-alpha}) and the constants N_{alpha,beta}:
 * The simply-laced types A and E6/E7/E8: a bimultiplicative sign cocycle eps
   on the root lattice with eps(alpha, alpha) = (-1)^((alpha,alpha)/2),
   evaluated on the int simple-root coefficients, with every pairing 1.
+
+The restricted dual Coxeter numbers of the minimal grading are cross-checked
+on the tables as half the Casimir eigenvalue sum [x, [x^dual, e_theta_i]],
+summed over one set of exact dual pairs (``_dual_pairs``) per component.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .rootdata import (
 Label = Tuple[str, object]        # ("h", i) or ("e", root)
 Term = Tuple[int, Q]              # (basis index, coefficient)
 SparseMat = Dict[Tuple[int, int], Q]
+Sparse = Dict[int, Q]             # basis index -> coefficient
 
 
 @dataclass(frozen=True)
@@ -346,35 +351,21 @@ class MinimalGrading:
     """ad(x) eigenspace data for x = theta^vee / 2, tied to a realization."""
 
     lr: LieRealization
-    x_coeffs: Tuple[Q, ...]                 # x in the Cartan basis
     pieces: Dict[Q, Tuple[int, ...]]        # grade -> basis indices
     data: GradingData                       # root-level component analysis
-
-    def component_basis(self, i: int):
-        """Basis of component i: root-vector indices plus Cartan rows."""
-        comp = self.data.components[i]
-        lr = self.lr
-        e_idx = [lr.e(a) for a in comp.roots]
-        rows = [dict(lr.coroot(a)) for a in comp.roots]
-        reduced, _ = linalg.rref(rows, lr.rank)
-        cartan = [tuple(r.get(c, Q(0)) for c in range(lr.rank)) for r in reduced]
-        return e_idx, cartan
 
 
 def minimal_grading(lr: LieRealization) -> MinimalGrading:
     rs = lr.rs
-    x = [c / 2 for c in _expand(list(lr.cartan_duals), rs.theta)]
     pieces: Dict[Q, List[int]] = {}
     for idx in range(lr.dim):
         w = lr.weights[idx]
         grade = rs.form(w, rs.theta) / 2 if any(w) else Q(0)
         pieces.setdefault(grade, []).append(idx)
-    data = minimal_grading_data(rs)
     grading = MinimalGrading(
         lr=lr,
-        x_coeffs=tuple(x),
         pieces={g: tuple(v) for g, v in pieces.items()},
-        data=data,
+        data=minimal_grading_data(rs),
     )
     _check_grading(grading)
     return grading
@@ -398,109 +389,80 @@ class DegenerateFormError(ValueError):
 
 
 def restricted_dual_coxeter(mg: MinimalGrading, i: int) -> Q:
-    """Half the Casimir eigenvalue of component i on itself.
+    """Half the Casimir eigenvalue of component i on its highest root vector.
 
-    The Casimir is assembled from exact dual bases of the restricted form;
-    abelian components (the center) give 0 by convention.
+    The Casimir is sum [x, [x^dual, e_theta_i]] over the dual pairs of
+    ``_dual_pairs``; abelian components (the center) give 0 by convention.
     """
     if i == -1:  # the abelian center
         return Q(0)
-    lr = mg.lr
-    e_idx, cartan = mg.component_basis(i)
-    comp = mg.data.components[i]
-
-    # dual of e_alpha is e_{-alpha} / (e_alpha | e_{-alpha})
-    pair = {}
-    for a in comp.roots:
-        ia, ina = lr.e(a), lr.e(vscale(-1, a))
-        c = lr.form(ia, ina)
-        if not c:
-            raise DegenerateFormError(f"(e_a|e_-a) = 0 on component {i}")
-        pair[ia] = (ina, 1 / c)
-
-    # dual Cartan rows via the inverse Gram block
-    m = len(cartan)
-    gram_rows = []
-    for r in range(m):
-        row = {}
-        for c in range(m):
-            val = _cartan_form(lr, cartan[r], cartan[c])
-            if val:
-                row[c] = val
-        gram_rows.append(row)
-    try:
-        ginv = linalg.invert(gram_rows, m)
-    except ValueError as exc:
-        raise DegenerateFormError(f"degenerate Cartan block on component {i}") from exc
-    dual_cartan = [
-        tuple(
-            sum((ginv[r][c] * cartan[c][k] for c in range(m)), Q(0))
-            for k in range(lr.rank)
-        )
-        for r in range(m)
-    ]
-    for r in range(m):
-        for c in range(m):
-            want = Q(1) if r == c else Q(0)
-            if _cartan_form(lr, cartan[r], dual_cartan[c]) != want:
-                raise DegenerateFormError(f"dual Cartan basis wrong on component {i}")
-
+    lr, comp = mg.lr, mg.data.components[i]
     v0 = lr.e(comp.highest_root)
-    acc: Dict[int, Q] = {}
-    start = {v0: Q(1)}
-    for ia in e_idx:
-        ib, inv = pair[ia]
-        _acc_double_bracket(lr, acc, _elem(ia), _elem(ib, inv), start)
-    for r in range(m):
-        _acc_double_bracket(lr, acc, _cart(cartan[r]), _cart(dual_cartan[r]), start)
-    acc = {k: v for k, v in acc.items() if v}
-    if not set(acc) <= {v0}:
+    acc: Sparse = {}
+    for x, dual in _dual_pairs(lr, comp.roots):
+        inner = _bracket_vec(lr, dual, {v0: Q(1)})
+        _add_into(acc, _bracket_vec(lr, x, inner).items())
+    if set(acc) - {v0}:
         raise ValueError(f"Casimir not diagonal on e_theta: {sorted(acc)}")
     return acc.get(v0, Q(0)) / 2
 
 
-def _elem(idx: int, coef: Q = Q(1)) -> Dict[int, Q]:
-    return {idx: coef}
+def _dual_pairs(lr: LieRealization, roots: Sequence[Vec]):
+    """Pairs (x, x^dual) of dual bases of the subalgebra the roots span.
+
+    e_alpha pairs with e_-alpha / (e_alpha|e_-alpha); the Cartan part is the
+    rref basis of the roots' coroots, paired through the inverse Gram block.
+    A degenerate restricted form raises DegenerateFormError.
+    """
+    pairs: List[Tuple[Sparse, Sparse]] = []
+    for a in roots:
+        ia, ina = lr.e(a), lr.e(vscale(-1, a))
+        c = lr.form(ia, ina)
+        if not c:
+            raise DegenerateFormError(f"(e_a|e_-a) = 0 for a = {a}")
+        pairs.append(({ia: Q(1)}, {ina: 1 / c}))
+    cartan, _ = linalg.rref([dict(lr.coroot(a)) for a in roots], lr.rank)
+    gram = [{c: g for c, v in enumerate(cartan) if (g := _pair(lr, u, v))}
+            for u in cartan]
+    try:
+        ginv = linalg.invert(gram, len(cartan))
+    except ValueError as exc:
+        raise DegenerateFormError("degenerate Cartan block") from exc
+    duals = [{} for _ in cartan]
+    for dual, row in zip(duals, ginv):
+        for g, v in zip(row, cartan):
+            _add_into(dual, ((k, g * c) for k, c in v.items()))
+    for r, u in enumerate(cartan):
+        for c, dual in enumerate(duals):
+            if _pair(lr, u, dual) != int(r == c):
+                raise DegenerateFormError("dual Cartan basis is not dual")
+    return pairs + list(zip(cartan, duals))
 
 
-def _cart(coeffs: Sequence[Q]) -> Dict[int, Q]:
-    return {i: c for i, c in enumerate(coeffs) if c}
-
-
-def _cartan_form(lr: LieRealization, u: Sequence[Q], v: Sequence[Q]) -> Q:
-    total = Q(0)
-    for a, ua in enumerate(u):
-        if not ua:
-            continue
-        for b, vb in enumerate(v):
-            if vb:
-                total += ua * vb * lr.form(a, b)
-    return total
-
-
-def _bracket_vec(lr: LieRealization, x: Dict[int, Q], y: Dict[int, Q]) -> Dict[int, Q]:
-    out: Dict[int, Q] = {}
-    for a, ca in x.items():
-        for b, cb in y.items():
-            for idx, coef in lr.bracket(a, b):
-                new = out.get(idx, Q(0)) + ca * cb * coef
-                if new:
-                    out[idx] = new
-                else:
-                    out.pop(idx, None)
-    return out
-
-
-def _acc_double_bracket(lr, acc, upper, lower, v):
-    w = _bracket_vec(lr, lower, v)
-    if not w:
-        return
-    for idx, c in _bracket_vec(lr, upper, w).items():
-        new = acc.get(idx, Q(0)) + c
+def _add_into(acc: Sparse, terms) -> Sparse:
+    """acc += the (index, coefficient) terms, dropping cancelled entries."""
+    for idx, c in terms:
+        new = acc.get(idx, 0) + c
         if new:
             acc[idx] = new
         else:
             acc.pop(idx, None)
+    return acc
+
+
+def _bracket_vec(lr: LieRealization, x: Sparse, y: Sparse) -> Sparse:
+    """[x, y] for sparse vectors over the basis."""
+    out: Sparse = {}
+    for a, ca in x.items():
+        for b, cb in y.items():
+            _add_into(out, ((i, ca * cb * c) for i, c in lr.bracket(a, b)))
+    return out
+
+
+def _pair(lr: LieRealization, x: Sparse, y: Sparse) -> Q:
+    """(x | y) for sparse vectors over the basis."""
+    return sum((ca * cb * lr.form(a, b) for a, ca in x.items()
+                for b, cb in y.items()), Q(0))
 
 
 # ---------------------------------------------------------------------------
@@ -538,40 +500,7 @@ def _check_flip(lr: LieRealization, out: Dict[int, Term]):
     for (a, b), terms in lr.bracket_table.items():
         if a > b:
             continue
-        fa, sa = out[a]
-        fb, sb = out[b]
-        image = {}
-        for idx, c in lr.bracket(fa, fb):
-            image[idx] = image.get(idx, Q(0)) + sa * sb * c
-        direct = {}
-        for idx, c in terms:
-            fi, si = out[idx]
-            direct[fi] = direct.get(fi, Q(0)) + si * c
-        if {k: v for k, v in image.items() if v} != \
-                {k: v for k, v in direct.items() if v}:
+        (fa, sa), (fb, sb) = out[a], out[b]
+        direct = _add_into({}, ((out[i][0], out[i][1] * c) for i, c in terms))
+        if _bracket_vec(lr, {fa: sa}, {fb: sb}) != direct:
             raise ValueError(f"flip is not an automorphism on ({a}, {b})")
-
-
-# ---------------------------------------------------------------------------
-# Per-root sign flips (basis rescaling; used by the equivalence tests)
-
-
-def flip_root_pair(lr: LieRealization, root: Vec) -> LieRealization:
-    """The same algebra in the basis with e_{+-root} replaced by -e_{+-root}."""
-    flip = {lr.e(root), lr.e(vscale(-1, root))}
-    s = lambda i: Q(-1) if i in flip else Q(1)
-    bracket = {}
-    for (a, b), terms in lr.bracket_table.items():
-        bracket[(a, b)] = tuple((i, s(a) * s(b) * s(i) * c) for i, c in terms)
-    form = {
-        (a, b): s(a) * s(b) * v for (a, b), v in lr.form_table.items()
-    }
-    return LieRealization(
-        rs=lr.rs,
-        labels=lr.labels,
-        weights=lr.weights,
-        cartan_duals=lr.cartan_duals,
-        bracket_table=bracket,
-        form_table=form,
-        root_index=lr.root_index,
-    )

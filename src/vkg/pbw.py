@@ -399,9 +399,3 @@ def singular_kernel(lr: LieRealization, k, weight: Vec, degree: int,
         terms = {basis[c]: val for c, val in vecdict.items()}
         out.append(StateVector(k, weight, Q(degree), terms))
     return out
-
-
-def in_span_of_component(lr: LieRealization, v: StateVector) -> bool:
-    """Every monomial of v lies in the enumerated graded component."""
-    basis = set(graded_basis(lr, v.weight, int(v.degree)))
-    return set(v.terms) <= basis

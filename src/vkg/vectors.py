@@ -32,7 +32,7 @@ from .pbw import (
     singular_kernel,
     vacuum,
 )
-from .rootdata import Vec, basis_vector, vadd, vscale
+from .rootdata import Vec, basis_vector, vadd, vscale, vzero
 
 DEFAULT_COMPONENT_CAP = 200_000
 
@@ -164,7 +164,7 @@ def build_w1_D(lr: LieRealization) -> StateVector:
     rs = lr.rs
     if rs.family != "D" or rs.rank < 4:
         raise UnsupportedAlgebraError("build_w1_D needs type D of rank >= 4")
-    return _matching_vector(lr)
+    return _matching_vector(lr, 1)
 
 
 def build_w3_D4(lr: LieRealization) -> StateVector:
@@ -172,21 +172,25 @@ def build_w3_D4(lr: LieRealization) -> StateVector:
     rs = lr.rs
     if (rs.family, rs.rank) != ("D", 4):
         raise UnsupportedAlgebraError("build_w3_D4 needs D4")
-    return _power(lr, _products(lr, [
-        (1, vadd_eps(lr, 1, 2), vsub_eps(lr, 3, 4)),
-        (-1, vadd_eps(lr, 1, 3), vsub_eps(lr, 2, 4)),
-        (1, vsub_eps(lr, 1, 4), vadd_eps(lr, 2, 3)),
-    ]), Q(-2))
+    return _matching_vector(lr, -1)
 
 
 # the three perfect matchings of {1, 2, 3, 4}, with their signs
 _D4_MATCHINGS = (((1, 2), (3, 4), 1), ((1, 3), (2, 4), -1), ((1, 4), (2, 3), 1))
 
 
-def _matching_vector(lr) -> StateVector:
-    """sum over _D4_MATCHINGS of sign * e_{eps_i+eps_j}(-1) e_{eps_k+eps_m}(-1) 1."""
+def _matching_vector(lr: LieRealization, s: int) -> StateVector:
+    """sum over _D4_MATCHINGS of sign * e_{eps_i+eps_j}(-1) e_{eps_k+eps_m}(-1) 1
+    at level -2, with eps_4 scaled by s.
+
+    s = 1 gives the D4-subalgebra vector, s = -1 its eps_4-reflected
+    companion, and s = 0 the B3 vector, whose eps_4 is absent.
+    """
+    eps = {i: _eps(lr, i) for i in (1, 2, 3)}
+    eps[4] = vscale(s, _eps(lr, 4)) if s else vzero(lr.rs.ambient)
     return _power(lr, _products(lr, [
-        (sign, vadd_eps(lr, *a), vadd_eps(lr, *b)) for a, b, sign in _D4_MATCHINGS
+        (sign, vadd(eps[i], eps[j]), vadd(eps[k], eps[m]))
+        for (i, j), (k, m), sign in _D4_MATCHINGS
     ]), Q(-2))
 
 
@@ -244,14 +248,8 @@ def build_w1_B(lr: LieRealization) -> StateVector:
     rs = lr.rs
     if rs.family != "B" or rs.rank < 2:
         raise UnsupportedAlgebraError("build_w1_B needs type B of rank >= 2")
-    if rs.rank >= 4:
-        return _matching_vector(lr)
-    if rs.rank == 3:
-        return _power(lr, _products(lr, [
-            (1, vadd_eps(lr, 1, 2), _eps(lr, 3)),
-            (-1, vadd_eps(lr, 1, 3), _eps(lr, 2)),
-            (1, _eps(lr, 1), vadd_eps(lr, 2, 3)),
-        ]), Q(-2))
+    if rs.rank >= 3:
+        return _matching_vector(lr, 1 if rs.rank >= 4 else 0)
     # l = 2: solve on the full (eps_1, degree 2) component
     kernel = singular_kernel(lr, Q(-2), _eps(lr, 1), 2)
     if len(kernel) != 1:
@@ -381,62 +379,3 @@ def build_vE7(lr: LieRealization) -> StateVector:
     weight = vadd(*e7_support_products(lr)[0])
     terms = {m: c for m, c in zip(monos, sol) if c}
     return StateVector(Q(-4), weight, Q(2), terms)
-
-
-# ---------------------------------------------------------------------------
-# Sign-flip equivalence (GF(2) solver)
-
-
-def sign_pattern_flip_equivalent(
-    monomial_roots: Sequence[Sequence[Vec]],
-    observed: Sequence[int],
-    reference: Sequence[int],
-) -> bool:
-    """Is there a per-root sign flip taking `observed` to `reference`?
-
-    Each monomial is given as the multiset of roots of its factors; a flip
-    assignment delta changes the sign of a monomial by the product of
-    delta over its factors.  Consistency is a linear system over GF(2).
-    """
-    roots = sorted({r for ms in monomial_roots for r in ms})
-    col = {r: i for i, r in enumerate(roots)}
-    nvars = len(roots)
-    rows: List[List[int]] = []
-    for ms, obs, ref in zip(monomial_roots, observed, reference):
-        bits = [0] * (nvars + 1)
-        for r in ms:
-            bits[col[r]] ^= 1
-        bits[nvars] = 0 if obs == ref else 1
-        rows.append(bits)
-    # GF(2) elimination
-    pivot_row = 0
-    for c in range(nvars):
-        r = next((i for i in range(pivot_row, len(rows)) if rows[i][c]), None)
-        if r is None:
-            continue
-        rows[pivot_row], rows[r] = rows[r], rows[pivot_row]
-        for i in range(len(rows)):
-            if i != pivot_row and rows[i][c]:
-                rows[i] = [a ^ b for a, b in zip(rows[i], rows[pivot_row])]
-        pivot_row += 1
-    return all(row[nvars] == 0 for row in rows if not any(row[:nvars]))
-
-
-def monomial_roots(lr: LieRealization, mono) -> List[Vec]:
-    """Roots of the root-vector factors of a monomial (Cartan factors skipped)."""
-    out = []
-    for _, b in mono:
-        lab = lr.labels[b]
-        if lab[0] == "e":
-            out.append(lab[1])
-    return out
-
-
-def flip_vector_signs(lr: LieRealization, v: StateVector, root: Vec) -> StateVector:
-    """Coordinates of v in the basis with e_{+-root} negated."""
-    targets = {lr.e(root), lr.e(vscale(-1, root))}
-    terms = {}
-    for mono, c in v.terms.items():
-        flips = sum(1 for _, b in mono if b in targets)
-        terms[mono] = -c if flips % 2 else c
-    return StateVector(v.level, v.weight, v.degree, terms)

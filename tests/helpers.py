@@ -1,0 +1,120 @@
+"""Checks that only the tests use: sign-flip equivalence, span membership
+and the dominance of classified module lists."""
+
+from fractions import Fraction as Q
+from typing import List, Sequence
+
+from vkg.conformal import KLSpectrum
+from vkg.liealg import LieRealization
+from vkg.pbw import StateVector, graded_basis
+from vkg.rootdata import Vec, build_root_system, is_dominant_integral, vscale
+
+
+# ---------------------------------------------------------------------------
+# Per-root sign flips (basis rescaling)
+
+
+def flip_root_pair(lr: LieRealization, root: Vec) -> LieRealization:
+    """The same algebra in the basis with e_{+-root} replaced by -e_{+-root}."""
+    flip = {lr.e(root), lr.e(vscale(-1, root))}
+    s = lambda i: Q(-1) if i in flip else Q(1)
+    bracket = {}
+    for (a, b), terms in lr.bracket_table.items():
+        bracket[(a, b)] = tuple((i, s(a) * s(b) * s(i) * c) for i, c in terms)
+    form = {
+        (a, b): s(a) * s(b) * v for (a, b), v in lr.form_table.items()
+    }
+    return LieRealization(
+        rs=lr.rs,
+        labels=lr.labels,
+        weights=lr.weights,
+        cartan_duals=lr.cartan_duals,
+        bracket_table=bracket,
+        form_table=form,
+        root_index=lr.root_index,
+    )
+
+
+def flip_vector_signs(lr: LieRealization, v: StateVector, root: Vec) -> StateVector:
+    """Coordinates of v in the basis with e_{+-root} negated."""
+    targets = {lr.e(root), lr.e(vscale(-1, root))}
+    terms = {}
+    for mono, c in v.terms.items():
+        flips = sum(1 for _, b in mono if b in targets)
+        terms[mono] = -c if flips % 2 else c
+    return StateVector(v.level, v.weight, v.degree, terms)
+
+
+def monomial_roots(lr: LieRealization, mono) -> List[Vec]:
+    """Roots of the root-vector factors of a monomial (Cartan factors skipped)."""
+    out = []
+    for _, b in mono:
+        lab = lr.labels[b]
+        if lab[0] == "e":
+            out.append(lab[1])
+    return out
+
+
+def sign_pattern_flip_equivalent(
+    monomial_roots: Sequence[Sequence[Vec]],
+    observed: Sequence[int],
+    reference: Sequence[int],
+) -> bool:
+    """Is there a per-root sign flip taking `observed` to `reference`?
+
+    Each monomial is given as the multiset of roots of its factors; a flip
+    assignment delta changes the sign of a monomial by the product of
+    delta over its factors.  Consistency is a linear system over GF(2).
+    """
+    roots = sorted({r for ms in monomial_roots for r in ms})
+    col = {r: i for i, r in enumerate(roots)}
+    nvars = len(roots)
+    rows: List[List[int]] = []
+    for ms, obs, ref in zip(monomial_roots, observed, reference):
+        bits = [0] * (nvars + 1)
+        for r in ms:
+            bits[col[r]] ^= 1
+        bits[nvars] = 0 if obs == ref else 1
+        rows.append(bits)
+    # GF(2) elimination
+    pivot_row = 0
+    for c in range(nvars):
+        r = next((i for i in range(pivot_row, len(rows)) if rows[i][c]), None)
+        if r is None:
+            continue
+        rows[pivot_row], rows[r] = rows[r], rows[pivot_row]
+        for i in range(len(rows)):
+            if i != pivot_row and rows[i][c]:
+                rows[i] = [a ^ b for a, b in zip(rows[i], rows[pivot_row])]
+        pivot_row += 1
+    return all(row[nvars] == 0 for row in rows if not any(row[:nvars]))
+
+
+# ---------------------------------------------------------------------------
+# Span membership and module-list dominance
+
+
+def in_span_of_component(lr: LieRealization, v: StateVector) -> bool:
+    """Every monomial of v lies in the enumerated graded component."""
+    basis = set(graded_basis(lr, v.weight, int(v.degree)))
+    return set(v.terms) <= basis
+
+
+def nonnegative_solutions(roots: Sequence[Q], half_integral=False) -> List[Q]:
+    """Filter roots to Z>=0 (or (1/2) Z>=0 when half_integral)."""
+    out = []
+    for r in roots:
+        if r < 0:
+            continue
+        if half_integral:
+            if (2 * r).denominator == 1:
+                out.append(r)
+        elif r.denominator == 1:
+            out.append(r)
+    return sorted(set(out))
+
+
+def spectrum_is_dominant(spec: KLSpectrum, limit: int = 8) -> bool:
+    """Every materialized weight of the classified list is dominant integral."""
+    rs = build_root_system(*spec.algebra)
+    return all(is_dominant_integral(rs, w) for w in spec.weights(limit))

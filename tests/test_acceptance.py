@@ -55,11 +55,10 @@ from vkg.vectors import (
     build_w_n,
     double_factorial_odd,
     enumerate_involutions,
-    monomial_roots,
-    sign_pattern_flip_equivalent,
     theta_image,
 )
 
+from helpers import monomial_roots, sign_pattern_flip_equivalent
 from test_vectors import D6_MATCHING_SIGNS
 
 

@@ -1,7 +1,11 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -190,6 +194,51 @@ def test_config_file_and_env(tmp_path, monkeypatch, capsys):
     code, out, _ = run(capsys, "involutions", "--ell", "2", "--count",
                        "--config", str(cfg), "--cap", "2000")
     assert code == 0
+
+
+def test_unreadable_config_file_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    with pytest.raises(ValueError):
+        read_config_file(str(missing))
+    code, out, err = run(capsys, "involutions", "--ell", "2", "--count",
+                         "--config", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+def test_collapse_refuses_flags_its_mode_does_not_read(capsys):
+    for argv, flag in [
+        (("--audit", "--algebra", "E8"), "--audit does not take --algebra"),
+        (("--audit", "--level=-10"), "--audit does not take --level"),
+        (("--audit", "--polynomials"), "--audit does not take --polynomials"),
+        (("--audit", "--super"), "--audit does not take --super"),
+        (("--polynomials", "--level=-10"),
+         "--polynomials does not take --level"),
+        (("--level=-10",), "--level needs --algebra"),
+        (("--algebra", "E8", "--level=-10", "--super"),
+         "--level does not take --super"),
+    ]:
+        code, out, err = run(capsys, "collapse", *argv)
+        assert (code, out, err) == (2, "", f"error: collapse {flag}\n")
+
+
+def test_closed_stdout_ends_the_run_quietly():
+    """A reader that stops early is not an error: exit 0, nothing on stderr,
+    and no failed flush reported at interpreter shutdown."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from vkg.cli import main; "
+         "sys.exit(main())", "roots", "--algebra", "E8", "--realization",
+         "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert head == b'{\n  "root_'
+    assert err == b""
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):
@@ -453,7 +502,7 @@ def test_unparsable_matrix_label(capsys):
     (("collapse", "--algebra", "A:1"), 2),
     (("collapse", "--algebra", "A:1", "--polynomials"), 2),
     (("collapse", "--algebra", "A:1", "--level=-1"), 2),
-    (("collapse", "--algebra", "A:1", "--audit"), 0),
+    (("collapse", "--algebra", "A:1", "--audit"), 2),
     (("singular-verify", "--algebra", "B:3", "--family", "w3"), 2),
     (("singular-verify", "--algebra", "A:3", "--family", "w1"), 2),
     (("singular-verify", "--algebra", "B:3", "--family", "wn"), 2),
@@ -463,6 +512,11 @@ def test_unparsable_matrix_label(capsys):
     (("involutions", "--ell", "0"), 2),
     (("kl", "--algebra", "D:6", "--level=-2", "--limit", "-1"), 2),
     (("bracket-audit", "--algebra", "E8", "--samples", "300000"), 0),
+    (("collapse", "--audit", "--algebra", "E8"), 2),
+    (("collapse", "--audit", "--super"), 2),
+    (("collapse", "--level=-10"), 2),
+    (("collapse", "--polynomials", "--algebra", "E8", "--level=-10"), 2),
+    (("collapse", "--algebra", "E8", "--level=-10", "--super"), 2),
 ])
 def test_exit_code_sweep(capsys, argv, exit_code):
     """Every input ends in exit 0, 1 or 2 through main(), never a traceback."""
@@ -565,7 +619,7 @@ OUTPUT_DIGESTS = [
     ("collapse --audit --format csv",
      "e03e7ad363215966"),
     ("collapse --audit --algebra A:1",
-     "12f95eda9a7d00ce"),
+     "87b9edf0055df814"),
     ("collapse --polynomials",
      "b3f0c0ba4a45e5fc"),
     ("collapse --polynomials --super --format json",

@@ -15,9 +15,7 @@ from vkg.conformal import (
     ell_equation_roots,
     half_level_roots,
     kl_spectrum,
-    nonnegative_solutions,
     solve_quoted_s_equation,
-    spectrum_is_dominant,
     sugawara_weight,
     w_lowest_weight,
 )
@@ -30,6 +28,8 @@ from vkg.rootdata import (
     vscale,
     vzero,
 )
+
+from helpers import nonnegative_solutions, spectrum_is_dominant
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=8)
 

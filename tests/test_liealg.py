@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -7,9 +8,10 @@ from fractions import Fraction as Q
 import pytest
 
 from vkg.liealg import (
+    DegenerateFormError,
+    _check_flip,
     build_realization,
     dynkin_flip,
-    flip_root_pair,
     invariance_holds,
     jacobi_holds,
     minimal_grading,
@@ -23,6 +25,8 @@ from vkg.rootdata import (
     vscale,
 )
 from vkg.serialize import realization_to_json
+
+from helpers import flip_root_pair
 
 
 def bracket_vec(lr, terms, idx):
@@ -143,6 +147,21 @@ def test_restricted_dual_coxeter_dual_route():
         assert restricted_dual_coxeter(mg, -1) == 0
 
 
+def test_restricted_dual_coxeter_refuses_a_degenerate_pairing():
+    """With one pairing (e_a|e_-a) zeroed in a copied form table, the dual
+    basis of the component holding a does not exist."""
+    lr = build_realization("D", 5)
+    mg = minimal_grading(lr)
+    i, comp = next((i, c) for i, c in enumerate(mg.data.components) if c.roots)
+    a = comp.roots[0]
+    form = dict(lr.form_table)
+    form[(lr.e(a), lr.e(vscale(-1, a)))] = Q(0)
+    broken = dataclasses.replace(mg, lr=dataclasses.replace(lr, form_table=form))
+    assert restricted_dual_coxeter(mg, i) == comp.dual_coxeter0
+    with pytest.raises(DegenerateFormError):
+        restricted_dual_coxeter(broken, i)
+
+
 def test_restricted_dual_coxeter_spec_values():
     for l in (4, 5, 6):
         mg = minimal_grading(build_realization("D", l))
@@ -180,6 +199,18 @@ def test_dynkin_flip_examples():
     for idx, (jdx, s) in flip.items():
         j2, s2 = flip[jdx]
         assert j2 == idx and s * s2 == 1
+
+
+def test_flip_check_refuses_a_rescaled_root_vector():
+    """Negating one fork root vector and its image keeps an involution but
+    breaks [e_a, e_-a] = (e_a|e_-a) nu(a): the automorphism check refuses it."""
+    lr = build_realization("D", 4)
+    flip = dict(dynkin_flip(lr))
+    i = lr.e(vec(0, 0, 1, 1))
+    j, s = flip[i]
+    flip[i], flip[j] = (j, -s), (i, -flip[j][1])
+    with pytest.raises(ValueError, match="not an automorphism"):
+        _check_flip(lr, flip)
 
 
 def test_dynkin_flip_rejects_non_d():

@@ -18,7 +18,6 @@ from vkg.pbw import (
     component_size,
     constraint_rows,
     graded_basis,
-    in_span_of_component,
     is_singular,
     proportional,
     raising_generators,
@@ -27,6 +26,8 @@ from vkg.pbw import (
 )
 from vkg.rootdata import vadd, vec, vscale, vzero
 from vkg import serialize
+
+from helpers import in_span_of_component
 
 D4 = build_realization("D", 4)
 B2 = build_realization("B", 2)

@@ -1,6 +1,8 @@
 """Rules on the package source itself."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import vkg
@@ -31,3 +33,22 @@ def test_no_float_literals():
             and node.func.id == "float")
     ]
     assert not found, found
+
+
+def test_traced_entry_points_exist():
+    """Every function the benchmark's tracer wraps is still a callable of its
+    module, and every cached one still has ``cache_info``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    missing = [f"{module}.{name}"
+               for module, names in layers.ENTRY_POINTS.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(f"vkg.{module}"),
+                                       name, None))]
+    assert not missing, missing
+    for dotted in layers.CACHED:
+        module, name = dotted.split(".")
+        fn = getattr(importlib.import_module(f"vkg.{module}"), name)
+        assert hasattr(fn, "cache_info"), dotted

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from vkg.liealg import build_realization, flip_root_pair
+from vkg.liealg import build_realization
 from vkg.pbw import (
     CapExceededError,
     is_singular,
@@ -26,12 +26,17 @@ from vkg.vectors import (
     e7_d6_a1_subalgebra,
     e7_support_products,
     enumerate_involutions,
-    flip_vector_signs,
     involution_sign,
-    monomial_roots,
     resolve_signs,
-    sign_pattern_flip_equivalent,
     theta_image,
+)
+
+from helpers import (
+    flip_root_pair,
+    flip_vector_signs,
+    in_span_of_component,
+    monomial_roots,
+    sign_pattern_flip_equivalent,
 )
 
 
@@ -481,8 +486,6 @@ def test_w1_B5_via_long_root_subalgebra():
 
 
 def test_all_constructors_lie_in_their_components():
-    from vkg.pbw import in_span_of_component
-
     cases = []
     for l in (4, 5):
         lr = build_realization("D", l)
