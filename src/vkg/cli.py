@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from . import collapsing, conformal, serialize, vectors
 from .liealg import build_realization, invariance_holds, jacobi_holds
-from .pbw import CapExceededError, graded_basis, is_singular, singular_kernel
+from .pbw import CapExceededError, is_singular, singular_kernel
 from .rootdata import canonical_name, parse_algebra
 
 DEFAULT_CAP = vectors.DEFAULT_COMPONENT_CAP
@@ -323,7 +323,6 @@ def cmd_singular_search(cfg: RunConfig, args) -> int:
     lr = build_realization(rs.family, rs.rank)
     try:
         kernel = singular_kernel(lr, k, wt, degree, cap=cfg.cap)
-        size = len(graded_basis(lr, wt, degree, cap=cfg.cap))
     except CapExceededError as exc:
         return _capped(cfg, rs.label, {"algebra": rs.label}, str(exc))
     payload = {
@@ -331,13 +330,13 @@ def cmd_singular_search(cfg: RunConfig, args) -> int:
         "level": serialize.frac_str(k),
         "weight": serialize.weight_to_json(wt),
         "degree": degree,
-        "component_dimension": size,
+        "component_dimension": kernel.component_dimension,
         "kernel_dimension": len(kernel),
         "vectors": [serialize.state_to_json(lr, v) for v in kernel],
     }
     text = [
         f"{rs.label} at level {serialize.frac_str(k)}: component dimension "
-        f"{size}, kernel dimension {len(kernel)}",
+        f"{kernel.component_dimension}, kernel dimension {len(kernel)}",
     ] + [json.dumps(v) for v in payload["vectors"]]
     _emit(payload, cfg, text)
     return OK
@@ -361,7 +360,7 @@ def cmd_collapse(cfg: RunConfig, args) -> int:
         _refuse("--polynomials", {"--level": level})
         return _collapse_polynomials(cfg, args.include_super)
     if level:
-        if not cfg.algebra:
+        if cfg.algebra is None:
             raise ValueError("collapse --level needs --algebra")
         _refuse("--level", {"--super": args.include_super})
         return _collapse_level(cfg)
@@ -377,7 +376,7 @@ def _refuse(mode: str, given: dict) -> None:
 
 def _table_algebras(cfg: RunConfig) -> Sequence[collapsing.GType]:
     """The --algebra type alone, or every default audit algebra."""
-    if cfg.algebra:
+    if cfg.algebra is not None:
         rs = parse_algebra(cfg.algebra)
         return [(rs.family, rs.rank)]
     return collapsing.DEFAULT_AUDIT_ALGEBRAS

@@ -8,15 +8,26 @@ first, then clears each pivot column in the other rows.  The pivot columns
 are the leftmost linearly independent columns and the reduced row echelon
 form is unique, so the output does not depend on the order or scale of the
 input rows.
+
+The same insertion pass also runs over Z/p, p = 2^61 - 1, with each n/d
+read as n * d^-1 mod p.  The rank mod p is at most the rank over Q, so a
+full column rank mod p proves that a kernel is empty: `nullspace` returns
+no kernel on that certificate alone.  Mod p may prove a kernel empty, never
+nonempty: a smaller rank mod p, or a denominator divisible by p (no
+reduction exists), sends `nullspace` down the exact path, and every kernel
+vector it returns comes from elimination over Q.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction as Q
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 Row = Dict[int, Q]
+
+# The prime of the rank certificate in `nullspace`.
+P = 2 ** 61 - 1
 
 
 def row_sub(target: Row, factor: Q, source: Row) -> None:
@@ -33,16 +44,28 @@ def row_sub(target: Row, factor: Q, source: Row) -> None:
                 del target[col]
 
 
-def rref(rows: Sequence[Row], ncols: int) -> Tuple[List[Row], List[int]]:
-    """Reduced row echelon form; returns (rows, pivot column list).
+def _echelon(rows: Sequence[Row], ncols: int,
+             p: Optional[int] = None) -> Dict[int, Row]:
+    """The streaming insertion pass: pivot column -> row with 1 there.
 
-    Columns >= ncols are carried along but never pivot; a row that cancels
-    or whose leading entry lies there is dropped.  The carried entries are
-    unique only when no nonzero combination of the rows vanishes on the
-    first ncols columns; no caller in the package depends on them.
+    Over Q when p is None, else over Z/p with every entry an int in
+    [1, p).  Once each of the ncols columns has a pivot, later rows cannot
+    add one, so the pass stops there.
     """
+    if p is None:
+        sub = row_sub
+    else:
+        def sub(target: Row, factor: int, source: Row) -> None:
+            for col, val in source.items():
+                new = (target.get(col, 0) - factor * val) % p
+                if new:
+                    target[col] = new
+                else:
+                    del target[col]
     found: Dict[int, Row] = {}
     for row in sorted((r for r in rows if r), key=len):
+        if len(found) == ncols:
+            break
         row = dict(row)
         heap = list(row)
         heapq.heapify(heap)
@@ -56,15 +79,30 @@ def rref(rows: Sequence[Row], ncols: int) -> Tuple[List[Row], List[int]]:
             if pivot is None:
                 lead = col
                 break
-            row_sub(row, val, pivot)    # clears col: the pivot has 1 there
+            sub(row, val, pivot)        # clears col: the pivot has 1 there
             for c in pivot:
                 if c > col:
                     heapq.heappush(heap, c)
         if lead is None or lead >= ncols:
             continue
-        inv = 1 / row[lead]
-        found[lead] = {c: v * inv for c, v in row.items()}
+        if p is None:
+            inv = 1 / row[lead]
+            found[lead] = {c: v * inv for c, v in row.items()}
+        else:
+            inv = pow(row[lead], -1, p)
+            found[lead] = {c: v * inv % p for c, v in row.items()}
+    return found
 
+
+def rref(rows: Sequence[Row], ncols: int) -> Tuple[List[Row], List[int]]:
+    """Reduced row echelon form; returns (rows, pivot column list).
+
+    Columns >= ncols are carried along but never pivot; a row that cancels
+    or whose leading entry lies there is dropped.  The carried entries are
+    unique only when no nonzero combination of the rows vanishes on the
+    first ncols columns; no caller in the package depends on them.
+    """
+    found = _echelon(rows, ncols)
     pivots = sorted(found)
     for col in reversed(pivots):
         row = found[col]
@@ -73,12 +111,41 @@ def rref(rows: Sequence[Row], ncols: int) -> Tuple[List[Row], List[int]]:
     return [found[c] for c in pivots], pivots
 
 
+def rank_mod(rows: Sequence[Row], ncols: int, p: int = P) -> Optional[int]:
+    """Rank mod the prime p of the first ncols columns, each n/d read as
+    n * d^-1; None when a denominator is divisible by p (no reduction).
+
+    It is at most the rank over Q, so it can certify full rank, never a
+    deficit.
+    """
+    inverse: Dict[int, int] = {}
+    reduced = []
+    for row in rows:
+        red = {}
+        for col, val in row.items():
+            den = val.denominator
+            inv = inverse.get(den)
+            if inv is None:
+                if not den % p:
+                    return None
+                inv = inverse[den] = pow(den, -1, p)
+            x = val.numerator * inv % p
+            if x:
+                red[col] = x
+        reduced.append(red)
+    return len(_echelon(reduced, ncols, p))
+
+
 def nullspace(rows: Sequence[Row], ncols: int) -> List[Row]:
     """Basis of the right kernel, one sparse vector per free column.
 
     The basis is normalized so that every vector has entry 1 in its free
-    column and is supported on pivot columns otherwise.
+    column and is supported on pivot columns otherwise.  Full column rank
+    mod P returns the empty basis at once; any other case is eliminated
+    exactly, so a nonzero kernel never rests on modular arithmetic.
     """
+    if rank_mod(rows, ncols) == ncols:
+        return []
     reduced, pivots = rref(rows, ncols)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]

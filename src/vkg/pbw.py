@@ -381,8 +381,16 @@ def constraint_rows(engine: _Engine,
     return list(rows.values())
 
 
+class Kernel(List[StateVector]):
+    """The kernel basis of one graded component, and the component's size."""
+
+    def __init__(self, vectors: Sequence[StateVector], component_dimension: int):
+        super().__init__(vectors)
+        self.component_dimension = component_dimension
+
+
 def singular_kernel(lr: LieRealization, k, weight: Vec, degree: int,
-                    cap: Optional[int] = None) -> List[StateVector]:
+                    cap: Optional[int] = None) -> Kernel:
     """Basis of the joint kernel of all raising generators on a component.
 
     Brute force: enumerate the component, assemble the stacked constraint
@@ -391,11 +399,11 @@ def singular_kernel(lr: LieRealization, k, weight: Vec, degree: int,
     k = Q(k)
     basis = graded_basis(lr, weight, degree, cap=cap)
     if not basis:
-        return []
+        return Kernel([], 0)
     matrix = constraint_rows(_Engine(lr, k), basis)
     kernel = linalg.nullspace(matrix, len(basis))
     out = []
     for vecdict in kernel:
         terms = {basis[c]: val for c, val in vecdict.items()}
         out.append(StateVector(k, weight, Q(degree), terms))
-    return out
+    return Kernel(out, len(basis))

@@ -485,10 +485,39 @@ def test_kl_negative_limit_is_usage_error(monkeypatch, capsys):
     assert err == "error: limit must be nonnegative\n"
 
 
+def test_singular_search_enumerates_the_component_once(capsys, monkeypatch):
+    import vkg.pbw
+    calls = []
+    search = vkg.pbw._search
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return search(*args)
+
+    monkeypatch.setattr(vkg.pbw, "_search", counted)
+    code, out, _ = run(capsys, "singular-search", "--algebra", "D:4",
+                       "--weight", "1,1,1,1", "--degree", "2", "--level=-2")
+    assert code == 0
+    assert len(calls) == 1
+    assert out.startswith("D4 at level -2: component dimension 3, kernel dimension 1")
+
+
 def test_unparsable_matrix_label(capsys):
     code, out, err = run(capsys, "roots", "--algebra", "sl(x)")
     assert code == 2 and out == ""
     assert err == "error: cannot parse algebra label 'sl(x)'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("roots", "--algebra", ""),
+    ("collapse", "--algebra", ""),
+    ("collapse", "--polynomials", "--algebra", ""),
+    ("collapse", "--algebra", "", "--level=-10"),
+])
+def test_empty_algebra_label_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: cannot parse algebra label ''\n"
 
 
 @pytest.mark.parametrize("argv, exit_code", [
@@ -517,6 +546,9 @@ def test_unparsable_matrix_label(capsys):
     (("collapse", "--level=-10"), 2),
     (("collapse", "--polynomials", "--algebra", "E8", "--level=-10"), 2),
     (("collapse", "--algebra", "E8", "--level=-10", "--super"), 2),
+    (("collapse", "--algebra", ""), 2),
+    (("collapse", "--polynomials", "--algebra", ""), 2),
+    (("collapse", "--algebra", "", "--level=-10"), 2),
 ])
 def test_exit_code_sweep(capsys, argv, exit_code):
     """Every input ends in exit 0, 1 or 2 through main(), never a traceback."""

@@ -161,3 +161,134 @@ def test_columns_past_ncols_never_pivot(a, data):
     if len(greedy_pivots(a, width)) == len(pivots):
         flipped = list(reversed(sparse(a)))
         assert linalg.rref(flipped, ncols) == (rows, pivots)
+
+
+# The mod-p rank certificate of nullspace.  The references below are dense
+# Gauss-Jordan or Gram determinants written here, not rref's output.
+
+PRIMES = (2, 3, 5, linalg.P)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Up to 8 x 6 with small numerators and denominators, often tall."""
+    ncols = draw(st.integers(1, 6))
+    nrows = draw(st.integers(1, 8))
+    entries = st.just(Q(0)) | st.builds(Q, st.integers(-4, 4), st.integers(1, 6))
+    return draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+
+
+def reference_kernel(dense, ncols):
+    """Kernel basis by dense Gauss-Jordan over Q, normalized as nullspace's:
+    1 on its free column, supported on the pivot columns otherwise."""
+    rows = [[Q(x) for x in row[:ncols]] for row in dense]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = {fc: Q(1)}
+        v.update({pc: -rows[i][fc] for i, pc in enumerate(pivots) if rows[i][fc]})
+        basis.append(v)
+    return basis
+
+
+def counting_rref(monkeypatch):
+    """Count the exact eliminations nullspace runs."""
+    calls = []
+    exact = linalg.rref
+
+    def rref(rows, ncols):
+        calls.append(ncols)
+        return exact(rows, ncols)
+
+    monkeypatch.setattr(linalg, "rref", rref)
+    return calls
+
+
+@given(matrices(), st.sampled_from(PRIMES))
+def test_rank_mod_p_at_most_rank_on_integer_matrices(a, p):
+    ncols = len(a[0])
+    assert linalg.rank_mod(sparse(a), ncols, p) <= len(greedy_pivots(a, ncols))
+
+
+@given(rational_matrices(), st.sampled_from(PRIMES))
+def test_rank_mod_p_at_most_rank_on_rational_matrices(a, p):
+    ncols = len(a[0])
+    got = linalg.rank_mod(sparse(a), ncols, p)
+    if any(x.denominator % p == 0 for row in a for x in row):
+        assert got is None
+    else:
+        assert got <= len(greedy_pivots(a, ncols))
+
+
+@given(st.data())
+def test_planted_kernel_is_never_certified_empty(data):
+    """M = A B with B of rank below ncols has a kernel: the exact path runs
+    and finds vectors that M sends to 0."""
+    ncols = data.draw(st.integers(2, 6))
+    inner = data.draw(st.integers(1, ncols - 1))
+    nrows = data.draw(st.integers(1, 10))
+    ints = st.integers(-5, 5)
+    a = data.draw(st.lists(st.lists(ints, min_size=inner, max_size=inner),
+                           min_size=nrows, max_size=nrows))
+    b = data.draw(st.lists(st.lists(ints, min_size=ncols, max_size=ncols),
+                           min_size=inner, max_size=inner))
+    m = [[sum(x * b[i][c] for i, x in enumerate(row)) for c in range(ncols)]
+         for row in a]
+    assert linalg.rank_mod(sparse(m), ncols) < ncols
+    kernel = linalg.nullspace(sparse(m), ncols)
+    assert len(kernel) >= ncols - inner
+    for v in kernel:
+        assert all(x == 0 for x in times(m, v))
+
+
+def test_planted_kernel_runs_the_exact_path(monkeypatch):
+    calls = counting_rref(monkeypatch)
+    m = [[1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 3, 4]]      # column 2 = 0 + 1
+    assert linalg.nullspace(sparse(m), 3) == [{2: Q(1), 0: Q(-1), 1: Q(-1)}]
+    assert calls == [3]
+
+
+def test_full_rank_mod_p_skips_the_exact_path(monkeypatch):
+    calls = counting_rref(monkeypatch)
+    assert linalg.nullspace(sparse([[1, 2], [3, 4], [5, 6]]), 2) == []
+    assert calls == []
+
+
+def test_denominator_divisible_by_p_takes_the_exact_path(monkeypatch):
+    """No reduction mod p exists, so the kernel comes from Q alone."""
+    calls = counting_rref(monkeypatch)
+    p = linalg.P
+    rows = [{0: Q(1, p), 1: Q(1)}, {0: Q(2, p), 1: Q(2)}]
+    assert linalg.rank_mod(rows, 2) is None
+    assert linalg.nullspace(rows, 2) == [{1: Q(1), 0: Q(-p)}]
+    full = [{0: Q(1, p), 1: Q(1)}, {1: Q(3, 2 * p)}]
+    assert linalg.nullspace(full, 2) == []
+    assert calls == [2, 2]
+
+
+def test_numerator_divisible_by_p_takes_the_exact_path(monkeypatch):
+    """An entry p vanishes mod p: the rank drops there, not over Q."""
+    calls = counting_rref(monkeypatch)
+    rows = [{0: Q(linalg.P)}, {1: Q(1)}]
+    assert linalg.rank_mod(rows, 2) == 1
+    assert linalg.nullspace(rows, 2) == []
+    assert calls == [2]
+
+
+@given(rational_matrices())
+def test_nullspace_matches_a_certificate_free_reference(a):
+    ncols = len(a[0])
+    assert linalg.nullspace(sparse(a), ncols) == reference_kernel(a, ncols)

@@ -404,6 +404,15 @@ def test_no_singular_vector_at_generic_level_d4():
     assert singular_kernel(D4, k, vec(1, 1, 0, 0), 4) == []
 
 
+def test_kernel_carries_its_component_dimension():
+    lr = build_realization("D", 5)
+    w = vec(2, 0, 0, 0, 0)
+    for k in (Q(-3), Q(-2)):
+        ker = singular_kernel(lr, k, w, 2)
+        assert ker.component_dimension == len(graded_basis(lr, w, 2))
+    assert singular_kernel(lr, Q(-3), vec(9, 0, 0, 0, 0), 2).component_dimension == 0
+
+
 def test_graded_basis_negative_coordinate_weight():
     w = vec(1, -1, 0, 0)
     got = graded_basis(D4, w, 2)
