@@ -8,6 +8,19 @@ the vacuum.  The straightening rule is the affine commutator
 
 with x(m) vacuum = 0 for m >= 0.  Everything is exact over the rationals.
 
+``_Engine.act_mono`` applies two shortcuts of that recursion, each giving
+term for term what the recursion gives:
+
+- direct insertion: when x(m) has a zero commutator (no bracket, and no
+  central term) with every factor it passes on the way to its sorted slot,
+  the image is the one monomial with x(m) inserted there, or 0 when m >= 0
+  and x(m) passes every factor to reach the vacuum;
+- the derivation rule: for m >= 0, x(m) f_1 ... f_r 1 is the sum over i of
+  f_1 ... f_{i-1} [x(m), f_i] f_{i+1} ... f_r 1, skipping each i whose
+  commutator is zero; the prefix f_1 ... f_{i-1} is prepended by
+  concatenation when that keeps the monomial sorted, and straightened
+  otherwise.
+
 Coefficients: inside the straightening engine (the level, the bracket and
 form constants and the memo) a coefficient is an ``int`` whenever it is
 integral, and a ``Fraction`` only otherwise; at an integral level on the A-E
@@ -31,6 +44,7 @@ Monomial = Tuple[Gen, ...]
 Terms = Dict[Monomial, Q]
 Coef = Union[int, Q]           # engine coefficient: an int when integral
 EngineTerms = Dict[Monomial, Coef]
+Pair = Tuple[Tuple[Tuple[int, Coef], ...], Coef]   # [a, b] terms, (a | b)
 
 
 class LoopGenerator(NamedTuple):
@@ -116,57 +130,89 @@ class _Engine:
     def __init__(self, lr: LieRealization, k: Q):
         self.lr = lr
         self.k = _lift(Q(k))
-        self._brackets: Dict[Tuple[int, int], Tuple[Tuple[int, Coef], ...]] = {}
+        self._pairs: Dict[Tuple[int, int], Pair] = {}
         self._memo: Dict[Tuple[int, int, Monomial], EngineTerms] = {}
 
-    def act_gen(self, gen: Gen, terms: Terms) -> Terms:
-        """Normal-ordered image of gen on a combination; Fraction in and out."""
+    def act_terms(self, gen: Gen, terms) -> EngineTerms:
+        """Normal-ordered image of gen on a combination, with ``Coef`` values."""
         out: EngineTerms = {}
         for mono, coef in terms.items():
             coef = _lift(coef)
             for m2, c2 in self.act_mono(gen, mono).items():
                 _acc(out, m2, coef * c2)
-        return {m: Q(c) for m, c in out.items()}
+        return out
+
+    def act_gen(self, gen: Gen, terms: Terms) -> Terms:
+        """Normal-ordered image of gen on a combination; Fraction in and out."""
+        return {m: Q(c) for m, c in self.act_terms(gen, terms).items()}
+
+    def _pair(self, a: int, b: int) -> Pair:
+        """[a, b] as (index, Coef) terms, and (a | b) as a Coef."""
+        pair = self._pairs.get((a, b))
+        if pair is None:
+            pair = self._pairs[(a, b)] = (
+                tuple((idx, _lift(c)) for idx, c in self.lr.bracket(a, b)),
+                _lift(self.lr.form(a, b)),
+            )
+        return pair
 
     def act_mono(self, gen: Gen, mono: Monomial) -> EngineTerms:
         """Normal-ordered image of gen on one monomial, with ``Coef`` values."""
-        key = (gen[0], gen[1], mono)
+        mode, base = gen
+        pairs = self._pairs
+        # direct insertion: gen commutes with every factor it passes
+        for i, y in enumerate(mono):
+            if gen <= y:
+                return {mono[:i] + (gen,) + mono[i:]: 1}
+            brackets, form = pairs.get((base, y[1])) or self._pair(base, y[1])
+            if brackets or (form and mode + y[0] == 0):
+                break
+        else:
+            return {} if mode >= 0 else {mono + (gen,): 1}
+        key = (mode, base, mono)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        mode, base = gen
-        if not mono:
-            result = {} if mode >= 0 else {(gen,): 1}
-            self._memo[key] = result
-            return result
-        first, rest = mono[0], mono[1:]
-        if gen <= first:
-            result = {(gen,) + mono: 1}
-            self._memo[key] = result
-            return result
         out: EngineTerms = {}
-        # reorder: first * (gen . rest)
-        for m2, c2 in self.act_mono(gen, rest).items():
-            for m3, c3 in self.act_mono(first, m2).items():
-                _acc(out, m3, c2 * c3)
-        # commutator [gen.base, first.base](mode + first.mode) . rest
-        new_mode = mode + first[0]
-        pair = (base, first[1])
-        brackets = self._brackets.get(pair)
-        if brackets is None:
-            brackets = self._brackets[pair] = tuple(
-                (idx, _lift(coef)) for idx, coef in self.lr.bracket(*pair)
-            )
-        for idx, coef in brackets:
-            for m2, c2 in self.act_mono((new_mode, idx), rest).items():
-                _acc(out, m2, coef * c2)
-        # central term
-        if new_mode == 0:
-            f = self.lr.form(*pair)
-            if f:
-                _acc(out, rest, mode * self.k * _lift(f))
+        if mode >= 0:
+            # derivation rule: x(m) kills the vacuum, so it acts on each
+            # factor in turn, [x(m), y(n)] = [x, y](m + n) + central term
+            for i, y in enumerate(mono):
+                brackets, form = self._pair(base, y[1])
+                new_mode = mode + y[0]
+                prefix, rest = mono[:i], mono[i + 1:]
+                for idx, coef in brackets:
+                    for m2, c2 in self.act_mono((new_mode, idx), rest).items():
+                        self._prepend(out, prefix, m2, coef * c2)
+                if new_mode == 0 and form:
+                    _acc(out, prefix + rest, mode * self.k * form)
+        else:
+            # reorder: first * (gen . rest), then [gen, first] . rest
+            first, rest = mono[0], mono[1:]
+            for m2, c2 in self.act_mono(gen, rest).items():
+                for m3, c3 in self.act_mono(first, m2).items():
+                    _acc(out, m3, c2 * c3)
+            brackets, form = self._pair(base, first[1])
+            new_mode = mode + first[0]
+            for idx, coef in brackets:
+                for m2, c2 in self.act_mono((new_mode, idx), rest).items():
+                    _acc(out, m2, coef * c2)
+            if new_mode == 0 and form:
+                _acc(out, rest, mode * self.k * form)
         self._memo[key] = out
         return out
+
+    def _prepend(self, out: EngineTerms, prefix: Monomial, mono: Monomial,
+                 c: Coef) -> None:
+        """Add c * prefix . mono into out; prefix is a sorted run of factors."""
+        if not prefix or not mono or prefix[-1] <= mono[0]:
+            _acc(out, prefix + mono, c)
+            return
+        terms: EngineTerms = {mono: c}
+        for f in reversed(prefix):
+            terms = self.act_terms(f, terms)
+        for m, v in terms.items():
+            _acc(out, m, v)
 
 
 def _lift(c: Q) -> Coef:
@@ -198,15 +244,13 @@ def apply(lr: LieRealization, gen: LoopGenerator, v: StateVector) -> StateVector
 
 
 def apply_string(lr: LieRealization, gens: Sequence[LoopGenerator],
-                 v: StateVector, engine: Optional[_Engine] = None) -> StateVector:
+                 v: StateVector) -> StateVector:
     """Apply a product of loop generators, rightmost factor first.
 
     One straightening engine (and so one memo table) serves the whole
-    product; callers doing many applications at one level may pass their
-    own engine to share the table further.
+    product.
     """
-    if engine is None:
-        engine = _Engine(lr, v.level)
+    engine = _Engine(lr, v.level)
     for gen in reversed(gens):
         v = _apply_with(engine, gen, v)
     return v
@@ -287,8 +331,18 @@ def _search(lr: LieRealization, weight: Vec, degree: int,
     without one, the count of the subtree under each (start index, remaining
     degree, weight so far) is memoized.  The running total never exceeds the
     size of the component, so passing the cap proves it too large.  The walk
-    runs on the doubled root coordinates of ``rs.lattice`` with a mass bound
-    and a per-coordinate reachability bound as prunes.
+    runs on the doubled root coordinates of ``rs.lattice``, each generator
+    weight stored as its nonzero (coordinate, value) pairs, with two prunes:
+
+    - in the generator loop, the mass ``need`` (the L1 distance to the
+      target) is updated from the sparse pairs, and a generator is skipped,
+      before it touches ``cur`` or recurses, when ``need`` exceeds what the
+      degree left after it can reach (``left * max_mass``);
+    - at node entry, a coordinate farther from the target than
+      ``remaining * max_coord`` cuts the node.
+
+    A node starts its loop at the first generator whose mode fits the
+    remaining degree, and that start is the one in the memo key.
     """
     degree = int(degree)
     if degree < 0:
@@ -306,6 +360,7 @@ def _search(lr: LieRealization, weight: Vec, degree: int,
              for lab, w in zip(lr.labels, lr.weights)]
     max_mass = max((sum(abs(c) for c in w) for w in wints), default=0)
     max_coord = max((abs(c) for w in wints for c in w), default=0)
+    sparse = [tuple((c, x) for c, x in enumerate(w) if x) for w in wints]
     gens: List[Gen] = [
         (mode, b) for mode in range(-degree, 0) for b in range(lr.dim)
     ]
@@ -320,16 +375,7 @@ def _search(lr: LieRealization, weight: Vec, degree: int,
         if cap is not None and found > cap:
             raise CapExceededError(f"graded component exceeds cap {cap}")
 
-    def rec(start: int, remaining: int) -> int:
-        need = 0
-        worst = 0
-        for c in range(dim):
-            d = target[c] - cur[c]
-            if d < 0:
-                d = -d
-            need += d
-            if d > worst:
-                worst = d
+    def rec(start: int, remaining: int, need: int) -> int:
         if remaining == 0:
             if need:
                 return 0
@@ -337,8 +383,12 @@ def _search(lr: LieRealization, weight: Vec, degree: int,
                 out.append(tuple(stack))
             proven(1)
             return 1
-        if need > remaining * max_mass or worst > remaining * max_coord:
-            return 0
+        bound = remaining * max_coord
+        for c in range(dim):
+            if abs(target[c] - cur[c]) > bound:
+                return 0
+        # generators of mode below -remaining do not fit
+        start = max(start, (degree - remaining) * lr.dim)
         if out is None:
             key = (start, remaining, tuple(cur))
             count = memo.get(key)
@@ -348,21 +398,26 @@ def _search(lr: LieRealization, weight: Vec, degree: int,
         count = 0
         for gi in range(start, len(gens)):
             mode, b = gens[gi]
-            if -mode > remaining:
+            left = remaining + mode
+            w = sparse[b]
+            after = need
+            for c, x in w:
+                d = target[c] - cur[c]
+                after += abs(d - x) - abs(d)
+            if after > left * max_mass:
                 continue
-            w = wints[b]
-            for c in range(dim):
-                cur[c] += w[c]
+            for c, x in w:
+                cur[c] += x
             stack.append((mode, b))
-            count += rec(gi, remaining + mode)
+            count += rec(gi, left, after)
             stack.pop()
-            for c in range(dim):
-                cur[c] -= w[c]
+            for c, x in w:
+                cur[c] -= x
         if out is None:
             memo[key] = count
         return count
 
-    return rec(0, degree)
+    return rec(0, degree, sum(abs(t) for t in target))
 
 
 def constraint_rows(engine: _Engine,

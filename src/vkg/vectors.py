@@ -15,6 +15,7 @@ root-vector normalizations are not determined by the formulas alone.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction as Q
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -23,14 +24,15 @@ from . import linalg
 from .liealg import LieRealization, UnsupportedAlgebraError, dynkin_flip
 from .pbw import (
     CapExceededError,
+    EngineTerms,
     LoopGenerator,
     StateVector,
+    _acc,
     _Engine,
-    apply_string,
+    _lift,
     component_size,
     constraint_rows,
     singular_kernel,
-    vacuum,
 )
 from .rootdata import Vec, basis_vector, vadd, vscale, vzero
 
@@ -115,7 +117,9 @@ def _power(lr: LieRealization, summands: Iterable[Summand], level, n: int = 1,
     (weight, degree) component is counted first and refused when larger,
     before ``summands`` is read, so a lazy iterable of summands is not built
     for a refused component; with a weight and degree, the result must land
-    in that component.
+    in that component.  The summands must share one weight and degree.  Each
+    power is summed into one dict of engine coefficients, turned into
+    Fractions once at the end.
     """
     if cap is not None and component_size(lr, weight, degree, cap) is None:
         raise CapExceededError(
@@ -124,17 +128,29 @@ def _power(lr: LieRealization, summands: Iterable[Summand], level, n: int = 1,
     summands = list(summands)
     if not summands:
         raise ValueError("operator has no summands")
-    engine = _Engine(lr, level)
-    state = vacuum(lr, level)
-    for _ in range(n):
-        total: Optional[StateVector] = None
-        for coef, gens in summands:
-            piece = apply_string(lr, gens, state, engine=engine).scaled(coef)
-            total = piece if total is None else total + piece
-        state = total
-    if weight is not None and (state.weight, state.degree) != (weight, degree):
+    grades = {(functools.reduce(vadd, (lr.weights[g.base] for g in gens),
+                                vzero(lr.rs.ambient)),
+               -sum(g.mode for g in gens)) for _, gens in summands}
+    if len(grades) > 1:
+        raise ValueError("summands differ in weight or degree")
+    ((step_weight, step_degree),) = grades
+    state_weight, state_degree = vscale(n, step_weight), Q(n * step_degree)
+    if weight is not None and (state_weight, state_degree) != (weight, degree):
         raise ValueError("vector landed outside its weight and degree")
-    return state
+    engine = _Engine(lr, level)
+    terms: EngineTerms = {(): 1}
+    for _ in range(n):
+        total: EngineTerms = {}
+        for coef, gens in summands:
+            piece = terms
+            for g in reversed(gens):
+                piece = engine.act_terms(g.key, piece)
+            coef = _lift(Q(coef))
+            for mono, c in piece.items():
+                _acc(total, mono, coef * c)
+        terms = total
+    return StateVector(Q(level), state_weight, state_degree,
+                       {m: Q(c) for m, c in terms.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,64 @@
-"""Checks that only the tests use: sign-flip equivalence, span membership
-and the dominance of classified module lists."""
+"""Checks that only the tests use: a reference straightener, sign-flip
+equivalence, span membership and the dominance of classified module lists."""
 
 from fractions import Fraction as Q
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from vkg.conformal import KLSpectrum
 from vkg.liealg import LieRealization
 from vkg.pbw import StateVector, graded_basis
 from vkg.rootdata import Vec, build_root_system, is_dominant_integral, vscale
+
+
+# ---------------------------------------------------------------------------
+# Reference straightener
+
+
+class ReferenceStraightener:
+    """The plain recursive normal ordering of ``pbw._Engine.act_mono``.
+
+    One rule, with no fast path: x(m) passes the first factor y(n) of the
+    monomial when x(m) > y(n), by x(m) y(n) = y(n) x(m) + [x, y](m + n)
+    + m delta_{m+n,0} k (x | y), and x(m) vacuum = 0 for m >= 0.  Every
+    coefficient is a ``Fraction``.
+    """
+
+    def __init__(self, lr: LieRealization, k):
+        self.lr = lr
+        self.k = Q(k)
+        self._memo: Dict[Tuple, Dict[tuple, Q]] = {}
+
+    def act_mono(self, gen, mono) -> Dict[tuple, Q]:
+        key = (gen, mono)
+        if key in self._memo:
+            return self._memo[key]
+        mode, base = gen
+        if not mono:
+            out = {} if mode >= 0 else {(gen,): Q(1)}
+        elif gen <= mono[0]:
+            out = {(gen,) + mono: Q(1)}
+        else:
+            first, rest = mono[0], mono[1:]
+            out = {}
+            for m2, c2 in self.act_mono(gen, rest).items():
+                for m3, c3 in self.act_mono(first, m2).items():
+                    _add_term(out, m3, c2 * c3)
+            new_mode = mode + first[0]
+            for idx, c in self.lr.bracket(base, first[1]):
+                for m2, c2 in self.act_mono((new_mode, idx), rest).items():
+                    _add_term(out, m2, Q(c) * c2)
+            if new_mode == 0:
+                _add_term(out, rest, mode * self.k * Q(self.lr.form(base, first[1])))
+        self._memo[key] = out
+        return out
+
+
+def _add_term(out, mono, c) -> None:
+    new = out.get(mono, Q(0)) + c
+    if new:
+        out[mono] = new
+    else:
+        out.pop(mono, None)
 
 
 # ---------------------------------------------------------------------------

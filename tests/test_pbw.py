@@ -27,7 +27,7 @@ from vkg.pbw import (
 from vkg.rootdata import vadd, vec, vscale, vzero
 from vkg import serialize
 
-from helpers import in_span_of_component
+from helpers import ReferenceStraightener, in_span_of_component
 
 D4 = build_realization("D", 4)
 B2 = build_realization("B", 2)
@@ -71,6 +71,28 @@ def test_single_commutator_example():
     img = apply(D4, gen(D4, vscale(-1, a), 1), v)
     pairing = D4.form(D4.e(vscale(-1, a)), D4.e(a))
     assert img.terms == {(): k * pairing}
+
+
+STRAIGHTENED_ALGEBRAS = [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("E", 6)]
+
+
+@pytest.mark.parametrize("family, rank", STRAIGHTENED_ALGEBRAS)
+def test_engine_matches_the_reference_straightener(family, rank):
+    # seeded random monomials of length <= 5 with modes -3..-1, and
+    # generators of modes -3..2, at two levels and the critical level
+    lr = build_realization(family, rank)
+    rng = random.Random(f"{family}{rank}")
+    sizes = set()
+    for k in (Q(-2), Q(-5, 2), -lr.rs.dual_coxeter):
+        engine, reference = _Engine(lr, k), ReferenceStraightener(lr, k)
+        for _ in range(400):
+            mono = tuple(sorted((rng.randint(-3, -1), rng.randrange(lr.dim))
+                                for _ in range(rng.randint(0, 5))))
+            gen = (rng.randint(-3, 2), rng.randrange(lr.dim))
+            image = engine.act_mono(gen, mono)
+            assert image == reference.act_mono(gen, mono)
+            sizes.add(min(len(image), 2))
+    assert sizes == {0, 1, 2}
 
 
 def test_weight_and_degree_bookkeeping():
@@ -173,28 +195,39 @@ def test_grading_shift_property():
 # graded components, with an independent brute-force oracle
 
 
-def brute_graded_basis(lr, weight, degree):
-    """Independent enumeration: compositions of the degree, then filter."""
+def brute_components(lr, degree):
+    """Every graded component of a degree, by brute force: each multiset of
+    loop generators (mode, base) with modes in -degree..-1, kept when its
+    modes sum to -degree and filed under its weight."""
     gens = [(m, b) for m in range(-degree, 0) for b in range(lr.dim)]
-    found = set()
-    max_len = degree
-
-    def rec(prefix, total_deg):
-        if total_deg == degree:
-            wt = vzero(lr.rs.ambient)
-            for mo, b in prefix:
-                wt = vadd(wt, lr.weights[b])
-            if wt == weight:
-                found.add(tuple(sorted(prefix)))
-            return
-        if len(prefix) >= max_len:
-            return
-        for g in gens:
-            if total_deg - g[0] <= degree:
-                rec(prefix + [g], total_deg - g[0])
-
-    rec([], 0)
+    found = {}
+    for length in range(degree + 1):
+        for mono in itertools.combinations_with_replacement(gens, length):
+            if sum(m for m, _ in mono) == -degree:
+                wt = vzero(lr.rs.ambient)
+                for _, b in mono:
+                    wt = vadd(wt, lr.weights[b])
+                found.setdefault(wt, set()).add(mono)
     return found
+
+
+def brute_graded_basis(lr, weight, degree):
+    return brute_components(lr, degree).get(tuple(weight), set())
+
+
+@pytest.mark.parametrize("family, rank", [("A", 2), ("B", 2), ("C", 2), ("D", 4)])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_search_matches_brute_force_on_every_component(family, rank, degree):
+    lr = build_realization(family, rank)
+    components = brute_components(lr, degree)
+    for weight, monos in components.items():
+        assert graded_basis(lr, weight, degree) == sorted(monos)
+        assert component_size(lr, weight, degree, len(monos)) == len(monos)
+    # a weight no monomial of this degree reaches
+    far = vscale(degree + 1, lr.rs.theta)
+    assert far not in components
+    assert graded_basis(lr, far, degree) == []
+    assert component_size(lr, far, degree, 10) == 0
 
 
 def test_graded_basis_d4_oracle():

@@ -8,6 +8,7 @@ import pytest
 from vkg.liealg import build_realization
 from vkg.pbw import (
     CapExceededError,
+    LoopGenerator,
     is_singular,
     proportional,
     singular_kernel,
@@ -16,6 +17,7 @@ from vkg.pbw import (
 from vkg.rootdata import vadd, vec, vscale
 from vkg.serialize import state_to_json
 from vkg.vectors import (
+    _power,
     build_v_n,
     build_vE7,
     build_w1_B,
@@ -289,6 +291,58 @@ def test_w_n_cap_is_checked_before_the_involutions(monkeypatch):
     monkeypatch.setattr("vkg.vectors.enumerate_involutions", refuse)
     with pytest.raises(CapExceededError):
         build_w_n(build_realization("D", 8), 1, cap=10)
+
+
+# ---------------------------------------------------------------------------
+# what _power refuses, and what a cancelling sum gives
+
+
+def _pair(lr, a, b):
+    return [LoopGenerator(lr.e(a), -1), LoopGenerator(lr.e(b), -1)]
+
+
+def test_power_refuses_mixed_weight_summands():
+    lr = build_realization("D", 4)
+    summands = [(Q(1), _pair(lr, vec(1, 1, 0, 0), vec(0, 0, 1, 1))),
+                (Q(1), _pair(lr, vec(1, 1, 0, 0), vec(0, 0, 1, -1)))]
+    with pytest.raises(ValueError, match="weight or degree"):
+        _power(lr, summands, Q(-2))
+    # the same weight at another degree is refused too
+    summands[1] = (Q(1), [LoopGenerator(lr.e(vec(1, 1, 0, 0)), -2),
+                          LoopGenerator(lr.e(vec(0, 0, 1, 1)), -1)])
+    with pytest.raises(ValueError, match="weight or degree"):
+        _power(lr, summands, Q(-2))
+
+
+def test_power_refuses_a_vector_outside_its_component():
+    lr = build_realization("D", 4)
+    summands = [(Q(1), _pair(lr, vec(1, 1, 0, 0), vec(0, 0, 1, 1)))]
+    with pytest.raises(ValueError, match="landed outside its weight and degree"):
+        _power(lr, summands, Q(-2), weight=vec(1, 1, 1, 1), degree=3)
+    with pytest.raises(ValueError, match="landed outside its weight and degree"):
+        _power(lr, summands, Q(-2), n=2, weight=vec(1, 1, 1, 1), degree=2)
+    assert _power(lr, summands, Q(-2), weight=vec(1, 1, 1, 1), degree=2)
+
+
+def test_power_refuses_no_summands():
+    lr = build_realization("D", 4)
+    with pytest.raises(ValueError, match="no summands"):
+        _power(lr, [], Q(-2))
+    with pytest.raises(ValueError, match="no summands"):
+        _power(lr, iter(()), Q(-2), n=3)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_power_of_a_cancelling_sum_is_zero_in_its_component(n):
+    # e_a(-1) e_b(-1) = e_b(-1) e_a(-1) when [e_a, e_b] = 0, so the sum cancels
+    lr = build_realization("D", 4)
+    a, b = vec(1, 1, 0, 0), vec(0, 0, 1, 1)
+    v = _power(lr, [(Q(1), _pair(lr, a, b)), (Q(-1), _pair(lr, b, a))],
+               Q(-5, 2), n)
+    assert v.is_zero() and v.terms == {}
+    assert v.level == Q(-5, 2)
+    assert v.weight == vscale(n, vadd(a, b))
+    assert v.degree == 2 * n
 
 
 # ---------------------------------------------------------------------------
