@@ -134,7 +134,7 @@ class _Engine:
         self._pairs: Dict[Tuple[int, int], Pair] = {}
         self._memo: Dict[Tuple[int, int, Monomial], EngineTerms] = {}
 
-    def act_terms(self, gen: Gen, terms) -> EngineTerms:
+    def act_terms(self, gen: Gen, terms: EngineTerms) -> EngineTerms:
         """Normal-ordered image of gen on a combination, with ``Coef`` values."""
         out: EngineTerms = {}
         for mono, coef in terms.items():
