@@ -108,6 +108,8 @@ FAMILIES = {
         lr, vectors.build_w_n(lr, n, cap=cap)),
     "ve7": lambda lr, n, cap: vectors.build_vE7(lr),
 }
+# the families whose vector does not depend on n
+FIXED_FAMILIES = ("w1", "w3", "ve7")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,6 +203,14 @@ def _capped(cfg: RunConfig, head: str, fields: dict, detail: str) -> int:
     return OK
 
 
+def _refuse(mode: str, given: dict) -> None:
+    """Usage error for the first flag in ``given`` that was set: a flag the
+    mode does not read is refused, not silently ignored."""
+    for flag, on in given.items():
+        if on:
+            raise ValueError(f"{mode} does not take {flag}")
+
+
 # ---------------------------------------------------------------------------
 # verb implementations
 
@@ -272,6 +282,8 @@ def cmd_bracket_audit(cfg: RunConfig, args) -> int:
 
 def cmd_singular_verify(cfg: RunConfig, args) -> int:
     family, n = args.family, args.n
+    if family in FIXED_FAMILIES:
+        _refuse(f"singular-verify --family {family}", {"--n": n != 1})
     level = None if cfg.level is None else serialize.parse_frac(cfg.level)
     rs = parse_algebra(cfg.algebra)
     lr = build_realization(rs.family, rs.rank)
@@ -351,27 +363,20 @@ def cmd_collapse(cfg: RunConfig, args) -> int:
     usage error, not silently ignored."""
     level = cfg.level is not None
     if args.audit:
-        _refuse("--audit", {"--algebra": cfg.algebra is not None,
-                            "--level": level,
-                            "--polynomials": args.polynomials,
-                            "--super": args.include_super})
+        _refuse("collapse --audit", {"--algebra": cfg.algebra is not None,
+                                     "--level": level,
+                                     "--polynomials": args.polynomials,
+                                     "--super": args.include_super})
         return _collapse_audit(cfg)
     if args.polynomials:
-        _refuse("--polynomials", {"--level": level})
+        _refuse("collapse --polynomials", {"--level": level})
         return _collapse_polynomials(cfg, args.include_super)
     if level:
         if cfg.algebra is None:
             raise ValueError("collapse --level needs --algebra")
-        _refuse("--level", {"--super": args.include_super})
+        _refuse("collapse --level", {"--super": args.include_super})
         return _collapse_level(cfg)
     return _collapse_table(cfg, args.include_super)
-
-
-def _refuse(mode: str, given: dict) -> None:
-    """Usage error for the first flag in ``given`` that was set."""
-    for flag, on in given.items():
-        if on:
-            raise ValueError(f"collapse {mode} does not take {flag}")
 
 
 def _table_algebras(cfg: RunConfig) -> Sequence[collapsing.GType]:
@@ -578,6 +583,7 @@ def cmd_involutions(cfg: RunConfig, args) -> int:
         raise ValueError("--ell must be at least 1")
     n = vectors.double_factorial_odd(ell)
     if args.count:
+        _refuse("involutions --count", {"--signs": with_signs})
         _emit({"ell": ell, "count": n}, cfg, [str(n)])
         return OK
     if n > cfg.cap:

@@ -8,22 +8,22 @@ the vacuum.  The straightening rule is the affine commutator
 
 with x(m) vacuum = 0 for m >= 0.  Everything is exact over the rationals.
 
-``_Engine.act_mono`` applies two shortcuts of that recursion, each giving
-term for term what the recursion gives:
+``_Engine.act_mono`` applies that rule in one pass.  x(m) moves right past
+f_1, ..., f_{j-1}, the factors before its sorted slot; passing f_i leaves
+the term f_1 ... f_{i-1} [x(m), f_i] f_{i+1} ... f_r 1, skipped when the
+commutator is zero.  For m < 0 the pass ends at the slot with the sorted
+monomial f_1 ... f_{j-1} x(m) f_j ... f_r, one factor longer than any
+commutator term; for m >= 0 it ends at the vacuum, with nothing.  So
+direct insertion is the case where every commutator passed is zero.  A
+nested call straightens [x(m), f_i] f_{i+1} ... f_r 1, and f_1 ... f_{i-1}
+is prepended to each monomial of the result, by concatenation when that
+keeps it sorted and factor by factor otherwise.  Every nested call acts on
+a strictly shorter monomial than its caller, so the recursion ends, and
+calls nest at most one level per factor.
 
-- direct insertion: when x(m) has a zero commutator (no bracket, and no
-  central term) with every factor it passes on the way to its sorted slot,
-  the image is the one monomial with x(m) inserted there, or 0 when m >= 0
-  and x(m) passes every factor to reach the vacuum;
-- the derivation rule: for m >= 0, x(m) f_1 ... f_r 1 is the sum over i of
-  f_1 ... f_{i-1} [x(m), f_i] f_{i+1} ... f_r 1, skipping each i whose
-  commutator is zero; the prefix f_1 ... f_{i-1} is prepended by
-  concatenation when that keeps the monomial sorted, and straightened
-  otherwise.
-
-Coefficients: inside the straightening engine (the level, the bracket and
-form constants and the memo) a coefficient is an ``int`` whenever it is
-integral, and a ``Fraction`` only otherwise; at an integral level on the A-E
+Coefficients: inside the straightening engine (the level and the bracket
+and form constants) a coefficient is an ``int`` whenever it is integral,
+and a ``Fraction`` only otherwise; at an integral level on the A-E
 realizations that is every coefficient.  Every coefficient that leaves the
 engine, in a ``StateVector``, an ``act_gen`` image or a ``constraint_rows``
 row, is a ``Fraction``, so no caller ever divides two ints.
@@ -122,17 +122,15 @@ def proportional(a: StateVector, b: StateVector) -> Optional[Q]:
 class _Engine:
     """Normal-ordering engine for one realization at one level.
 
-    The level and the bracket and form constants are held as ``Coef`` (see
-    the module docstring), so ``act_mono`` adds and multiplies plain ints
-    whenever they are integral.  The memo holds the images of generators of
-    negative mode that direct insertion does not settle.
+    The level and the bracket and form constants, the only things it caches,
+    are held as ``Coef`` (see the module docstring), so ``act_mono`` adds
+    and multiplies plain ints whenever they are integral.
     """
 
     def __init__(self, lr: LieRealization, k: Q):
         self.lr = lr
         self.k = _lift(Q(k))
         self._pairs: Dict[Tuple[int, int], Pair] = {}
-        self._memo: Dict[Tuple[int, int, Monomial], EngineTerms] = {}
 
     def act_terms(self, gen: Gen, terms: EngineTerms) -> EngineTerms:
         """Normal-ordered image of gen on a combination, with ``Coef`` values."""
@@ -161,57 +159,25 @@ class _Engine:
         """Normal-ordered image of gen on one monomial, with ``Coef`` values."""
         mode, base = gen
         pairs = self._pairs
-        # direct insertion: gen commutes with every factor it passes
-        for i, y in enumerate(mono):
+        out: EngineTerms = {}
+        for slot, y in enumerate(mono):
             if gen <= y:
-                return {mono[:i] + (gen,) + mono[i:]: 1}
-            brackets, form = pairs.get((base, y[1])) or self._pair(base, y[1])
-            if brackets or (form and mode + y[0] == 0):
                 break
-        else:
-            return {} if mode >= 0 else {mono + (gen,): 1}
-        if mode >= 0:
-            return self._annihilate(gen, mono)
-        key = (mode, base, mono)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        # reorder: first * (gen . rest), then [gen, first] . rest
-        out: EngineTerms = {}
-        first, rest = mono[0], mono[1:]
-        for m2, c2 in self.act_mono(gen, rest).items():
-            for m3, c3 in self.act_mono(first, m2).items():
-                _acc(out, m3, c2 * c3)
-        brackets, form = self._pair(base, first[1])
-        new_mode = mode + first[0]
-        for idx, coef in brackets:
-            for m2, c2 in self.act_mono((new_mode, idx), rest).items():
-                _acc(out, m2, coef * c2)
-        if new_mode == 0 and form:
-            _acc(out, rest, mode * self.k * form)
-        self._memo[key] = out
-        return out
-
-    def _annihilate(self, gen: Gen, mono: Monomial) -> EngineTerms:
-        """The derivation rule for gen of mode >= 0, which kills the vacuum.
-
-        gen acts on each factor in turn, by [x(m), y(n)] = [x, y](m + n) +
-        central term.  Not memoized: for the nine raising images of D8 w_2
-        a memo held 42k such entries and answered 10k lookups, yet
-        recomputing them was no slower and kept the process 44 MiB
-        smaller.
-        """
-        mode, base = gen
-        out: EngineTerms = {}
-        for i, y in enumerate(mono):
-            brackets, form = self._pair(base, y[1])
+            brackets, form = pairs.get((base, y[1])) or self._pair(base, y[1])
             new_mode = mode + y[0]
-            prefix, rest = mono[:i], mono[i + 1:]
-            for idx, coef in brackets:
-                for m2, c2 in self.act_mono((new_mode, idx), rest).items():
-                    self._prepend(out, prefix, m2, coef * c2)
-            if new_mode == 0 and form:
-                _acc(out, prefix + rest, mode * self.k * form)
+            central = form and new_mode == 0
+            if brackets or central:
+                prefix, rest = mono[:slot], mono[slot + 1:]
+                for idx, coef in brackets:
+                    for m2, c2 in self.act_mono((new_mode, idx), rest).items():
+                        self._prepend(out, prefix, m2, coef * c2)
+                if central:
+                    _acc(out, prefix + rest, mode * self.k * form)
+        else:
+            if mode >= 0:
+                return out
+            slot = len(mono)
+        out[mono[:slot] + (gen,) + mono[slot:]] = 1  # longer than out's keys
         return out
 
     def _prepend(self, out: EngineTerms, prefix: Monomial, mono: Monomial,
@@ -259,8 +225,7 @@ def apply_string(lr: LieRealization, gens: Sequence[LoopGenerator],
                  v: StateVector) -> StateVector:
     """Apply a product of loop generators, rightmost factor first.
 
-    One straightening engine (and so one memo table) serves the whole
-    product.
+    One straightening engine, with one table of constants, serves them all.
     """
     engine = _Engine(lr, v.level)
     for gen in reversed(gens):

@@ -376,6 +376,22 @@ def test_bracket_audit_needs_a_sample(monkeypatch, capsys, samples):
     assert err.startswith("error: samples must be at least 1")
 
 
+@pytest.mark.parametrize("algebra, family", [
+    ("D:4", "w1"), ("B:4", "w1"), ("D:4", "w3"), ("E7", "ve7"),
+])
+def test_fixed_family_refuses_n_before_building(monkeypatch, capsys,
+                                                 algebra, family):
+    def build_realization(*args, **kwargs):
+        raise AssertionError("built the realization before checking --n")
+
+    monkeypatch.setattr("vkg.cli.build_realization", build_realization)
+    code, out, err = run(capsys, "singular-verify", "--algebra", algebra,
+                         "--family", family, "--n", "40", "--format", "json")
+    assert (code, out) == (2, "")
+    assert err == (f"error: singular-verify --family {family} does not take "
+                   "--n\n")
+
+
 def test_involutions_refused_above_cap(monkeypatch, capsys):
     def enumerate_involutions(ell):
         raise AssertionError("enumerated despite the cap")
@@ -549,6 +565,13 @@ def test_empty_algebra_label_is_a_usage_error(capsys, argv):
     (("collapse", "--algebra", ""), 2),
     (("collapse", "--polynomials", "--algebra", ""), 2),
     (("collapse", "--algebra", "", "--level=-10"), 2),
+    (("singular-verify", "--algebra", "E7", "--family", "ve7", "--n", "40"),
+     2),
+    (("singular-verify", "--algebra", "D:4", "--family", "w1", "--n", "-5"),
+     2),
+    (("singular-verify", "--algebra", "D:4", "--family", "w3", "--n", "2"),
+     2),
+    (("involutions", "--ell", "3", "--count", "--signs"), 2),
 ])
 def test_exit_code_sweep(capsys, argv, exit_code):
     """Every input ends in exit 0, 1 or 2 through main(), never a traceback."""

@@ -26,6 +26,7 @@ from vkg.pbw import (
 )
 from vkg.rootdata import vadd, vec, vscale, vzero
 from vkg import serialize
+from vkg.vectors import build_w_n
 
 from helpers import ReferenceStraightener, in_span_of_component
 
@@ -76,23 +77,61 @@ def test_single_commutator_example():
 STRAIGHTENED_ALGEBRAS = [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("E", 6)]
 
 
-@pytest.mark.parametrize("family, rank", STRAIGHTENED_ALGEBRAS)
-def test_engine_matches_the_reference_straightener(family, rank):
-    # seeded random monomials of length <= 5 with modes -3..-1, and
-    # generators of modes -3..2, at two levels and the critical level
-    lr = build_realization(family, rank)
-    rng = random.Random(f"{family}{rank}")
-    sizes = set()
+def straightening_inputs(lr):
+    """Seeded (level, generator, monomial) triples: monomials of length <= 5
+    with modes -3..-1, and generators of modes -3..2, at two levels and the
+    critical level."""
+    rng = random.Random(f"{lr.rs.family}{lr.rs.rank}")
     for k in (Q(-2), Q(-5, 2), -lr.rs.dual_coxeter):
-        engine, reference = _Engine(lr, k), ReferenceStraightener(lr, k)
         for _ in range(400):
             mono = tuple(sorted((rng.randint(-3, -1), rng.randrange(lr.dim))
                                 for _ in range(rng.randint(0, 5))))
-            gen = (rng.randint(-3, 2), rng.randrange(lr.dim))
-            image = engine.act_mono(gen, mono)
-            assert image == reference.act_mono(gen, mono)
-            sizes.add(min(len(image), 2))
+            yield k, (rng.randint(-3, 2), rng.randrange(lr.dim)), mono
+
+
+@pytest.mark.parametrize("family, rank", STRAIGHTENED_ALGEBRAS)
+def test_engine_matches_the_reference_straightener(family, rank):
+    lr = build_realization(family, rank)
+    engines = {}
+    sizes = set()
+    for k, gen, mono in straightening_inputs(lr):
+        if k not in engines:
+            engines[k] = _Engine(lr, k), ReferenceStraightener(lr, k)
+        engine, reference = engines[k]
+        image = engine.act_mono(gen, mono)
+        assert image == reference.act_mono(gen, mono)
+        sizes.add(min(len(image), 2))
     assert sizes == {0, 1, 2}
+
+
+def test_nested_straightening_calls_act_on_shorter_monomials(monkeypatch):
+    # the termination and depth bound of the module docstring: each call of
+    # act_mono made inside another acts on a strictly shorter monomial
+    act_mono = _Engine.act_mono
+    lengths, growing = [], []
+    nested = 0
+
+    def checked(self, gen, mono):
+        nonlocal nested
+        if lengths:
+            nested += 1
+            if len(mono) >= lengths[-1]:
+                growing.append((gen, mono, lengths[-1]))
+        lengths.append(len(mono))
+        try:
+            return act_mono(self, gen, mono)
+        finally:
+            lengths.pop()
+
+    monkeypatch.setattr(_Engine, "act_mono", checked)
+    for family, rank in STRAIGHTENED_ALGEBRAS:
+        lr = build_realization(family, rank)
+        for k, gen, mono in straightening_inputs(lr):
+            _Engine(lr, k).act_mono(gen, mono)
+    d6 = build_realization("D", 6)
+    assert is_singular(d6, build_w_n(d6, 1)) == (True, None)
+    assert nested > 0
+    assert not growing, (len(growing), growing[:3])
 
 
 def test_weight_and_degree_bookkeeping():
