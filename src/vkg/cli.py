@@ -2,8 +2,8 @@
 
 Verbs: roots, bracket-audit, singular-verify, singular-search, collapse,
 kl, weights, involutions.  `build_parser` binds each verb to its `cmd_*`
-function, which takes the resolved `RunConfig` and the parsed arguments;
-`main()` only resolves the configuration and calls it.  An input that
+function, which takes the parsed arguments alone; `main()` only resolves
+`--cap`, `--format` and `--seed` in place and calls it.  An input that
 would cause work beyond the size cap is refused by `_capped`, which writes
 every `capped` report.  Exit codes: 0 success / verified / capped, 1 a
 mathematical check failed (a JSON witness is printed), 2 usage or
@@ -19,7 +19,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Optional, Sequence
 
@@ -32,24 +31,6 @@ DEFAULT_CAP = vectors.DEFAULT_COMPONENT_CAP
 CAP_ENV_VAR = "VKG_CAP"
 FORMATS = ("text", "json", "latex", "csv")
 USAGE_ERROR, CHECK_FAILED, OK = 2, 1, 0
-
-
-@dataclass
-class RunConfig:
-    """Resolved run configuration (flags > environment > config file)."""
-
-    verb: str
-    algebra: Optional[str] = None
-    level: Optional[str] = None
-    fmt: str = "text"
-    cap: int = DEFAULT_CAP
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.fmt not in FORMATS:
-            raise ValueError(f"unknown format {self.fmt!r}")
-        if self.cap < 1000:
-            raise ValueError("cap must be at least 1000")
 
 
 def read_config_file(path: str) -> dict:
@@ -74,26 +55,24 @@ def read_config_file(path: str) -> dict:
     return out
 
 
-def resolve_config(args) -> RunConfig:
+def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Resolve format, cap and seed into ``args``: flag > non-empty VKG_CAP
+    (cap only) > config file > default; the format is checked first."""
     file_cfg = read_config_file(args.config) if args.config else {}
-    cap = DEFAULT_CAP
-    if "cap" in file_cfg:
-        cap = int(file_cfg["cap"])
+    cap = int(file_cfg.get("cap", DEFAULT_CAP))
     if os.environ.get(CAP_ENV_VAR):
         cap = int(os.environ[CAP_ENV_VAR])
-    if args.cap is not None:
-        cap = args.cap
     seed = int(file_cfg.get("seed", 0))
-    if args.seed is not None:
-        seed = args.seed
-    return RunConfig(
-        verb=args.verb,
-        algebra=getattr(args, "algebra", None),
-        level=getattr(args, "level", None),
-        fmt=args.format or file_cfg.get("format", "text"),
-        cap=cap,
-        seed=seed,
-    )
+    args.format = args.format or file_cfg.get("format", "text")
+    if args.format not in FORMATS:
+        raise ValueError(f"unknown format {args.format!r}")
+    if args.cap is None:
+        args.cap = cap
+    if args.cap < 1000:
+        raise ValueError("cap must be at least 1000")
+    if args.seed is None:
+        args.seed = seed
+    return args
 
 
 # --family -> constructor(lr, n, cap).  Each entry looks `vectors.build_*`
@@ -179,27 +158,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_level(cfg: RunConfig) -> Q:
-    if cfg.level is None:
+def _parse_level(args) -> Q:
+    if args.level is None:
         raise ValueError("--level is required here")
-    return serialize.parse_frac(cfg.level)
+    return serialize.parse_frac(args.level)
 
 
-def _emit(payload, cfg: RunConfig, text_lines, latex_lines=None, csv_lines=None):
-    if cfg.fmt == "json":
+def _parse_coordinates(rs, name: str, text: str):
+    """A weight given as comma-separated coordinates, one per ambient axis."""
+    w = serialize.parse_weight(text)
+    if len(w) != rs.ambient:
+        raise ValueError(f"{name} needs {rs.ambient} coordinates for {rs.label}")
+    return w
+
+
+def _emit(payload, args, text_lines, latex_lines=None, csv_lines=None):
+    """Print in the resolved format; latex and csv fall back to the text."""
+    if args.format == "json":
         print(json.dumps(payload, indent=2, default=str))
-    elif cfg.fmt == "latex":
-        print("\n".join(latex_lines if latex_lines is not None else text_lines))
-    elif cfg.fmt == "csv":
-        print("\n".join(csv_lines if csv_lines is not None else text_lines))
-    else:
-        print("\n".join(text_lines))
+        return
+    lines = {"latex": latex_lines, "csv": csv_lines}.get(args.format)
+    print("\n".join(text_lines if lines is None else lines))
 
 
-def _capped(cfg: RunConfig, head: str, fields: dict, detail: str) -> int:
+def _capped(args, head: str, fields: dict, detail: str) -> int:
     """Refuse an input over the cap: report status "capped" and exit 0."""
     payload = {**fields, "status": "capped", "detail": detail}
-    _emit(payload, cfg, [f"{head}: capped ({detail})"])
+    _emit(payload, args, [f"{head}: capped ({detail})"])
     return OK
 
 
@@ -215,8 +200,8 @@ def _refuse(mode: str, given: dict) -> None:
 # verb implementations
 
 
-def cmd_roots(cfg: RunConfig, args) -> int:
-    rs = parse_algebra(cfg.algebra)
+def cmd_roots(args) -> int:
+    rs = parse_algebra(args.algebra)
     if args.realization:
         lr = build_realization(rs.family, rs.rank)
         payload = serialize.realization_to_json(lr)
@@ -235,28 +220,27 @@ def cmd_roots(cfg: RunConfig, args) -> int:
         + [" , ".join(r) + r" \\" for r in payload["roots"]]
         + [r"\end{tabular}"]
     )
-    _emit(payload, cfg, text, latex, csv_lines)
+    _emit(payload, args, text, latex, csv_lines)
     return OK
 
 
-def cmd_bracket_audit(cfg: RunConfig, args) -> int:
-    rs = parse_algebra(cfg.algebra)
-    samples = args.samples
-    if samples < 1:
+def cmd_bracket_audit(args) -> int:
+    rs = parse_algebra(args.algebra)
+    if args.samples < 1:
         raise ValueError("samples must be at least 1")
     n = len(rs.roots) + rs.rank
     exhaustive = n <= 30
-    if not exhaustive and samples > cfg.cap:
-        return _capped(cfg, rs.label, {"algebra": rs.label},
-                       f"{samples} samples exceed cap {cfg.cap}")
+    if not exhaustive and args.samples > args.cap:
+        return _capped(args, rs.label, {"algebra": rs.label},
+                       f"{args.samples} samples exceed cap {args.cap}")
     lr = build_realization(rs.family, rs.rank)
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     if exhaustive:
         triples, total = itertools.product(range(n), repeat=3), n ** 3
     else:
         triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                   for _ in range(samples))
-        total = samples
+                   for _ in range(args.samples))
+        total = args.samples
     checked = 0
     for triple in triples:
         if not jacobi_holds(lr, *triple) or not invariance_holds(lr, *triple):
@@ -273,25 +257,25 @@ def cmd_bracket_audit(cfg: RunConfig, args) -> int:
         "triples_checked": checked,
         "ok": True,
     }
-    _emit(payload, cfg, [
+    _emit(payload, args, [
         f"{rs.label}: {checked}/{total} triples checked "
         f"({payload['mode']}), all identities hold",
     ])
     return OK
 
 
-def cmd_singular_verify(cfg: RunConfig, args) -> int:
+def cmd_singular_verify(args) -> int:
     family, n = args.family, args.n
     if family in FIXED_FAMILIES:
         _refuse(f"singular-verify --family {family}", {"--n": n != 1})
-    level = None if cfg.level is None else serialize.parse_frac(cfg.level)
-    rs = parse_algebra(cfg.algebra)
+    level = None if args.level is None else serialize.parse_frac(args.level)
+    rs = parse_algebra(args.algebra)
     lr = build_realization(rs.family, rs.rank)
     head = f"{rs.label} {family} n={n}"
     try:
-        v = FAMILIES[family](lr, n, cfg.cap)
+        v = FAMILIES[family](lr, n, args.cap)
     except CapExceededError as exc:
-        return _capped(cfg, head,
+        return _capped(args, head,
                        {"algebra": rs.label, "family": family, "n": n},
                        str(exc))
     if level is not None:
@@ -307,7 +291,7 @@ def cmd_singular_verify(cfg: RunConfig, args) -> int:
         "singular": ok,
     }
     if ok:
-        _emit(payload, cfg, [
+        _emit(payload, args, [
             f"{head}: singular at level {payload['level']}, degree "
             f"{payload['degree']}, {payload['support']} support monomials",
         ])
@@ -321,27 +305,22 @@ def cmd_singular_verify(cfg: RunConfig, args) -> int:
     return CHECK_FAILED
 
 
-def cmd_singular_search(cfg: RunConfig, args) -> int:
-    rs = parse_algebra(cfg.algebra)
-    wt = serialize.parse_weight(args.weight)
-    if len(wt) != rs.ambient:
-        raise ValueError(
-            f"weight needs {rs.ambient} coordinates for {rs.label}"
-        )
-    k = _parse_level(cfg)
-    degree = args.degree
-    if degree < 0:
+def cmd_singular_search(args) -> int:
+    rs = parse_algebra(args.algebra)
+    wt = _parse_coordinates(rs, "weight", args.weight)
+    k = _parse_level(args)
+    if args.degree < 0:
         raise ValueError("degree must be nonnegative")
     lr = build_realization(rs.family, rs.rank)
     try:
-        kernel = singular_kernel(lr, k, wt, degree, cap=cfg.cap)
+        kernel = singular_kernel(lr, k, wt, args.degree, cap=args.cap)
     except CapExceededError as exc:
-        return _capped(cfg, rs.label, {"algebra": rs.label}, str(exc))
+        return _capped(args, rs.label, {"algebra": rs.label}, str(exc))
     payload = {
         "algebra": rs.label,
         "level": serialize.frac_str(k),
         "weight": serialize.weight_to_json(wt),
-        "degree": degree,
+        "degree": args.degree,
         "component_dimension": kernel.component_dimension,
         "kernel_dimension": len(kernel),
         "vectors": [serialize.state_to_json(lr, v) for v in kernel],
@@ -350,7 +329,7 @@ def cmd_singular_search(cfg: RunConfig, args) -> int:
         f"{rs.label} at level {serialize.frac_str(k)}: component dimension "
         f"{kernel.component_dimension}, kernel dimension {len(kernel)}",
     ] + [json.dumps(v) for v in payload["vectors"]]
-    _emit(payload, cfg, text)
+    _emit(payload, args, text)
     return OK
 
 
@@ -358,31 +337,31 @@ def cmd_singular_search(cfg: RunConfig, args) -> int:
 # collapse: the audit, the polynomials, one level, or the stored Table 5
 
 
-def cmd_collapse(cfg: RunConfig, args) -> int:
+def cmd_collapse(args) -> int:
     """Run the one mode the flags name; a flag that mode does not read is a
     usage error, not silently ignored."""
-    level = cfg.level is not None
+    level = args.level is not None
     if args.audit:
-        _refuse("collapse --audit", {"--algebra": cfg.algebra is not None,
+        _refuse("collapse --audit", {"--algebra": args.algebra is not None,
                                      "--level": level,
                                      "--polynomials": args.polynomials,
                                      "--super": args.include_super})
-        return _collapse_audit(cfg)
+        return _collapse_audit(args)
     if args.polynomials:
         _refuse("collapse --polynomials", {"--level": level})
-        return _collapse_polynomials(cfg, args.include_super)
+        return _collapse_polynomials(args)
     if level:
-        if cfg.algebra is None:
+        if args.algebra is None:
             raise ValueError("collapse --level needs --algebra")
         _refuse("collapse --level", {"--super": args.include_super})
-        return _collapse_level(cfg)
-    return _collapse_table(cfg, args.include_super)
+        return _collapse_level(args)
+    return _collapse_table(args)
 
 
-def _table_algebras(cfg: RunConfig) -> Sequence[collapsing.GType]:
+def _table_algebras(args) -> Sequence[collapsing.GType]:
     """The --algebra type alone, or every default audit algebra."""
-    if cfg.algebra is not None:
-        rs = parse_algebra(cfg.algebra)
+    if args.algebra is not None:
+        rs = parse_algebra(args.algebra)
         return [(rs.family, rs.rank)]
     return collapsing.DEFAULT_AUDIT_ALGEBRAS
 
@@ -398,7 +377,7 @@ def _table5_line(r: dict) -> str:
             f"k'={r['k_prime']:>6}")
 
 
-def _emit_table5(payload, cfg: RunConfig, rows, text) -> None:
+def _emit_table5(payload, args, rows, text) -> None:
     latex = (
         [r"\begin{tabular}{c|c|c|c}",
          r"$\mathfrak g$ & target & $k$ & $k'$ \\ \hline"]
@@ -409,7 +388,7 @@ def _emit_table5(payload, cfg: RunConfig, rows, text) -> None:
     csv_lines = ["algebra,k,target,k_prime"] + [
         f"{r['algebra']},{r['k']},{r['target']},{r['k_prime']}" for r in rows
     ]
-    _emit(payload, cfg, text, latex, csv_lines)
+    _emit(payload, args, text, latex, csv_lines)
 
 
 def _audited_row(r: dict) -> dict:
@@ -426,7 +405,7 @@ def _audited_row(r: dict) -> dict:
     return row
 
 
-def _collapse_audit(cfg: RunConfig) -> int:
+def _collapse_audit(args) -> int:
     t1 = collapsing.table1_audit(collapsing.DEFAULT_AUDIT_ALGEBRAS)
     rows = [_audited_row(r) for r in collapsing.table5_audit()]
     failures = sum(not r["ok"] for r in t1 + rows)
@@ -440,20 +419,20 @@ def _collapse_audit(cfg: RunConfig) -> int:
         + ("ok" if r["ok"] else "MISMATCH " + json.dumps(r))
         for r in rows
     ]
-    _emit_table5(payload, cfg, rows, text)
+    _emit_table5(payload, args, rows, text)
     return OK if not failures else CHECK_FAILED
 
 
-def _collapse_polynomials(cfg: RunConfig, include_super: bool) -> int:
+def _collapse_polynomials(args) -> int:
     rows = [
         {
             "algebra": canonical_name(*g),
             "roots": [serialize.frac_str(r) for r in collapsing.p_of_k(g).roots],
         }
-        for g in _table_algebras(cfg)
+        for g in _table_algebras(args)
     ]
     payload = {"polynomials": rows}
-    if include_super:
+    if args.include_super:
         payload["super_reference"] = [
             {"algebra": a, "p": p} for a, p in collapsing.TABLE4_SUPER
         ]
@@ -469,14 +448,14 @@ def _collapse_polynomials(cfg: RunConfig, include_super: bool) -> int:
         ]
         + [r"\end{tabular}"]
     )
-    _emit(payload, cfg, text, latex)
+    _emit(payload, args, text, latex)
     return OK
 
 
-def _collapse_level(cfg: RunConfig) -> int:
-    rs = parse_algebra(cfg.algebra)
+def _collapse_level(args) -> int:
+    rs = parse_algebra(args.algebra)
     g = (rs.family, rs.rank)
-    k = _parse_level(cfg)
+    k = _parse_level(args)
     payload = {"algebra": canonical_name(*g), "level": serialize.frac_str(k)}
     if not collapsing.is_collapsing(g, k):
         print(json.dumps({**payload, "collapsing": False}))
@@ -484,27 +463,27 @@ def _collapse_level(cfg: RunConfig) -> int:
     target, kp = collapsing.collapsed_level(g, k)
     payload.update(collapsing=True, target=target,
                    k_prime=serialize.frac_str(kp))
-    _emit(payload, cfg, [
+    _emit(payload, args, [
         f"{payload['algebra']} at k = {payload['level']} collapses "
         f"to {target} at k' = {payload['k_prime']}"
     ])
     return OK
 
 
-def _collapse_table(cfg: RunConfig, include_super: bool) -> int:
+def _collapse_table(args) -> int:
     rows = [
         _table5_row(canonical_name(*row.algebra), row.k, row.target,
                     row.k_prime)
-        for g in _table_algebras(cfg)
+        for g in _table_algebras(args)
         for row in collapsing.stored_table5_rows(g)
     ]
     payload = {"rows": rows}
-    if include_super:
+    if args.include_super:
         payload["super_reference"] = [
             {"algebra": a, "target": t, "k": k, "k_prime": kp}
             for a, t, k, kp in collapsing.TABLE5_SUPER
         ]
-    _emit_table5(payload, cfg, rows, [_table5_line(r) for r in rows])
+    _emit_table5(payload, args, rows, [_table5_line(r) for r in rows])
     return OK
 
 
@@ -512,20 +491,20 @@ def _collapse_table(cfg: RunConfig, include_super: bool) -> int:
 # module lists, conformal weights, involutions
 
 
-def cmd_kl(cfg: RunConfig, args) -> int:
+def cmd_kl(args) -> int:
     quotient, limit = args.quotient, args.limit
     if limit < 0:
         raise ValueError("limit must be nonnegative")
-    rs = parse_algebra(cfg.algebra)
-    k = _parse_level(cfg)
+    rs = parse_algebra(args.algebra)
+    k = _parse_level(args)
     spec = conformal.kl_spectrum((rs.family, rs.rank), k, quotient)
     name, level = canonical_name(*spec.algebra), serialize.frac_str(spec.level)
     head = f"{name} at k = {level} ({quotient})"
     total = sum(limit if f.infinite else f.count for f in spec.families)
-    if limit > cfg.cap or total > cfg.cap:
-        detail = (f"limit {limit} exceeds cap {cfg.cap}" if limit > cfg.cap
-                  else f"{total} weights exceed cap {cfg.cap}")
-        return _capped(cfg, head, {"algebra": name, "level": level,
+    if limit > args.cap or total > args.cap:
+        detail = (f"limit {limit} exceeds cap {args.cap}" if limit > args.cap
+                  else f"{total} weights exceed cap {args.cap}")
+        return _capped(args, head, {"algebra": name, "level": level,
                                    "quotient": quotient}, detail)
     payload = {
         "algebra": name,
@@ -547,16 +526,14 @@ def cmd_kl(cfg: RunConfig, args) -> int:
         + (" ... " if f["infinite"] else "")
         for f in payload["families"]
     ]
-    _emit(payload, cfg, text)
+    _emit(payload, args, text)
     return OK
 
 
-def cmd_weights(cfg: RunConfig, args) -> int:
-    rs = parse_algebra(cfg.algebra)
-    k = _parse_level(cfg)
-    w = serialize.parse_weight(args.mu)
-    if len(w) != rs.ambient:
-        raise ValueError(f"mu needs {rs.ambient} coordinates for {rs.label}")
+def cmd_weights(args) -> int:
+    rs = parse_algebra(args.algebra)
+    k = _parse_level(args)
+    w = _parse_coordinates(rs, "mu", args.mu)
     sug = conformal.sugawara_weight(rs, w, k)
     low = conformal.w_lowest_weight(rs, w, k)
     roots = conformal.collapse_ell_roots(rs, k)
@@ -568,7 +545,7 @@ def cmd_weights(cfg: RunConfig, args) -> int:
         "w_lowest_weight": serialize.frac_str(low),
         "theta_coeff_roots": [serialize.frac_str(r) for r in roots],
     }
-    _emit(payload, cfg, [
+    _emit(payload, args, [
         f"{rs.label} at k = {serialize.frac_str(k)}, mu = {args.mu}:",
         f"  Sugawara conformal weight: {payload['sugawara_weight']}",
         f"  reduced lowest weight:     {payload['w_lowest_weight']}",
@@ -577,18 +554,21 @@ def cmd_weights(cfg: RunConfig, args) -> int:
     return OK
 
 
-def cmd_involutions(cfg: RunConfig, args) -> int:
+def cmd_involutions(args) -> int:
     ell, with_signs = args.ell, args.signs
     if ell < 1:
         raise ValueError("--ell must be at least 1")
-    n = vectors.double_factorial_odd(ell)
     if args.count:
         _refuse("involutions --count", {"--signs": with_signs})
-        _emit({"ell": ell, "count": n}, cfg, [str(n)])
+    n = vectors.double_factorial_odd(ell)
+    if n is None or (n > args.cap and not args.count):
+        detail = (f"{n} involutions exceed cap {args.cap}" if n is not None
+                  else f"the count (2*{ell}-1)!! has more than "
+                  f"{sys.get_int_max_str_digits()} digits")
+        return _capped(args, f"ell={ell}", {"ell": ell}, detail)
+    if args.count:
+        _emit({"ell": ell, "count": n}, args, [str(n)])
         return OK
-    if n > cfg.cap:
-        return _capped(cfg, f"ell={ell}", {"ell": ell},
-                       f"{n} involutions exceed cap {cfg.cap}")
     invs = vectors.enumerate_involutions(ell)
     rows = []
     for p in invs:
@@ -603,7 +583,7 @@ def cmd_involutions(cfg: RunConfig, args) -> int:
         text.append(s + (f"  sign {row['sign']:+d}" if with_signs else ""))
         csv_lines.append(s + (f",{row['sign']}" if with_signs else ""))
     text.append(f"count {len(invs)}")
-    _emit(payload, cfg, text, None, csv_lines)
+    _emit(payload, args, text, None, csv_lines)
     return OK
 
 
@@ -613,7 +593,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        code = args.run(resolve_config(args), args)
+        code = args.run(resolve_config(args))
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -295,14 +295,13 @@ class RootSubsystem:
     roots: Tuple[Vec, ...]
     rank: int
     family: str       # canonical: B2 for B2=C2, A3 for A3=D3
-    type_rank: int
     highest_root: Vec
     theta_norm: Q     # (highest root, highest root) under the ambient form
     dual_coxeter0: Q  # half the Casimir eigenvalue w.r.t. the restricted form
 
     @property
     def type_label(self) -> str:
-        return canonical_name(self.family, self.type_rank)
+        return canonical_name(self.family, self.rank)
 
 
 @dataclass(frozen=True)
@@ -431,9 +430,8 @@ def minimal_grading_data(rs: RootSystem) -> GradingData:
         components.append(
             RootSubsystem(
                 roots=tuple(to_root[a] for a in block),
-                rank=trank,  # canonical_type keeps the rank
+                rank=trank,
                 family=fam,
-                type_rank=trank,
                 highest_root=to_root[theta_i],
                 theta_norm=Q(2 * _idot(theta_i, theta_i), norm),
                 dual_coxeter0=Q(_idot(theta_i, vadd(theta_i, two_rho_i)), norm),

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 from fractions import Fraction as Q
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -78,11 +79,18 @@ def involution_sign(p: PairInvolution) -> int:
     return sign
 
 
-def double_factorial_odd(l: int) -> int:
-    """(2l - 1)!! = 1 * 3 * ... * (2l - 1)."""
+def double_factorial_odd(l: int) -> Optional[int]:
+    """(2l - 1)!! = 1 * 3 * ... * (2l - 1), or None once the product reaches
+    10**sys.get_int_max_str_digits(): past that the interpreter refuses to
+    write it as a decimal string.  A limit of 0 sets no bound (nor does an
+    interpreter without the limit)."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bound = 10 ** digits if digits else None
     out = 1
     for m in range(1, 2 * l, 2):
         out *= m
+        if bound is not None and out >= bound:
+            return None
     return out
 
 

@@ -1,16 +1,19 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
+import random
 import subprocess
 import sys
+import types
 from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
 
 from vkg import collapsing, serialize
-from vkg.cli import CAP_ENV_VAR, RunConfig, main, read_config_file
+from vkg.cli import CAP_ENV_VAR, main, read_config_file
 from vkg.liealg import build_realization
 from vkg.pbw import MAX_SEARCH_DEGREE
 
@@ -248,12 +251,49 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         read_config_file(str(cfg))
 
 
-def test_runconfig_invariants():
-    with pytest.raises(ValueError):
-        RunConfig(verb="roots", cap=999)
-    with pytest.raises(ValueError):
-        RunConfig(verb="roots", fmt="yaml")
-    assert RunConfig(verb="roots").cap == 200_000
+def test_resolved_cap_and_format_are_checked(tmp_path, capsys):
+    """A cap below 1000 and an unknown format are usage errors; the format
+    is checked first.  The default cap is pinned by
+    test_involutions_refused_above_cap."""
+    yaml = tmp_path / "yaml.cfg"
+    yaml.write_text("format = yaml\n")
+    for argv, message in [
+        (("--cap", "999"), "cap must be at least 1000"),
+        (("--config", str(yaml)), "unknown format 'yaml'"),
+        (("--config", str(yaml), "--cap", "999"), "unknown format 'yaml'"),
+    ]:
+        code, out, err = run(capsys, "involutions", "--ell", "2", "--count",
+                             *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_seed_reaches_the_sampler(tmp_path, monkeypatch, capsys):
+    """Flag > config file > default 0, as handed to random.Random."""
+    seeds = []
+
+    def recorded(seed):
+        seeds.append(seed)
+        return random.Random(seed)
+
+    monkeypatch.setattr("vkg.cli.random", types.SimpleNamespace(Random=recorded))
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = 7\n")
+    audit = ("bracket-audit", "--algebra", "D:6", "--samples", "200")
+    for extra in [(), ("--config", str(cfg)),
+                  ("--config", str(cfg), "--seed", "9")]:
+        code, out, _ = run(capsys, *audit, *extra)
+        assert code == 0 and "200/200 triples checked (sampled)" in out
+    assert seeds == [0, 7, 9]
+
+
+def test_empty_cap_variable_counts_as_unset(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(CAP_ENV_VAR, "")
+    cfg = tmp_path / "cap.cfg"
+    cfg.write_text("cap = 1500\n")
+    code, out, _ = run(capsys, "involutions", "--ell", "6", "--config",
+                       str(cfg))
+    assert code == 0
+    assert out == "ell=6: capped (10395 involutions exceed cap 1500)\n"
 
 
 def test_roots_realization_dump(capsys):
@@ -404,6 +444,21 @@ def test_involutions_refused_above_cap(monkeypatch, capsys):
         "ell": 8, "status": "capped",
         "detail": "2027025 involutions exceed cap 200000",
     }
+
+
+@pytest.mark.parametrize("mode", [(), ("--count",)])
+def test_involutions_past_the_digit_limit_are_capped(capsys, mode):
+    """A count str() cannot write is refused, not computed in full."""
+    code, out, err = run(capsys, "involutions", "--ell", "1000000", *mode)
+    assert (code, err) == (0, "")
+    assert out == ("ell=1000000: capped (the count (2*1000000-1)!! has more "
+                   f"than {sys.get_int_max_str_digits()} digits)\n")
+
+
+def test_involutions_count_below_the_digit_limit_is_exact(capsys):
+    code, out, _ = run(capsys, "involutions", "--ell", "1400", "--count")
+    assert code == 0
+    assert out == f"{math.prod(range(1, 2800, 2))}\n"
 
 
 def test_bracket_audit_samples_above_cap_are_capped(monkeypatch, capsys):
@@ -572,6 +627,10 @@ def test_empty_algebra_label_is_a_usage_error(capsys, argv):
     (("singular-verify", "--algebra", "D:4", "--family", "w3", "--n", "2"),
      2),
     (("involutions", "--ell", "3", "--count", "--signs"), 2),
+    (("involutions", "--ell", "20000"), 0),
+    (("involutions", "--ell", "1450", "--count"), 0),
+    (("involutions", "--ell", "1000000"), 0),
+    (("involutions", "--ell", "1000000", "--count"), 0),
 ])
 def test_exit_code_sweep(capsys, argv, exit_code):
     """Every input ends in exit 0, 1 or 2 through main(), never a traceback."""
