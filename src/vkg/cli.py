@@ -57,22 +57,29 @@ def read_config_file(path: str) -> dict:
 
 def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     """Resolve format, cap and seed into ``args``: flag > non-empty VKG_CAP
-    (cap only) > config file > default; the format is checked first."""
+    (cap only) > config file > default; the format is checked first.  Only
+    the source that wins is parsed, so a bad one that loses is ignored."""
     file_cfg = read_config_file(args.config) if args.config else {}
-    cap = int(file_cfg.get("cap", DEFAULT_CAP))
-    if os.environ.get(CAP_ENV_VAR):
-        cap = int(os.environ[CAP_ENV_VAR])
-    seed = int(file_cfg.get("seed", 0))
     args.format = args.format or file_cfg.get("format", "text")
     if args.format not in FORMATS:
         raise ValueError(f"unknown format {args.format!r}")
     if args.cap is None:
-        args.cap = cap
+        env = os.environ.get(CAP_ENV_VAR)
+        args.cap = (_parse_int(CAP_ENV_VAR, env) if env else _parse_int(
+            f"{args.config}: cap", file_cfg.get("cap", DEFAULT_CAP)))
     if args.cap < 1000:
         raise ValueError("cap must be at least 1000")
     if args.seed is None:
-        args.seed = seed
+        args.seed = _parse_int(f"{args.config}: seed", file_cfg.get("seed", 0))
     return args
+
+
+def _parse_int(source: str, value) -> int:
+    """int(value), refused with the name of the setting it came from."""
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from exc
 
 
 # --family -> constructor(lr, n, cap).  Each entry looks `vectors.build_*`

@@ -1,11 +1,13 @@
 """Explicit bracket realizations over a Chevalley-style basis.
 
-One table builder fills every realization, with every structure constant an
-exact rational: [h, e_alpha] = alpha(h) e_alpha, [e_alpha, e_{-alpha}] =
-(e_alpha | e_{-alpha}) nu(alpha), and [e_alpha, e_beta] = N_{alpha,beta}
-e_{alpha+beta} when alpha + beta is a root, where the Cartan basis elements
-h_i equal nu(d_i) for stored dual weights d_i.  Two sources supply the duals,
-the pairings (e_alpha | e_{-alpha}) and the constants N_{alpha,beta}:
+One table builder fills every realization: [h, e_alpha] = alpha(h) e_alpha,
+[e_alpha, e_{-alpha}] = (e_alpha | e_{-alpha}) nu(alpha), and [e_alpha,
+e_beta] = N_{alpha,beta} e_{alpha+beta} when alpha + beta is a root, where
+the Cartan basis elements h_i equal nu(d_i) for stored dual weights d_i.
+Each constant is an exact ``Coef``: an ``int`` when integral, else a
+``Fraction``, never a float; the audits here and the ``pbw`` engine read it
+as it is.  Two sources supply the duals, the pairings (e_alpha | e_{-alpha})
+and the constants N_{alpha,beta}:
 
 * so(n) and sp(n) (types B, C, D): their matrix realizations, antisymmetric
   with respect to the anti-diagonal form and the standard symplectic form,
@@ -26,7 +28,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 from . import linalg
 from .rootdata import (
@@ -41,7 +43,8 @@ from .rootdata import (
 )
 
 Label = Tuple[str, object]        # ("h", i) or ("e", root)
-Term = Tuple[int, Q]              # (basis index, coefficient)
+Coef = Union[int, Q]              # exact coefficient: an int when integral
+Term = Tuple[int, Coef]           # (basis index, coefficient)
 SparseMat = Dict[Tuple[int, int], Q]
 Sparse = Dict[int, Q]             # basis index -> coefficient
 
@@ -55,7 +58,7 @@ class LieRealization:
     weights: Tuple[Vec, ...]            # zero for Cartan elements
     cartan_duals: Tuple[Vec, ...]       # h_i = nu(cartan_duals[i])
     bracket_table: Dict[Tuple[int, int], Tuple[Term, ...]]
-    form_table: Dict[Tuple[int, int], Q]
+    form_table: Dict[Tuple[int, int], Coef]
     root_index: Dict[Vec, int]
 
     @property
@@ -78,13 +81,18 @@ class LieRealization:
     def bracket(self, a: int, b: int) -> Tuple[Term, ...]:
         return self.bracket_table.get((a, b), ())
 
-    def form(self, a: int, b: int) -> Q:
-        return self.form_table.get((a, b), Q(0))
+    def form(self, a: int, b: int) -> Coef:
+        return self.form_table.get((a, b), 0)
 
     def coroot(self, alpha: Vec) -> Tuple[Term, ...]:
         """nu(alpha) expanded in the Cartan basis."""
         coeffs = _expand(self.cartan_duals, alpha)
         return tuple((i, c) for i, c in enumerate(coeffs) if c)
+
+
+def _lift(c: Coef) -> Coef:
+    """The ``Coef`` of an exact rational: its int when integral."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def _expand(basis: Sequence[Vec], target: Vec) -> List[Q]:
@@ -125,14 +133,13 @@ def _build_tables(rs: RootSystem, duals: Sequence[Vec], pairing,
     ``pairing[p]`` is (e_a|e_-a) and ``structure(p, q, r)`` is N_{a,b} for
     the roots at positions p, q and r = p + q of ``rs.coefficients``.  a(h_i)
     and nu(a) are linear in those int coefficients, so the loop runs on ints
-    wherever they are integral; only the stored values are ``Fraction``.
+    wherever they are integral, and every stored value is a ``Coef``.
     """
     coeffs = rs.coefficients
     gram = [[rs.form(di, dj) for dj in duals] for di in duals]
     # column j: nu(alpha_j) in the Cartan basis and alpha_j(h_i) = (d_i|alpha_j)
     cols = [_expand(duals, a) for a in rs.simple_roots]
-    lift = lambda rows: [[int(q) if q.denominator == 1 else q for q in row]
-                         for row in rows]
+    lift = lambda rows: [[_lift(q) for q in row] for row in rows]
     nu = lift(zip(*cols))
     act = lift([sum(map(operator.mul, g, c)) for c in zip(*nu)]
                for g in lift(gram))
@@ -141,28 +148,28 @@ def _build_tables(rs: RootSystem, duals: Sequence[Vec], pairing,
     labels, weights, root_index = _ordered_basis(rs)
     index = [root_index[a] for a in rs.roots]
     bracket: Dict[Tuple[int, int], Tuple[Term, ...]] = {}
-    form = {(i, j): g for i, row in enumerate(gram)
+    form = {(i, j): _lift(g) for i, row in enumerate(gram)
             for j, g in enumerate(row) if g}
     order = sorted(range(len(coeffs)), key=index.__getitem__)
     for k, p in enumerate(order):
         ca, ia = coeffs[p], index[p]
         neg = (p + npos) % len(coeffs)
-        form[(ia, index[neg])] = Q(pairing[p])
+        form[(ia, index[neg])] = pair = _lift(pairing[p])
         for i, row in enumerate(act):
-            c = sum(map(operator.mul, row, ca))
+            c = _lift(sum(map(operator.mul, row, ca)))
             if c:
-                bracket[(i, ia)] = ((ia, Q(c)),)
-                bracket[(ia, i)] = ((ia, Q(-c)),)
+                bracket[(i, ia)] = ((ia, c),)
+                bracket[(ia, i)] = ((ia, -c),)
         for q in order[k + 1:]:
             ib = index[q]
             r = position.get(tuple(map(operator.add, ca, coeffs[q])))
             if r is not None:
-                n = structure(p, q, r)
-                bracket[(ia, ib)] = ((index[r], Q(n)),)
-                bracket[(ib, ia)] = ((index[r], Q(-n)),)
+                n = _lift(structure(p, q, r))
+                bracket[(ia, ib)] = ((index[r], n),)
+                bracket[(ib, ia)] = ((index[r], -n),)
             elif q == neg:
                 coroot = (sum(map(operator.mul, row, ca)) for row in nu)
-                terms = tuple((i, Q(pairing[p] * c))
+                terms = tuple((i, _lift(pair * c))
                               for i, c in enumerate(coroot) if c)
                 bracket[(ia, ib)] = terms
                 bracket[(ib, ia)] = tuple((i, -c) for i, c in terms)
@@ -327,18 +334,20 @@ def _spot_check(lr: LieRealization):
 
 def jacobi_holds(lr: LieRealization, a: int, b: int, c: int) -> bool:
     """[a, [b, c]] + [b, [c, a]] + [c, [a, b]] = 0 for basis indices a, b, c."""
-    total: Dict[int, Q] = {}
+    table = lr.bracket_table
+    total: Dict[int, Coef] = {}
     for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-        for i, cv in lr.bracket(y, z):
-            for j, cc in lr.bracket(x, i):
-                total[j] = total.get(j, Q(0)) + cv * cc
+        for i, cv in table.get((y, z), ()):
+            for j, cc in table.get((x, i), ()):
+                total[j] = total.get(j, 0) + cv * cc
     return not any(total.values())
 
 
 def invariance_holds(lr: LieRealization, a: int, b: int, c: int) -> bool:
     """([a, b] | c) + (b | [a, c]) = 0 for basis indices a, b, c."""
-    lhs = sum((cv * lr.form(i, c) for i, cv in lr.bracket(a, b)), Q(0))
-    rhs = sum((cv * lr.form(b, i) for i, cv in lr.bracket(a, c)), Q(0))
+    table, form = lr.bracket_table, lr.form_table
+    lhs = sum(cv * form.get((i, c), 0) for i, cv in table.get((a, b), ()))
+    rhs = sum(cv * form.get((b, i), 0) for i, cv in table.get((a, c), ()))
     return lhs + rhs == 0
 
 
@@ -404,7 +413,7 @@ def restricted_dual_coxeter(mg: MinimalGrading, i: int) -> Q:
         _add_into(acc, _bracket_vec(lr, x, inner).items())
     if set(acc) - {v0}:
         raise ValueError(f"Casimir not diagonal on e_theta: {sorted(acc)}")
-    return acc.get(v0, Q(0)) / 2
+    return Q(acc.get(v0, 0), 2)
 
 
 def _dual_pairs(lr: LieRealization, roots: Sequence[Vec]):
@@ -420,7 +429,7 @@ def _dual_pairs(lr: LieRealization, roots: Sequence[Vec]):
         c = lr.form(ia, ina)
         if not c:
             raise DegenerateFormError(f"(e_a|e_-a) = 0 for a = {a}")
-        pairs.append(({ia: Q(1)}, {ina: 1 / c}))
+        pairs.append(({ia: Q(1)}, {ina: Q(1) / c}))
     cartan, _ = linalg.rref([dict(lr.coroot(a)) for a in roots], lr.rank)
     gram = [{c: g for c, v in enumerate(cartan) if (g := _pair(lr, u, v))}
             for u in cartan]

@@ -161,7 +161,8 @@ def nullspace(rows: Sequence[Row], ncols: int) -> List[Row]:
 
 
 def rank(rows: Sequence[Row], ncols: int) -> int:
-    return len(rref(rows, ncols)[1])
+    """Rank of the first ncols columns: the pivot count of `_echelon`."""
+    return len(_echelon(rows, ncols))
 
 
 def invert(rows: Sequence[Row], n: int) -> List[List[Q]]:

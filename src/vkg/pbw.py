@@ -21,10 +21,11 @@ keeps it sorted and factor by factor otherwise.  Every nested call acts on
 a strictly shorter monomial than its caller, so the recursion ends, and
 calls nest at most one level per factor.
 
-Coefficients: inside the straightening engine (the level and the bracket
-and form constants) a coefficient is an ``int`` whenever it is integral,
-and a ``Fraction`` only otherwise; at an integral level on the A-E
-realizations that is every coefficient.  Every coefficient that leaves the
+Coefficients: inside the straightening engine a coefficient is a
+``liealg.Coef``, an ``int`` whenever it is integral and a ``Fraction`` only
+otherwise.  The realization supplies its bracket and form constants in that
+type, so the engine lifts only the level and its input; at an integral
+level every coefficient is an int.  Every coefficient that leaves the
 engine, in a ``StateVector``, an ``act_gen`` image or a ``constraint_rows``
 row, is a ``Fraction``, so no caller ever divides two ints.
 """
@@ -33,18 +34,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
-from .liealg import LieRealization
+from .liealg import Coef, LieRealization, Term, _lift
 from .rootdata import Vec, vadd, vscale, vzero
 
 Gen = Tuple[int, int]          # (mode, base index); tuple order = PBW order
 Monomial = Tuple[Gen, ...]
 Terms = Dict[Monomial, Q]
-Coef = Union[int, Q]           # engine coefficient: an int when integral
 EngineTerms = Dict[Monomial, Coef]
-Pair = Tuple[Tuple[Tuple[int, Coef], ...], Coef]   # [a, b] terms, (a | b)
+Pair = Tuple[Tuple[Term, ...], Coef]   # [a, b] terms, (a | b)
 
 
 class LoopGenerator(NamedTuple):
@@ -122,9 +122,9 @@ def proportional(a: StateVector, b: StateVector) -> Optional[Q]:
 class _Engine:
     """Normal-ordering engine for one realization at one level.
 
-    The level and the bracket and form constants, the only things it caches,
-    are held as ``Coef`` (see the module docstring), so ``act_mono`` adds
-    and multiplies plain ints whenever they are integral.
+    It caches only the level, as a ``Coef``, and the realization's bracket
+    and form constants of each basis pair as one tuple, so ``act_mono``
+    makes one lookup per commutator where the tables would take two.
     """
 
     def __init__(self, lr: LieRealization, k: Q):
@@ -146,13 +146,9 @@ class _Engine:
         return {m: Q(c) for m, c in self.act_terms(gen, terms).items()}
 
     def _pair(self, a: int, b: int) -> Pair:
-        """[a, b] as (index, Coef) terms, and (a | b) as a Coef."""
-        pair = self._pairs.get((a, b))
-        if pair is None:
-            pair = self._pairs[(a, b)] = (
-                tuple((idx, _lift(c)) for idx, c in self.lr.bracket(a, b)),
-                _lift(self.lr.form(a, b)),
-            )
+        """Memoize [a, b] as (index, Coef) terms, and (a | b) as a Coef."""
+        pair = self._pairs[(a, b)] = (self.lr.bracket(a, b),
+                                      self.lr.form(a, b))
         return pair
 
     def act_mono(self, gen: Gen, mono: Monomial) -> EngineTerms:
@@ -191,11 +187,6 @@ class _Engine:
             terms = self.act_terms(f, terms)
         for m, v in terms.items():
             _acc(out, m, v)
-
-
-def _lift(c: Q) -> Coef:
-    """The engine coefficient of an exact rational: its int when integral."""
-    return c.numerator if c.denominator == 1 else c
 
 
 def _acc(out: EngineTerms, mono: Monomial, c: Coef) -> None:

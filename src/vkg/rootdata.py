@@ -27,8 +27,6 @@ from . import linalg
 Vec = Tuple[Q, ...]
 Lat = Tuple[int, ...]  # a root in doubled ambient coordinates
 
-SUPPORTED_FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
-
 
 class UnsupportedAlgebraError(ValueError):
     """Raised for a type/rank combination outside the supported list."""

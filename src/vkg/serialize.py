@@ -21,8 +21,7 @@ _FRACTION_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
 def frac_str(q) -> str:
-    q = Q(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    return str(q) if type(q) is int else str(Q(q))
 
 
 def parse_frac(s: str) -> Q:

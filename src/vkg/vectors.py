@@ -22,7 +22,7 @@ from fractions import Fraction as Q
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .liealg import LieRealization, UnsupportedAlgebraError, dynkin_flip
+from .liealg import LieRealization, UnsupportedAlgebraError, _lift, dynkin_flip
 from .pbw import (
     CapExceededError,
     EngineTerms,
@@ -30,7 +30,6 @@ from .pbw import (
     StateVector,
     _acc,
     _Engine,
-    _lift,
     component_size,
     constraint_rows,
     singular_kernel,
@@ -153,7 +152,7 @@ def _power(lr: LieRealization, summands: Iterable[Summand], level, n: int = 1,
             piece = terms
             for g in reversed(gens):
                 piece = engine.act_terms(g.key, piece)
-            coef = _lift(Q(coef))
+            coef = _lift(coef)
             for mono, c in piece.items():
                 _acc(total, mono, coef * c)
         terms = total

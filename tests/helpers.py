@@ -1,6 +1,7 @@
 """Checks that only the tests use: a reference straightener, sign-flip
 equivalence, span membership and the dominance of classified module lists."""
 
+import dataclasses
 from fractions import Fraction as Q
 from typing import Dict, List, Sequence, Tuple
 
@@ -68,7 +69,7 @@ def _add_term(out, mono, c) -> None:
 def flip_root_pair(lr: LieRealization, root: Vec) -> LieRealization:
     """The same algebra in the basis with e_{+-root} replaced by -e_{+-root}."""
     flip = {lr.e(root), lr.e(vscale(-1, root))}
-    s = lambda i: Q(-1) if i in flip else Q(1)
+    s = lambda i: -1 if i in flip else 1
     bracket = {}
     for (a, b), terms in lr.bracket_table.items():
         bracket[(a, b)] = tuple((i, s(a) * s(b) * s(i) * c) for i, c in terms)
@@ -84,6 +85,17 @@ def flip_root_pair(lr: LieRealization, root: Vec) -> LieRealization:
         form_table=form,
         root_index=lr.root_index,
     )
+
+
+def flip_structure_constant(lr: LieRealization, alpha: Vec,
+                            beta: Vec) -> LieRealization:
+    """A copy of lr with the sign of N_{alpha,beta} = -N_{beta,alpha} flipped:
+    no longer a Lie algebra, for the negative tests of the audits."""
+    a, b = lr.e(alpha), lr.e(beta)
+    table = dict(lr.bracket_table)
+    ((i, n),) = table[(a, b)]
+    table[(a, b)], table[(b, a)] = ((i, -n),), ((i, n),)
+    return dataclasses.replace(lr, bracket_table=table)
 
 
 def flip_vector_signs(lr: LieRealization, v: StateVector, root: Vec) -> StateVector:

@@ -17,6 +17,8 @@ from vkg.cli import CAP_ENV_VAR, main, read_config_file
 from vkg.liealg import build_realization
 from vkg.pbw import MAX_SEARCH_DEGREE
 
+from helpers import flip_structure_constant
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -153,6 +155,17 @@ def test_bracket_audit(capsys):
     assert "sampled" in out
 
 
+def test_bracket_audit_refuses_a_broken_table(monkeypatch, capsys):
+    """On a B2 table with one structure constant negated, the exhaustive
+    audit exits 1 with the first failing triple as its witness."""
+    lr = build_realization("B", 2)
+    broken = flip_structure_constant(lr, *lr.rs.simple_roots)
+    monkeypatch.setattr("vkg.cli.build_realization", lambda *_: broken)
+    code, out, _ = run(capsys, "bracket-audit", "--algebra", "B:2")
+    assert code == 1
+    assert '"kind": "jacobi-or-invariance"' in out
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "kl", "--algebra", "Dx", "--level=-2")
     assert code == 2
@@ -265,6 +278,37 @@ def test_resolved_cap_and_format_are_checked(tmp_path, capsys):
         code, out, err = run(capsys, "involutions", "--ell", "2", "--count",
                              *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_only_the_winning_cap_and_seed_sources_are_parsed(tmp_path,
+                                                          monkeypatch, capsys):
+    """A bad source that a flag or VKG_CAP overrides is never read; a bad
+    source that wins names itself, after the format check."""
+    bad, yaml = tmp_path / "bad.cfg", tmp_path / "yaml.cfg"
+    bad.write_text("cap = x1\nseed = q\n")
+    yaml.write_text("format = yaml\ncap = x1\n")
+    count = ("involutions", "--ell", "2", "--count")
+    for argv, message in [
+        (("--config", str(bad)), f"{bad}: cap: invalid literal for int() "
+         "with base 10: 'x1'"),
+        (("--config", str(bad), "--cap", "2000"), f"{bad}: seed: invalid "
+         "literal for int() with base 10: 'q'"),
+        (("--config", str(yaml)), "unknown format 'yaml'"),
+    ]:
+        code, out, err = run(capsys, *count, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+    code, out, _ = run(capsys, *count, "--config", str(bad), "--cap", "2000",
+                       "--seed", "1")
+    assert (code, out) == (0, "3\n")
+    monkeypatch.setenv(CAP_ENV_VAR, "abc")
+    code, out, err = run(capsys, *count, "--config", str(bad))
+    assert (code, out) == (2, "")
+    assert err == ("error: VKG_CAP: invalid literal for int() with base 10: "
+                   "'abc'\n")
+    monkeypatch.setenv(CAP_ENV_VAR, "1500")
+    code, out, err = run(capsys, *count, "--config", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: seed: ")
 
 
 def test_seed_reaches_the_sampler(tmp_path, monkeypatch, capsys):
@@ -631,9 +675,19 @@ def test_empty_algebra_label_is_a_usage_error(capsys, argv):
     (("involutions", "--ell", "1450", "--count"), 0),
     (("involutions", "--ell", "1000000"), 0),
     (("involutions", "--ell", "1000000", "--count"), 0),
+    ((f"{CAP_ENV_VAR}=abc", "involutions", "--ell", "2", "--count",
+      "--cap", "2000"), 0),
+    ((f"{CAP_ENV_VAR}=abc", "involutions", "--ell", "2", "--count"), 2),
+    ((f"{CAP_ENV_VAR}=abc", "involutions", "--ell", "2", "--count",
+      "--cap", "999"), 2),
 ])
-def test_exit_code_sweep(capsys, argv, exit_code):
-    """Every input ends in exit 0, 1 or 2 through main(), never a traceback."""
+def test_exit_code_sweep(capsys, monkeypatch, argv, exit_code):
+    """Every input ends in exit 0, 1 or 2 through main(), never a traceback.
+    A leading NAME=value sets that environment variable, as in a shell."""
+    while "=" in argv[0]:
+        name, _, value = argv[0].partition("=")
+        monkeypatch.setenv(name, value)
+        argv = argv[1:]
     code, _, err = run(capsys, *argv)
     assert code == exit_code
     assert code == 0 or err.startswith("error: ")

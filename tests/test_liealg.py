@@ -10,6 +10,7 @@ import pytest
 from vkg.liealg import (
     DegenerateFormError,
     _check_flip,
+    _dual_pairs,
     build_realization,
     dynkin_flip,
     invariance_holds,
@@ -26,7 +27,7 @@ from vkg.rootdata import (
 )
 from vkg.serialize import realization_to_json
 
-from helpers import flip_root_pair
+from helpers import flip_root_pair, flip_structure_constant
 
 
 def bracket_vec(lr, terms, idx):
@@ -269,11 +270,62 @@ def test_realization_json_digest(family, rank, digest):
 @pytest.mark.parametrize("family,rank",
                          [(f, r) for f, r, _ in REALIZATION_DIGESTS])
 def test_realization_values_are_fractions(family, rank):
-    # the digests read values through frac_str, which also accepts ints
+    """Every table value is an exact rational as a ``Coef``: an int, or a
+    Fraction with denominator > 1; never a float, a bool or an integral
+    Fraction."""
     lr = build_realization(family, rank)
     values = [c for terms in lr.bracket_table.values() for _, c in terms]
     values += list(lr.form_table.values())
-    assert values and all(type(v) is Q for v in values)
+    assert values and all(type(v) is int
+                          or (type(v) is Q and v.denominator > 1)
+                          for v in values)
+
+
+def _exact(values):
+    return all(type(v) in (int, Q) for v in values)
+
+
+@pytest.mark.parametrize("family,rank",
+                         [(f, r) for f, r, _ in REALIZATION_DIGESTS])
+def test_dual_pairs_coroots_and_casimir_are_exact(family, rank):
+    """An int table value divided by an int would be a float: the dual
+    pairs, the coroots and the restricted dual Coxeter numbers of every
+    component stay ints and Fractions."""
+    lr = build_realization(family, rank)
+    mg = minimal_grading(lr)
+    for i, comp in enumerate(mg.data.components):
+        for x, dual in _dual_pairs(lr, comp.roots):
+            assert _exact(x.values()) and _exact(dual.values())
+        for a in comp.roots:
+            assert _exact(c for _, c in lr.coroot(a))
+        assert _exact([restricted_dual_coxeter(mg, i)])
+    assert _exact([restricted_dual_coxeter(mg, -1)])
+
+
+def test_jacobi_refuses_a_flipped_structure_constant():
+    """With N_{a1,a2} negated in A2, the triple (e_a1, e_a2, e_-theta) fails
+    Jacobi: only [e_-theta, [e_a1, e_a2]] changes, and it is nonzero."""
+    lr = build_realization("A", 2)
+    a1, a2 = lr.rs.simple_roots
+    triple = (lr.e(a1), lr.e(a2), lr.e(vscale(-1, lr.rs.theta)))
+    broken = flip_structure_constant(lr, a1, a2)
+    assert jacobi_holds(lr, *triple)
+    assert not jacobi_holds(broken, *triple)
+
+
+def test_invariance_refuses_a_changed_pairing():
+    """With (e_a1|e_-a1) doubled in A2, ([e_a1, e_-a1] | h_1) still reads the
+    old pairing through the bracket, so (e_a1, e_-a1, h_1) fails
+    invariance; Jacobi reads no form and still holds."""
+    lr = build_realization("A", 2)
+    a1 = lr.rs.simple_roots[0]
+    e, f, h = lr.e(a1), lr.e(vscale(-1, a1)), lr.h(1)
+    form = dict(lr.form_table)
+    form[(e, f)] = form[(f, e)] = 2 * lr.form(e, f)
+    broken = dataclasses.replace(lr, form_table=form)
+    assert invariance_holds(lr, e, f, h)
+    assert not invariance_holds(broken, e, f, h)
+    assert jacobi_holds(broken, e, f, h)
 
 
 def _flip_sign(x):
