@@ -9,9 +9,10 @@ Each constant is an exact ``Coef``: an ``int`` when integral, else a
 as it is.  Two sources supply the duals, the pairings (e_alpha | e_{-alpha})
 and the constants N_{alpha,beta}:
 
-* so(n) and sp(n) (types B, C, D): their matrix realizations, antisymmetric
-  with respect to the anti-diagonal form and the standard symplectic form,
-  which pin every sign canonically; N is read off the matrix commutators.
+* so(n) and sp(n) (types B, C, D): their int matrix realizations,
+  antisymmetric with respect to the anti-diagonal form and the standard
+  symplectic form, which pin every sign canonically; N is the exact
+  quotient of an int matrix commutator by X_{alpha+beta}.
 
 * The simply-laced types A and E6/E7/E8: a bimultiplicative sign cocycle eps
   on the root lattice with eps(alpha, alpha) = (-1)^((alpha,alpha)/2),
@@ -33,9 +34,11 @@ from typing import Dict, List, Sequence, Tuple, Union
 from . import linalg
 from .rootdata import (
     GradingData,
+    Lat,
     RootSystem,
     UnsupportedAlgebraError,
     Vec,
+    _idot,
     build_root_system,
     minimal_grading_data,
     vscale,
@@ -45,7 +48,7 @@ from .rootdata import (
 Label = Tuple[str, object]        # ("h", i) or ("e", root)
 Coef = Union[int, Q]              # exact coefficient: an int when integral
 Term = Tuple[int, Coef]           # (basis index, coefficient)
-SparseMat = Dict[Tuple[int, int], Q]
+SparseMat = Dict[Tuple[int, int], int]
 Sparse = Dict[int, Q]             # basis index -> coefficient
 
 
@@ -95,6 +98,24 @@ def _lift(c: Coef) -> Coef:
     return c.numerator if c.denominator == 1 else c
 
 
+def _quo(a: int, b: int) -> Coef:
+    """The exact quotient a / b of two ints, as a ``Coef``."""
+    q, r = divmod(a, b)
+    return Q(a, b) if r else q
+
+
+def _lat(v: Vec) -> Lat:
+    """A root-lattice vector in the doubled int coordinates of ``rs.lattice``."""
+    return tuple(int(2 * x) for x in v)
+
+
+def _lattice_form(rs: RootSystem):
+    """(a|b) on doubled vectors: 2 (a . b) / (theta . theta), as a ``Coef``."""
+    theta = _lat(rs.theta)
+    norm = _idot(theta, theta)
+    return lambda a, b: _quo(2 * _idot(a, b), norm)
+
+
 def _expand(basis: Sequence[Vec], target: Vec) -> List[Q]:
     """Exact coefficients of target in the given (independent) vectors."""
     m = len(basis)
@@ -114,47 +135,47 @@ def _expand(basis: Sequence[Vec], target: Vec) -> List[Q]:
     return out
 
 
-def _ordered_basis(rs: RootSystem):
-    """Cartan elements first, then root vectors in lexicographic root order."""
-    labels: List[Label] = [("h", i + 1) for i in range(rs.rank)]
-    weights: List[Vec] = [vzero(rs.ambient)] * rs.rank
-    root_index: Dict[Vec, int] = {}
-    for a in sorted(rs.roots):
-        root_index[a] = len(labels)
-        labels.append(("e", a))
-        weights.append(a)
-    return labels, weights, root_index
-
-
-def _build_tables(rs: RootSystem, duals: Sequence[Vec], pairing,
+def _build_tables(rs: RootSystem, duals: Sequence[Lat], pairing,
                   structure) -> LieRealization:
-    """The bracket and form tables over the basis of ``_ordered_basis``.
+    """The bracket and form tables over {h_i} and the roots in lexicographic
+    order.
 
-    ``pairing[p]`` is (e_a|e_-a) and ``structure(p, q, r)`` is N_{a,b} for
-    the roots at positions p, q and r = p + q of ``rs.coefficients``.  a(h_i)
-    and nu(a) are linear in those int coefficients, so the loop runs on ints
-    wherever they are integral, and every stored value is a ``Coef``.
+    ``duals`` are the d_i in doubled lattice coordinates, ``pairing[p]`` is
+    (e_a|e_-a) and ``structure(p, q, r)`` is N_{a,b}, each a ``Coef``, for
+    the roots at positions p, q and r of ``rs.coefficients`` with a + b the
+    root at r.  a(h_i) = (d_i|a) and nu(a) are linear in those int
+    coefficients, so the loop runs on ints wherever they are integral.  A
+    root's coefficients are packed into one int code in base 4 max|coef| + 1:
+    the code is linear, and one-to-one on sums of two roots, whose digits
+    lie in [-2 max|coef|, 2 max|coef|], so a + b is looked up by its code.
     """
-    coeffs = rs.coefficients
-    gram = [[rs.form(di, dj) for dj in duals] for di in duals]
-    # column j: nu(alpha_j) in the Cartan basis and alpha_j(h_i) = (d_i|alpha_j)
-    cols = [_expand(duals, a) for a in rs.simple_roots]
-    lift = lambda rows: [[_lift(q) for q in row] for row in rows]
-    nu = lift(zip(*cols))
-    act = lift([sum(map(operator.mul, g, c)) for c in zip(*nu)]
-               for g in lift(gram))
-    position = {c: p for p, c in enumerate(coeffs)}
-    npos = len(rs.positive_roots)
-    labels, weights, root_index = _ordered_basis(rs)
-    index = [root_index[a] for a in rs.roots]
-    bracket: Dict[Tuple[int, int], Tuple[Term, ...]] = {}
-    form = {(i, j): _lift(g) for i, row in enumerate(gram)
-            for j, g in enumerate(row) if g}
-    order = sorted(range(len(coeffs)), key=index.__getitem__)
+    coeffs, rank, npos = rs.coefficients, rs.rank, len(rs.positive_roots)
+    form_of = _lattice_form(rs)
+    gram = [[form_of(di, dj) for dj in duals] for di in duals]
+    # column j: alpha_j(h_i) = (d_i|alpha_j), and nu(alpha_j) = gram^-1 of it
+    simple = [_lat(a) for a in rs.simple_roots]
+    act = [[form_of(d, a) for a in simple] for d in duals]
+    ginv = linalg.invert([{j: Q(g) for j, g in enumerate(row) if g}
+                          for row in gram], rank)
+    nu = [[_lift(sum(map(operator.mul, row, col))) for col in zip(*act)]
+          for row in ginv]
+    base = 4 * max(map(max, coeffs)) + 1   # negative roots mirror positives
+    powers = [base ** i for i in range(rank)]
+    code = [_idot(c, powers) for c in coeffs]
+    position = {c: p for p, c in enumerate(code)}
+    # lexicographic order of the doubled roots is that of the roots
+    order = sorted(range(len(coeffs)), key=rs.lattice.__getitem__)
+    index = [0] * len(order)
     for k, p in enumerate(order):
-        ca, ia = coeffs[p], index[p]
+        index[p] = rank + k
+    roots = [rs.roots[p] for p in order]
+    bracket: Dict[Tuple[int, int], Tuple[Term, ...]] = {}
+    form = {(i, j): g for i, row in enumerate(gram)
+            for j, g in enumerate(row) if g}
+    for k, p in enumerate(order):
+        ca, ia, cp = coeffs[p], rank + k, code[p]
         neg = (p + npos) % len(coeffs)
-        form[(ia, index[neg])] = pair = _lift(pairing[p])
+        form[(ia, index[neg])] = pair = pairing[p]
         for i, row in enumerate(act):
             c = _lift(sum(map(operator.mul, row, ca)))
             if c:
@@ -162,9 +183,9 @@ def _build_tables(rs: RootSystem, duals: Sequence[Vec], pairing,
                 bracket[(ia, i)] = ((ia, -c),)
         for q in order[k + 1:]:
             ib = index[q]
-            r = position.get(tuple(map(operator.add, ca, coeffs[q])))
+            r = position.get(cp + code[q])
             if r is not None:
-                n = _lift(structure(p, q, r))
+                n = structure(p, q, r)
                 bracket[(ia, ib)] = ((index[r], n),)
                 bracket[(ib, ia)] = ((index[r], -n),)
             elif q == neg:
@@ -173,9 +194,14 @@ def _build_tables(rs: RootSystem, duals: Sequence[Vec], pairing,
                               for i, c in enumerate(coroot) if c)
                 bracket[(ia, ib)] = terms
                 bracket[(ib, ia)] = tuple((i, -c) for i, c in terms)
-    return LieRealization(rs=rs, labels=tuple(labels), weights=tuple(weights),
-                          cartan_duals=tuple(duals), bracket_table=bracket,
-                          form_table=form, root_index=root_index)
+    return LieRealization(
+        rs=rs,
+        labels=tuple([("h", i + 1) for i in range(rank)]
+                     + [("e", a) for a in roots]),
+        weights=(vzero(rs.ambient),) * rank + tuple(roots),
+        cartan_duals=tuple(tuple(Q(x, 2) for x in d) for d in duals),
+        bracket_table=bracket, form_table=form,
+        root_index={a: rank + k for k, a in enumerate(roots)})
 
 
 # ---------------------------------------------------------------------------
@@ -183,19 +209,20 @@ def _build_tables(rs: RootSystem, duals: Sequence[Vec], pairing,
 
 
 def _matrix_basis(rs: RootSystem):
-    """Sparse matrices for the chosen basis of so(n) / sp(n)."""
+    """Sparse int matrices for the chosen basis of so(n) / sp(n), each root
+    keyed by its int epsilon-coordinates, and the pairing factor."""
     l = rs.rank
     n = 2 * l + (rs.family == "B")
-    factor = Q(1) if rs.family == "C" else Q(1, 2)
+    factor = 1 if rs.family == "C" else Q(1, 2)
     pr = lambda i: n - 1 - i
     mats: Dict[Label, SparseMat] = {}
     for i in range(l):
-        mats[("h", i + 1)] = {(i, i): Q(1), (pr(i), pr(i)): Q(-1)}
+        mats[("h", i + 1)] = {(i, i): 1, (pr(i), pr(i)): -1}
 
-    def put(coords: Vec, entries):
-        mats[("e", coords)] = {pos: Q(v) for pos, v in entries}
+    def put(coords: Lat, entries):
+        mats[("e", coords)] = dict(entries)
 
-    e = lambda i: tuple(Q(1) if j == i else Q(0) for j in range(l))
+    e = lambda i, c=1: tuple(c * (j == i) for j in range(l))
     for i in range(l):
         for j in range(l):
             if i != j:
@@ -212,11 +239,11 @@ def _matrix_basis(rs: RootSystem):
         m = l
         for i in range(l):
             put(e(i), [((i, m), 1), ((m, pr(i)), -1)])
-            put(vscale(-1, e(i)), [((m, i), 1), ((pr(i), m), -1)])
+            put(e(i, -1), [((m, i), 1), ((pr(i), m), -1)])
     if rs.family == "C":
         for i in range(l):
-            put(vscale(2, e(i)), [((i, pr(i)), 1)])
-            put(vscale(-2, e(i)), [((pr(i), i), 1)])
+            put(e(i, 2), [((i, pr(i)), 1)])
+            put(e(i, -2), [((pr(i), i), 1)])
     return mats, factor
 
 
@@ -225,9 +252,9 @@ def _mat_bracket(x: SparseMat, y: SparseMat) -> SparseMat:
     for (a, b), xv in x.items():
         for (c, d), yv in y.items():
             if b == c:
-                out[(a, d)] = out.get((a, d), Q(0)) + xv * yv
+                out[(a, d)] = out.get((a, d), 0) + xv * yv
             if d == a:
-                out[(c, b)] = out.get((c, b), Q(0)) - xv * yv
+                out[(c, b)] = out.get((c, b), 0) - xv * yv
     return {k: v for k, v in out.items() if v}
 
 
@@ -236,31 +263,36 @@ def _matrix_constants(rs: RootSystem):
 
     h_i is the diagonal matrix ``mats[("h", i)]`` and d_i = scale e_i, so
     a(h_i) is the i-th coordinate of a.  Each X_a is certified a weight
-    vector of a, and each [X_a, X_b] to equal N_{a,b} X_{a+b}; either
-    failure raises ValueError.
+    vector of a, and each [X_a, X_b] to equal N_{a,b} X_{a+b} with N the
+    exact quotient of two int entries; either failure raises ValueError.
     """
     mats, factor = _matrix_basis(rs)
-    l, xs = rs.rank, [mats[("e", a)] for a in rs.roots]
-    diag = {k: tuple(mats[("h", i + 1)].get((k, k), 0) for i in range(l))
+    l = rs.rank
+    # B, C and D roots are integral: halving rs.lattice gives the matrix keys
+    xs = [mats[("e", tuple(x // 2 for x in a))] for a in rs.lattice]
+    hs = [mats[("h", i + 1)] for i in range(l)]
+    diag = {k: tuple(2 * h.get((k, k), 0) for h in hs)   # doubled, as a
             for x in xs for pos in x for k in pos}
-    for a, x in zip(rs.roots, xs):
-        if any(tuple(map(operator.sub, diag[r], diag[c])) != a for r, c in x):
+    for a, lat, x in zip(rs.roots, rs.lattice, xs):
+        if any(tuple(map(operator.sub, diag[r], diag[c])) != lat
+               for r, c in x):
             raise ValueError(f"matrix of root {a} is not a weight vector")
     neg = lambda p: (p + len(rs.positive_roots)) % len(xs)
-    pairing = [factor * sum(v * xs[neg(p)].get((c, r), 0)
-                            for (r, c), v in x.items())
+    pairing = [_lift(factor * sum(v * xs[neg(p)].get((c, r), 0)
+                                  for (r, c), v in x.items()))
                for p, x in enumerate(xs)]
 
-    def structure(p: int, q: int, r: int) -> Q:
+    def structure(p: int, q: int, r: int) -> Coef:
         br = _mat_bracket(xs[p], xs[q])
         pos, v = next(iter(xs[r].items()))
-        n = br.get(pos, Q(0)) / v
+        n = _quo(br.get(pos, 0), v)
         if br != {k: n * w for k, w in xs[r].items()}:
             raise ValueError(f"[X_a, X_b] is not N X_(a+b) for a = "
                              f"{rs.roots[p]}, b = {rs.roots[q]}")
         return n
 
-    duals = [tuple(rs.scale * (j == i) for j in range(l)) for i in range(l)]
+    two_scale = int(2 * rs.scale)   # d_i = scale e_i, doubled
+    duals = [tuple(two_scale * (j == i) for j in range(l)) for i in range(l)]
     return duals, pairing, structure
 
 
@@ -294,7 +326,7 @@ def _cocycle_constants(rs: RootSystem):
         odd = (parity_row[p] & parity[q]).bit_count() % 2
         return (-1 if odd else 1) * sgn[p] * sgn[q] * sgn[r]
 
-    return rs.simple_roots, [1] * len(coeffs), structure
+    return [_lat(a) for a in rs.simple_roots], [1] * len(coeffs), structure
 
 
 @lru_cache(maxsize=None)
@@ -316,19 +348,27 @@ def build_realization(family: str, rank: int) -> LieRealization:
 
 
 def _spot_check(lr: LieRealization):
+    """a(h_i) and [e_a, e_-a] for the simple roots and theta, re-derived
+    from int dot products on the doubled lattice.
+
+    ([e_a, e_-a] | h_i) = (e_a|e_-a) a(h_i) for every i pins [e_a, e_-a] =
+    (e_a|e_-a) nu(a), the Gram block of the duals being nondegenerate.
+    """
     rs = lr.rs
+    form_of = _lattice_form(rs)
+    duals = [_lat(d) for d in lr.cartan_duals]
+    gram = [[form_of(di, dj) for dj in duals] for di in duals]
     for a in rs.simple_roots + (rs.theta,):
-        ia, ina = lr.e(a), lr.e(vscale(-1, a))
+        ia, ina, lat = lr.e(a), lr.e(vscale(-1, a)), _lat(a)
+        values = [form_of(d, lat) for d in duals]
         pairing = lr.form(ia, ina)
-        expected = tuple(
-            (i, c * pairing) for i, c in lr.coroot(a)
-        )
-        if lr.bracket(ia, ina) != expected:
+        terms = lr.bracket(ia, ina)
+        if (any(i >= rs.rank for i, _ in terms)
+                or [sum(c * gram[i][j] for i, c in terms) for j in range(rs.rank)]
+                != [pairing * v for v in values]):
             raise ValueError(f"[e,f] != (e|f) nu for {a}")
-        for i in range(rs.rank):
-            terms = lr.bracket(lr.h(i + 1), ia)
-            c = rs.form(lr.cartan_duals[i], a)
-            if terms != (((ia, c),) if c else ()):
+        for i, c in enumerate(values):
+            if lr.bracket(lr.h(i + 1), ia) != (((ia, c),) if c else ()):
                 raise ValueError(f"[h_{i + 1}, e] != alpha(h_{i + 1}) e for {a}")
 
 
