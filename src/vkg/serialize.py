@@ -21,7 +21,9 @@ _FRACTION_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
 def frac_str(q) -> str:
-    return str(q) if type(q) is int else str(Q(q))
+    """"p/q", or "p" when integral; anything but an int or a Fraction (a
+    bool, say) is read as a Fraction first."""
+    return str(q) if type(q) in (int, Q) else str(Q(q))
 
 
 def parse_frac(s: str) -> Q:

@@ -538,6 +538,13 @@ def test_fraction_string_round_trip(num, den):
     assert serialize.parse_frac(serialize.frac_str(q)) == q
 
 
+def test_frac_str_prints_every_type_as_a_fraction_would():
+    """Ints and Fractions print as themselves, a bool as its Fraction."""
+    for value in (0, -3, 7, Q(0), Q(4), Q(-5, 2), True, False):
+        assert serialize.frac_str(value) == str(Q(value))
+    assert [serialize.frac_str(v) for v in (True, False)] == ["1", "0"]
+
+
 # SHA-256 of the compact JSON of graded_basis, recorded while the search ran
 # on LCM-rescaled coordinates, with the size of each component.  The two D4
 # weights off the root lattice have empty components.
