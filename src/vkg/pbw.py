@@ -306,8 +306,13 @@ def _search(lr: LieRealization, weight: Vec, degree: int,
       target) is updated from the sparse pairs, and a generator is skipped,
       before it touches ``cur`` or recurses, when ``need`` exceeds what the
       degree left after it can reach (``left * max_mass``);
-    - at node entry, a coordinate farther from the target than
-      ``remaining * max_coord`` cuts the node.
+    - at node entry, a coordinate that the generators from ``start`` on
+      cannot move to the target in the remaining degree cuts the node.  A
+      generator of mode -m moves a coordinate by at most its step over m
+      per unit of degree, and its mode -1 copy is also from ``start`` on,
+      so the bounds are suffix maxima of the mode -1 steps up and down:
+      over the basis from ``start`` when it lies in the mode -1 block,
+      over all of it otherwise.
 
     A node starts its loop at the first generator whose mode fits the
     remaining degree, and that start is the one in the memo key.
@@ -327,7 +332,14 @@ def _search(lr: LieRealization, weight: Vec, degree: int,
     wints = [(0,) * dim if lab[0] == "h" else doubled[w]
              for lab, w in zip(lr.labels, lr.weights)]
     max_mass = max((sum(abs(c) for c in w) for w in wints), default=0)
-    max_coord = max((abs(c) for w in wints for c in w), default=0)
+    # reach[b][c]: the largest step up and down of coordinate c over b, b + 1, ...
+    reach = [((0,) * dim, (0,) * dim)]
+    for w in reversed(wints):
+        up, down = reach[-1]
+        reach.append((tuple(map(max, up, w)),
+                      tuple(max(d, -x) for d, x in zip(down, w))))
+    reach.reverse()
+    last = (degree - 1) * lr.dim          # the first mode -1 generator
     sparse = [tuple((c, x) for c, x in enumerate(w) if x) for w in wints]
     gens: List[Gen] = [
         (mode, b) for mode in range(-degree, 0) for b in range(lr.dim)
@@ -351,12 +363,13 @@ def _search(lr: LieRealization, weight: Vec, degree: int,
                 out.append(tuple(stack))
             proven(1)
             return 1
-        bound = remaining * max_coord
-        for c in range(dim):
-            if abs(target[c] - cur[c]) > bound:
-                return 0
         # generators of mode below -remaining do not fit
         start = max(start, (degree - remaining) * lr.dim)
+        up, down = reach[max(start - last, 0)]
+        for c in range(dim):
+            d = target[c] - cur[c]
+            if d > remaining * up[c] or -d > remaining * down[c]:
+                return 0
         if out is None:
             key = (start, remaining, tuple(cur))
             count = memo.get(key)

@@ -319,6 +319,7 @@ COUNTED_COMPONENTS = [
     ("C", 3, (1, 1, 0), 5, 1361, False),
     ("E", 6, "theta", 3, 240, False),
     ("D", 6, (1, 1, 1, 1, 1, 1), 3, 15, False),
+    ("D", 4, (20, 0, 0, 0), 20, 66, False),
 ]
 
 
