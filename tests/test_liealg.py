@@ -11,6 +11,7 @@ from vkg.liealg import (
     DegenerateFormError,
     _check_flip,
     _dual_pairs,
+    _matrix_basis,
     build_realization,
     dynkin_flip,
     invariance_holds,
@@ -236,9 +237,10 @@ def test_flip_root_pair_is_same_algebra():
 
 # SHA-256 of the compact, key-sorted JSON of realization_to_json.  A3, B3,
 # C3, D4 and E6-E8 were recorded before the cocycle realization moved to int
-# simple-root coefficients, the rest while the matrix and cocycle tables
-# still had a builder each.  Any change to the basis order, a structure
-# constant or the form fails here.
+# simple-root coefficients, B5-B8, C4-C8, D7, D9 and D10 while the so(n)
+# and sp(n) matrices still had Fraction entries, the rest while the matrix
+# and cocycle tables still had a builder each.  Any change to the basis
+# order, a structure constant or the form fails here.
 REALIZATION_DIGESTS = [
     ("A", 1, "6a86f9f1a6bb73c23da88a4739fcb8e5fa93479b4e2baa97cf622860e46d3ff9"),
     ("A", 2, "7b4ee8779437f15323d00faf3e1a0ff704f656337385e9dc81b122632cac7b1d"),
@@ -246,14 +248,26 @@ REALIZATION_DIGESTS = [
     ("B", 2, "b20b76b127d2530c75d0af3e5d31a88cf59deea7adf76498314a344c087d4628"),
     ("B", 3, "5f23fcf4b3f7ca646e116a8ad9574f0bdf28671015ff1a16054ea53a2794e482"),
     ("B", 4, "f1d74c9498003089cfbf67a337cd4d0e235806a9c9fdec39dba4cbe196f66fbf"),
+    ("B", 5, "a9d349f62e8ab2e55b862fd31afc2384fbc61eae861533f0fe9ff246d6f6a4c3"),
+    ("B", 6, "5c8e6705f87420087b3d4f631c71b670cf5307de7127f5c81293c7a36f44af0e"),
+    ("B", 7, "adfe1ee42d62a433391b33592c79749460d30f60c88ced5fc91b7bd7416dca58"),
+    ("B", 8, "756c03e94cac1e91dcf7beaa45d9674b6ce39973deab2c5a4dfbeaecbb90ff90"),
     ("C", 1, "e2151cf663c01148f61bbacd2a3db36ce6e90859cf34c76abb568b2772d5697d"),
     ("C", 2, "5c974b867244e4f6fcf5afae36b73fb50e432635c33e81940c50dff93b209dc4"),
     ("C", 3, "9d937e76a9be1156032413cd9d3a7d187ac6b884e0a1240ba30da42e56a976b1"),
+    ("C", 4, "d7dda672695a8a0512e54a401a27a5b37af81c96bb86a35ef868c180720c7a1f"),
+    ("C", 5, "3a0b7bba2d73d93cbc373e3a1c72487aa4ef5d27df177d07d0bd54e197113a5d"),
+    ("C", 6, "666da5f067d4e2ae58f66d810e193c495d90a4f04692f6ed54b739cba834dd89"),
+    ("C", 7, "c36e970ec816ad03a08c1d995fecec5f53a02f0b50f5d93931ca7162bb10d3a1"),
+    ("C", 8, "031108483e6e55fbf595f86fd65f8c7cf54e5d35b2fc8ae701afbc723d10e483"),
     ("D", 3, "a091f550f069ca11de9b961d353db1ce014d33d7e3ee06b97e9cdc14d03207ea"),
     ("D", 4, "f15dce3c14866bfa58c3726b764738117825e10f258b5078efc9b876c3a96b5e"),
     ("D", 5, "7a8811927e6be3a8a6c437062c828d62ae35db53470ccc3a74c07f4182011560"),
     ("D", 6, "ac5a458c0187dadd52654009cb88579bddbd657c7b5f77528d778399748491dd"),
+    ("D", 7, "cabeda8ddfd77a361cd89c554def5db1482bbf70d207cc080c6580e985208a85"),
     ("D", 8, "60d3f743aae82821b5507c28b92921cd1b3322f6c11d2b59c53e817d9ecabfc1"),
+    ("D", 9, "bfeeae54ccc72cc3d90ce7e3b9c1b765afd41119efa77cc682e751e99a7efa3c"),
+    ("D", 10, "cc0208f409c2c05ef7a66944eca43b437d6621496916df9802cd679ed0528e57"),
     ("E", 6, "336dddc6fe3a680b2fe58533a17509bf7b5b9f515e5ff6afcd55c7ca0a6f7fa8"),
     ("E", 7, "a189dd672cb53caf09bba4aa1ba3b3781e3b50fc59535006dc26607c9209cfd6"),
     ("E", 8, "0a89b5e081943f52675c41a8c41baf7176ff1e4440d789c5a3a35ac404f4e6c9"),
@@ -336,10 +350,22 @@ def _misplace(x):
     x[(0, 2)] = x.pop((0, 1))
 
 
-@pytest.mark.parametrize("corrupt", [_flip_sign, _misplace])
+def _double(x):
+    x[max(x)] *= 2
+
+
+@pytest.mark.parametrize("family,rank", [(f, r) for f, r, _ in
+                                         REALIZATION_DIGESTS if f in "BCD"])
+def test_matrix_entries_are_ints(family, rank):
+    mats, _ = _matrix_basis(build_root_system(family, rank))
+    assert all(type(v) is int for m in mats.values() for v in m.values())
+
+
+@pytest.mark.parametrize("corrupt", [_flip_sign, _misplace, _double])
 def test_corrupted_root_matrix_is_refused(monkeypatch, corrupt):
-    """A root matrix off by one sign fails [X_a, X_b] = N X_(a+b); one with
-    an entry moved is no longer a weight vector of its root."""
+    """A root matrix off by one sign, or with one entry doubled, fails
+    [X_a, X_b] = N X_(a+b) on ints; one with an entry moved is no longer a
+    weight vector of its root."""
     import vkg.liealg as liealg
 
     matrix_basis = liealg._matrix_basis
