@@ -271,7 +271,7 @@ def _matrix_constants(rs: RootSystem):
     # B, C and D roots are integral: halving rs.lattice gives the matrix keys
     xs = [mats[("e", tuple(x // 2 for x in a))] for a in rs.lattice]
     hs = [mats[("h", i + 1)] for i in range(l)]
-    diag = {k: tuple(2 * h.get((k, k), 0) for h in hs)   # doubled, as a
+    diag = {k: tuple(2 * h.get((k, k), 0) for h in hs)   # doubled too
             for x in xs for pos in x for k in pos}
     for a, lat, x in zip(rs.roots, rs.lattice, xs):
         if any(tuple(map(operator.sub, diag[r], diag[c])) != lat
