@@ -8,18 +8,17 @@ the vacuum.  The straightening rule is the affine commutator
 
 with x(m) vacuum = 0 for m >= 0.  Everything is exact over the rationals.
 
-``_Engine.act_mono`` applies that rule in one pass.  x(m) moves right past
-f_1, ..., f_{j-1}, the factors before its sorted slot; passing f_i leaves
-the term f_1 ... f_{i-1} [x(m), f_i] f_{i+1} ... f_r 1, skipped when the
-commutator is zero.  For m < 0 the pass ends at the slot with the sorted
-monomial f_1 ... f_{j-1} x(m) f_j ... f_r, one factor longer than any
-commutator term; for m >= 0 it ends at the vacuum, with nothing.  So
-direct insertion is the case where every commutator passed is zero.  A
-nested call straightens [x(m), f_i] f_{i+1} ... f_r 1, and f_1 ... f_{i-1}
-is prepended to each monomial of the result, by concatenation when that
-keeps it sorted and factor by factor otherwise.  Every nested call acts on
-a strictly shorter monomial than its caller, so the recursion ends, and
-calls nest at most one level per factor.
+``_Engine._into`` applies that rule in one pass: it adds c * prefix . x(m)
+f_1 ... f_r 1, normal-ordered, into one dict, where prefix is a sorted run.
+x(m) moves right past f_1, ..., f_{j-1}, the factors before its sorted slot;
+passing f_i adds prefix f_1 ... f_{i-1} [x(m), f_i] f_{i+1} ... f_r 1, by a
+nested call with that longer prefix (the central part needs no reordering).
+For m < 0 the pass ends with the sorted M = f_1 ... f_{j-1} x(m) f_j ... f_r,
+for m >= 0 with nothing.  M joins the prefix by concatenation when the last
+prefix factor p is <= its first factor; otherwise a nested call acts with p
+on M and keeps the rest of the prefix.  Each nested call lowers
+(len(prefix) + len(monomial), len(prefix)) lexicographically, so the
+recursion ends, one Python frame per step of that measure.
 
 Coefficients: inside the straightening engine a coefficient is a
 ``liealg.Coef``, an ``int`` whenever it is integral and a ``Fraction`` only
@@ -123,8 +122,9 @@ class _Engine:
     """Normal-ordering engine for one realization at one level.
 
     It caches only the level, as a ``Coef``, and the realization's bracket
-    and form constants of each basis pair as one tuple, so ``act_mono``
-    makes one lookup per commutator where the tables would take two.
+    and form constants of each basis pair as one tuple, so ``_into`` makes
+    one lookup per commutator where the tables would take two.  An image is
+    built in one dict, which every nested call adds into.
     """
 
     def __init__(self, lr: LieRealization, k: Q):
@@ -136,9 +136,7 @@ class _Engine:
         """Normal-ordered image of gen on a combination, with ``Coef`` values."""
         out: EngineTerms = {}
         for mono, coef in terms.items():
-            coef = _lift(coef)
-            for m2, c2 in self.act_mono(gen, mono).items():
-                _acc(out, m2, coef * c2)
+            self._into(out, (), gen, mono, _lift(coef))
         return out
 
     def act_gen(self, gen: Gen, terms: Terms) -> Terms:
@@ -153,9 +151,19 @@ class _Engine:
 
     def act_mono(self, gen: Gen, mono: Monomial) -> EngineTerms:
         """Normal-ordered image of gen on one monomial, with ``Coef`` values."""
+        out: EngineTerms = {}
+        self._into(out, (), gen, mono, 1)
+        return out
+
+    def _into(self, out: EngineTerms, prefix: Monomial, gen: Gen,
+              mono: Monomial, c: Coef) -> None:
+        """Add c * prefix . gen . mono, normal-ordered, into out.
+
+        prefix . mono is sorted, or else gen is a prefix factor that did not
+        fit before mono[0] and stops before mono[1]: heads stay sorted.
+        """
         mode, base = gen
         pairs = self._pairs
-        out: EngineTerms = {}
         for slot, y in enumerate(mono):
             if gen <= y:
                 break
@@ -163,30 +171,20 @@ class _Engine:
             new_mode = mode + y[0]
             central = form and new_mode == 0
             if brackets or central:
-                prefix, rest = mono[:slot], mono[slot + 1:]
+                head, rest = prefix + mono[:slot], mono[slot + 1:]
                 for idx, coef in brackets:
-                    for m2, c2 in self.act_mono((new_mode, idx), rest).items():
-                        self._prepend(out, prefix, m2, coef * c2)
+                    self._into(out, head, (new_mode, idx), rest, c * coef)
                 if central:
-                    _acc(out, prefix + rest, mode * self.k * form)
+                    _acc(out, head + rest, c * mode * self.k * form)
         else:
             if mode >= 0:
-                return out
+                return
             slot = len(mono)
-        out[mono[:slot] + (gen,) + mono[slot:]] = 1  # longer than out's keys
-        return out
-
-    def _prepend(self, out: EngineTerms, prefix: Monomial, mono: Monomial,
-                 c: Coef) -> None:
-        """Add c * prefix . mono into out; prefix is a sorted run of factors."""
-        if not prefix or not mono or prefix[-1] <= mono[0]:
+        mono = mono[:slot] + (gen,) + mono[slot:]
+        if prefix and prefix[-1] > mono[0]:
+            self._into(out, prefix[:-1], prefix[-1], mono, c)
+        else:
             _acc(out, prefix + mono, c)
-            return
-        terms: EngineTerms = {mono: c}
-        for f in reversed(prefix):
-            terms = self.act_terms(f, terms)
-        for m, v in terms.items():
-            _acc(out, m, v)
 
 
 def _acc(out: EngineTerms, mono: Monomial, c: Coef) -> None:

@@ -342,8 +342,9 @@ def canonical_type(family: str, rank: int) -> Tuple[str, int]:
 
 
 def _span_dim(vectors: Sequence[Sequence]) -> int:
-    """Dimension of the linear span of the given vectors."""
-    rows = [{c: Q(x) for c, x in enumerate(v) if x} for v in vectors]
+    """Dimension of the linear span; of each pair v, -v only one is eliminated."""
+    lines = dict.fromkeys(max(tuple(v), tuple(-x for x in v)) for v in vectors)
+    rows = [{c: Q(x) for c, x in enumerate(v) if x} for v in lines]
     return linalg.rank(rows, len(vectors[0]) if vectors else 0)
 
 

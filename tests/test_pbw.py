@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from vkg.liealg import build_realization
 from vkg.pbw import (
+    MAX_SEARCH_DEGREE,
     CapExceededError,
     LoopGenerator,
     StateVector,
@@ -104,26 +106,29 @@ def test_engine_matches_the_reference_straightener(family, rank):
     assert sizes == {0, 1, 2}
 
 
-def test_nested_straightening_calls_act_on_shorter_monomials(monkeypatch):
-    # the termination and depth bound of the module docstring: each call of
-    # act_mono made inside another acts on a strictly shorter monomial
-    act_mono = _Engine.act_mono
-    lengths, growing = [], []
-    nested = 0
+def test_nested_straightening_calls_lower_the_termination_measure(monkeypatch):
+    # the termination measure of the module docstring: each call of _into
+    # made inside another lowers (len(prefix) + len(mono), len(prefix))
+    # lexicographically; a prefix factor that does not fit keeps the sum
+    into = _Engine._into
+    measures, rising = [], []
+    nested = out_of_order = 0
 
-    def checked(self, gen, mono):
-        nonlocal nested
-        if lengths:
+    def checked(self, out, prefix, gen, mono, c):
+        nonlocal nested, out_of_order
+        measure = (len(prefix) + len(mono), len(prefix))
+        if measures:
             nested += 1
-            if len(mono) >= lengths[-1]:
-                growing.append((gen, mono, lengths[-1]))
-        lengths.append(len(mono))
+            out_of_order += measure[0] == measures[-1][0]
+            if measure >= measures[-1]:
+                rising.append((prefix, gen, mono, measures[-1]))
+        measures.append(measure)
         try:
-            return act_mono(self, gen, mono)
+            into(self, out, prefix, gen, mono, c)
         finally:
-            lengths.pop()
+            measures.pop()
 
-    monkeypatch.setattr(_Engine, "act_mono", checked)
+    monkeypatch.setattr(_Engine, "_into", checked)
     for family, rank in STRAIGHTENED_ALGEBRAS:
         lr = build_realization(family, rank)
         for k, gen, mono in straightening_inputs(lr):
@@ -131,7 +136,88 @@ def test_nested_straightening_calls_act_on_shorter_monomials(monkeypatch):
     d6 = build_realization("D", 6)
     assert is_singular(d6, build_w_n(d6, 1)) == (True, None)
     assert nested > 0
-    assert not growing, (len(growing), growing[:3])
+    assert out_of_order > 0
+    assert not rising, (len(rising), rising[:3])
+
+
+def _reference_image(reference, gen, terms):
+    out = {}
+    for mono, c in terms.items():
+        for m2, c2 in reference.act_mono(gen, mono).items():
+            out[m2] = out.get(m2, 0) + c * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _cancelling_pair(lr, reference):
+    """e_a(0) and two terms x h(-1), x' h'(-1) whose images cancel.
+
+    [e_a(0), h(-1)] = [e_a, h](-1) is a multiple of e_a(-1) for every Cartan
+    element h, so two terms scaled by each other's multiple cancel.
+    """
+    cartan = [i for i, lab in enumerate(lr.labels) if lab[0] == "h"]
+    a = next(a for a in range(lr.dim)
+             if sum(bool(lr.bracket(a, h)) for h in cartan) >= 2)
+    h1, h2 = [((-1, h),) for h in cartan if lr.bracket(a, h)][:2]
+    gen, target = (0, a), ((-1, a),)
+    r1, r2 = reference.act_mono(gen, h1), reference.act_mono(gen, h2)
+    assert set(r1) == set(r2) == {target}
+    return gen, {h1: r2[target], h2: -r1[target]}
+
+
+@pytest.mark.parametrize("family, rank", STRAIGHTENED_ALGEBRAS)
+def test_act_terms_is_the_sum_of_the_reference_images(family, rank):
+    # one accumulator serves every term of a combination: its image is the
+    # sum of the images of the terms, cancellations included
+    lr = build_realization(family, rank)
+    rng = random.Random(f"combinations {family}{rank}")
+    inputs = list(straightening_inputs(lr))
+    for k in (Q(-2), Q(-5, 2), -lr.rs.dual_coxeter):
+        engine, reference = _Engine(lr, k), ReferenceStraightener(lr, k)
+        den = 1 if k.denominator == 1 else 3
+        planted_gen, pair = _cancelling_pair(lr, reference)
+        assert engine.act_terms(planted_gen, pair) == {}
+        for i in range(60):
+            gen = planted_gen if i % 3 == 0 else rng.choice(inputs)[1]
+            monos = {rng.choice(inputs)[2] for _ in range(rng.randint(1, 6))}
+            terms = {m: Q(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, den))
+                     for m in monos}
+            if gen == planted_gen:
+                terms.update(pair)
+            image = engine.act_terms(gen, terms)
+            assert image == _reference_image(reference, gen, terms)
+            if k.denominator == 1:
+                assert all(type(c) is int for c in image.values())
+
+
+def test_500_factor_monomials_straighten_within_the_default_recursion_limit():
+    # MAX_SEARCH_DEGREE admits monomials of 500 mode -1 factors.  In the
+    # second image h(-1) passes the n - 2 factors f(-1) before it, and the
+    # accumulator nests one call for each of them.
+    a1 = build_realization("A", 1)
+    alpha = a1.rs.simple_roots[0]
+    e, f = a1.e(alpha), a1.e(vscale(-1, alpha))
+    (h, c_fe), = a1.bracket(f, e)
+    (e_, c_he), = a1.bracket(h, e)
+    (f_, c_fh), = a1.bracket(f, h)
+    assert (e_, f_) == (e, f)
+    n, k = MAX_SEARCH_DEGREE, -2
+    engine = _Engine(a1, Q(k))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)         # Python's default
+    try:
+        image = engine.act_mono((1, f), ((-1, e),) * n)
+        mixed = engine.act_mono(
+            (0, f), ((-2, f),) + ((-1, f),) * (n - 2) + ((-1, e),))
+    finally:
+        sys.setrecursionlimit(limit)
+    # e_-a(1) e_a(-1)^n = sum_i e_a(-1)^i (c_fe h(0) + k (f | e)) e_a(-1)^(n-1-i)
+    assert image == {((-1, e),) * (n - 1):
+                     c_fe * c_he * n * (n - 1) // 2 + n * k * a1.form(f, e)}
+    # f(0) f(-2) f(-1)^(n-2) e(-1) = c_fe f(-2) f(-1)^(n-2) h(-1), reordered
+    assert mixed == {
+        ((-2, f), (-1, h)) + ((-1, f),) * (n - 2): c_fe,
+        ((-2, f), (-2, f)) + ((-1, f),) * (n - 3): c_fe * c_fh * (n - 2),
+    }
 
 
 def test_weight_and_degree_bookkeeping():
