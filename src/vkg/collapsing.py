@@ -14,9 +14,8 @@ are reference data only and nothing here computes with them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .rootdata import (
     UnsupportedAlgebraError,
@@ -33,8 +32,7 @@ class NotCollapsingError(ValueError):
     """The requested level is not a collapsing level for this algebra."""
 
 
-@dataclass(frozen=True)
-class CollapsePolynomial:
+class CollapsePolynomial(NamedTuple):
     """p(k) in factored form: p(k) = (k - r1)(k - r2)."""
 
     algebra: GType
@@ -45,8 +43,7 @@ class CollapsePolynomial:
         return (k - self.roots[0]) * (k - self.roots[1])
 
 
-@dataclass(frozen=True)
-class CollapsingRow:
+class CollapsingRow(NamedTuple):
     """One audited row: level k, surviving target, renormalized level k'."""
 
     algebra: GType
@@ -55,8 +52,7 @@ class CollapsingRow:
     k_prime: Q
 
 
-@dataclass(frozen=True)
-class Table1Row:
+class Table1Row(NamedTuple):
     algebra: GType
     dual_coxeter: Q
     components: Tuple[GType, ...]   # canonical types of the simple pieces

@@ -12,9 +12,8 @@ lazily up to a caller-supplied bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .rootdata import (
     RootSystem,
@@ -95,8 +94,7 @@ def solve_quoted_s_equation(j) -> Tuple[Q, Q]:
 # Classified module families
 
 
-@dataclass(frozen=True)
-class WeightFamily:
+class WeightFamily(NamedTuple):
     """Arithmetic progression base + t * step, t = 0 .. count-1 (None = all t >= 0)."""
 
     base: Vec
@@ -113,8 +111,7 @@ class WeightFamily:
         return self.count is None
 
 
-@dataclass(frozen=True)
-class KLSpectrum:
+class KLSpectrum(NamedTuple):
     algebra: GType
     level: Q
     quotient: str

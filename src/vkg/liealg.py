@@ -26,10 +26,9 @@ summed over one set of exact dual pairs (``_dual_pairs``) per component.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from . import linalg
 from .rootdata import (
@@ -52,8 +51,7 @@ SparseMat = Dict[Tuple[int, int], int]
 Sparse = Dict[int, Q]             # basis index -> coefficient
 
 
-@dataclass(frozen=True)
-class LieRealization:
+class LieRealization(NamedTuple):
     """Bracket and form tables over an indexed basis {h_i} cup {e_alpha}."""
 
     rs: RootSystem
@@ -395,8 +393,7 @@ def invariance_holds(lr: LieRealization, a: int, b: int, c: int) -> bool:
 # Minimal grading and the restricted Casimir, at the realization level
 
 
-@dataclass(frozen=True)
-class MinimalGrading:
+class MinimalGrading(NamedTuple):
     """ad(x) eigenspace data for x = theta^vee / 2, tied to a realization."""
 
     lr: LieRealization

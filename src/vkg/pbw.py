@@ -31,7 +31,6 @@ row, is a ``Fraction``, so no caller ever divides two ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -59,8 +58,7 @@ class CapExceededError(RuntimeError):
     """A graded component is larger than the configured size cap."""
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(NamedTuple):
     """Finite rational combination of PBW monomials at fixed weight/degree."""
 
     level: Q

@@ -17,10 +17,9 @@ as an int tuple, which is integral for every type and sorts like the roots.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from . import linalg
 
@@ -70,16 +69,16 @@ def basis_vector(dim: int, i: int, value=1) -> Vec:
     return tuple(v)
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     """Immutable root-system data with the normalized invariant form.
 
     ``roots``, ``theta``, ``rho`` and ``scale`` are ``Fraction`` data.
     ``coefficients`` and ``lattice`` give each root, in the order of
     ``roots``, as int tuples: its simple-root coefficients and its doubled
     ambient coordinates, so the form of two lattice vectors is their dot
-    product over 4 * scale.  Both follow from the roots and are left out of
-    == and hash.
+    product over 4 * scale.  == compares every field, these two as well;
+    both follow from the roots, so they change no comparison.
+    ``dual_coxeter`` is (rho, theta) + 1.
     """
 
     family: str
@@ -91,14 +90,9 @@ class RootSystem:
     theta: Vec
     rho: Vec
     scale: Q  # form(a, b) = dot(a, b) / scale
-    coefficients: Tuple[Tuple[int, ...], ...] = field(compare=False)
-    lattice: Tuple[Lat, ...] = field(compare=False)
-    dual_coxeter: Q = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "dual_coxeter", self.form(self.rho, self.theta) + 1
-        )
+    coefficients: Tuple[Tuple[int, ...], ...]
+    lattice: Tuple[Lat, ...]
+    dual_coxeter: Q
 
     @property
     def label(self) -> str:
@@ -209,6 +203,8 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     roots = tuple(map(halve, lattice))
     # the doubled positive roots sum to 4 rho
     rho = tuple(Q(sum(col), 4) for col in zip(*pos))
+    scale = Q(_idot(theta, theta), 8)
+    theta_q = halve(theta)
     return RootSystem(
         family=family,
         rank=rank,
@@ -216,11 +212,12 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         roots=roots,
         positive_roots=roots[:len(pos)],
         simple_roots=tuple(map(halve, simple)),
-        theta=halve(theta),
+        theta=theta_q,
         rho=rho,
-        scale=Q(_idot(theta, theta), 8),
+        scale=scale,
         coefficients=coefficients,
         lattice=lattice,
+        dual_coxeter=dot(rho, theta_q) / scale + 1,
     )
 
 
@@ -286,8 +283,7 @@ def is_dominant_integral(rs: RootSystem, mu: Vec) -> bool:
 # Minimal grading at the root-data level
 
 
-@dataclass(frozen=True)
-class RootSubsystem:
+class RootSubsystem(NamedTuple):
     """A simple component of the centralizer subalgebra, as root data."""
 
     roots: Tuple[Vec, ...]
@@ -302,8 +298,7 @@ class RootSubsystem:
         return canonical_name(self.family, self.rank)
 
 
-@dataclass(frozen=True)
-class GradingData:
+class GradingData(NamedTuple):
     """Minimal 1/2-Z grading of the adjoint, computed from root data alone."""
 
     rs: RootSystem

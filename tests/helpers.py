@@ -1,7 +1,6 @@
 """Checks that only the tests use: a reference straightener, sign-flip
 equivalence, span membership and the dominance of classified module lists."""
 
-import dataclasses
 from fractions import Fraction as Q
 from typing import Dict, List, Sequence, Tuple
 
@@ -95,7 +94,7 @@ def flip_structure_constant(lr: LieRealization, alpha: Vec,
     table = dict(lr.bracket_table)
     ((i, n),) = table[(a, b)]
     table[(a, b)], table[(b, a)] = ((i, -n),), ((i, n),)
-    return dataclasses.replace(lr, bracket_table=table)
+    return lr._replace(bracket_table=table)
 
 
 def flip_vector_signs(lr: LieRealization, v: StateVector, root: Vec) -> StateVector:

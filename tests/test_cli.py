@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -534,7 +533,7 @@ def test_collapse_audit_witness_names_what_disagrees(monkeypatch, capsys,
     def stored_table5_rows(g):
         rows = stored(g)
         if g == ("E", 8):   # the k = -10 row, patched to (k, E7, -5)
-            rows[0] = dataclasses.replace(rows[0], k=Q(k), k_prime=Q(-5))
+            rows[0] = rows[0]._replace(k=Q(k), k_prime=Q(-5))
         return rows
 
     monkeypatch.setattr("vkg.collapsing.stored_table5_rows",

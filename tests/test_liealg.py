@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -158,7 +157,7 @@ def test_restricted_dual_coxeter_refuses_a_degenerate_pairing():
     a = comp.roots[0]
     form = dict(lr.form_table)
     form[(lr.e(a), lr.e(vscale(-1, a)))] = Q(0)
-    broken = dataclasses.replace(mg, lr=dataclasses.replace(lr, form_table=form))
+    broken = mg._replace(lr=lr._replace(form_table=form))
     assert restricted_dual_coxeter(mg, i) == comp.dual_coxeter0
     with pytest.raises(DegenerateFormError):
         restricted_dual_coxeter(broken, i)
@@ -336,7 +335,7 @@ def test_invariance_refuses_a_changed_pairing():
     e, f, h = lr.e(a1), lr.e(vscale(-1, a1)), lr.h(1)
     form = dict(lr.form_table)
     form[(e, f)] = form[(f, e)] = 2 * lr.form(e, f)
-    broken = dataclasses.replace(lr, form_table=form)
+    broken = lr._replace(form_table=form)
     assert invariance_holds(lr, e, f, h)
     assert not invariance_holds(broken, e, f, h)
     assert jacobi_holds(broken, e, f, h)

@@ -177,6 +177,18 @@ def _root_count(family, rank):
             ("F", 4): 48, ("G", 2): 12}[(family, rank)]
 
 
+def _dual_coxeter(family, rank):
+    """h^vee from its closed form in the rank."""
+    if family in "AC":
+        return rank + 1
+    if family == "B":
+        return 2 * rank - 1
+    if family == "D":
+        return 2 * rank - 2
+    return {("E", 6): 12, ("E", 7): 18, ("E", 8): 30,
+            ("F", 4): 9, ("G", 2): 4}[(family, rank)]
+
+
 SUPPORTED_UP_TO_RANK_8 = (
     [("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 9)]
     + [("C", r) for r in range(1, 9)] + [("D", r) for r in range(3, 9)]
@@ -186,7 +198,8 @@ SUPPORTED_UP_TO_RANK_8 = (
 
 @pytest.mark.parametrize("family,rank", SUPPORTED_UP_TO_RANK_8)
 def test_root_system_oracle(family, rank):
-    """Weyl closure, the classical root count and the highest root.
+    """Weyl closure, the classical root count, the highest root and the
+    closed-form dual Coxeter number.
 
     Plain tuple arithmetic only, nothing from the generator: a set that
     holds the simple roots, is closed under the simple reflections and has
@@ -203,6 +216,7 @@ def test_root_system_oracle(family, rank):
             assert tuple(y - c * x for x, y in zip(a, b)) in roots
     for a in rs.positive_roots:
         assert tuple(x + y for x, y in zip(rs.theta, a)) not in roots
+    assert rs.dual_coxeter == _dual_coxeter(family, rank)
 
 
 def test_form_dimension_mismatch():

@@ -3,6 +3,9 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import vkg
@@ -52,3 +55,28 @@ def test_traced_entry_points_exist():
         module, name = dotted.split(".")
         fn = getattr(importlib.import_module(f"vkg.{module}"), name)
         assert hasattr(fn, "cache_info"), dotted
+
+
+def test_no_dataclasses_import():
+    """Records are ``NamedTuple`` classes; ``dataclasses`` would bring
+    ``inspect`` into every process's start-up."""
+    found = [
+        f"{name}:{node.lineno}" for name, node in _nodes()
+        if (isinstance(node, ast.Import)
+            and any(a.name.split(".")[0] == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "dataclasses")
+    ]
+    assert not found, found
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """In a fresh interpreter, ``import vkg.cli`` adds neither module to
+    those that start-up (``site`` included) has already loaded."""
+    code = ("import sys; before = set(sys.modules); import vkg.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(vkg.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert "vkg.cli" in out
+    assert not {"dataclasses", "inspect"} & set(out), out
