@@ -16,7 +16,6 @@ from .rootdata import (
     build_root_system,
     canonical_name,
     casimir_eigenvalue,
-    form,
     fundamental_weight,
     is_dominant_integral,
     minimal_grading_data,
@@ -32,7 +31,6 @@ from .liealg import (
 )
 from .pbw import (
     CapExceededError,
-    LoopGenerator,
     StateVector,
     apply,
     apply_string,

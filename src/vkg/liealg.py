@@ -86,9 +86,11 @@ class LieRealization(NamedTuple):
         return self.form_table.get((a, b), 0)
 
     def coroot(self, alpha: Vec) -> Tuple[Term, ...]:
-        """nu(alpha) expanded in the Cartan basis."""
-        coeffs = _expand(self.cartan_duals, alpha)
-        return tuple((i, c) for i, c in enumerate(coeffs) if c)
+        """nu(alpha) in the Cartan basis, with ``Fraction`` values: the
+        tables store [e_alpha, e_-alpha] = (e_alpha|e_-alpha) nu(alpha)."""
+        ia, ina = self.e(alpha), self.e(vscale(-1, alpha))
+        pairing = Q(self.form(ia, ina))
+        return tuple((i, c / pairing) for i, c in self.bracket(ia, ina))
 
 
 def _lift(c: Coef) -> Coef:
@@ -114,23 +116,13 @@ def _lattice_form(rs: RootSystem):
     return lambda a, b: _quo(2 * _idot(a, b), norm)
 
 
-def _expand(basis: Sequence[Vec], target: Vec) -> List[Q]:
-    """Exact coefficients of target in the given (independent) vectors."""
-    m = len(basis)
-    dim = len(target)
-    rows = []
-    for r in range(dim):
-        row = {c: basis[c][r] for c in range(m) if basis[c][r]}
-        if target[r]:
-            row[m] = target[r]
-        rows.append(row)
-    reduced, pivots = linalg.rref(rows, m + 1)
-    if m in pivots:
-        raise ValueError(f"{target} is not in the span")
-    out = [Q(0)] * m
-    for row, pc in zip(reduced, pivots):
-        out[pc] = row.get(m, Q(0))
-    return out
+def _acc(out: dict, key, c: Coef) -> None:
+    """out[key] += c, dropping the entry when it cancels to zero."""
+    new = out.get(key, 0) + c
+    if new:
+        out[key] = new
+    else:
+        out.pop(key, None)
 
 
 def _build_tables(rs: RootSystem, duals: Sequence[Lat], pairing,
@@ -488,11 +480,7 @@ def _dual_pairs(lr: LieRealization, roots: Sequence[Vec]):
 def _add_into(acc: Sparse, terms) -> Sparse:
     """acc += the (index, coefficient) terms, dropping cancelled entries."""
     for idx, c in terms:
-        new = acc.get(idx, 0) + c
-        if new:
-            acc[idx] = new
-        else:
-            acc.pop(idx, None)
+        _acc(acc, idx, c)
     return acc
 
 

@@ -25,8 +25,11 @@ Coefficients: inside the straightening engine a coefficient is a
 otherwise.  The realization supplies its bracket and form constants in that
 type, so the engine lifts only the level and its input; at an integral
 level every coefficient is an int.  Every coefficient that leaves the
-engine, in a ``StateVector``, an ``act_gen`` image or a ``constraint_rows``
-row, is a ``Fraction``, so no caller ever divides two ints.
+engine, in a ``StateVector`` or a ``constraint_rows`` row, is a
+``Fraction``, so no caller ever divides two ints.  ``_Engine.act_string`` is
+the one product path: ``apply``, ``apply_string``, ``is_singular`` and
+``vectors._power`` straighten through it on ``Coef`` terms, and only the
+``StateVector`` each builds turns them into Fractions.
 """
 
 from __future__ import annotations
@@ -35,23 +38,13 @@ from fractions import Fraction as Q
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
-from .liealg import Coef, LieRealization, Term, _lift
+from .liealg import Coef, LieRealization, Term, _acc, _lift
 from .rootdata import Vec, vadd, vscale, vzero
 
 Gen = Tuple[int, int]          # (mode, base index); tuple order = PBW order
 Monomial = Tuple[Gen, ...]
-Terms = Dict[Monomial, Q]
 EngineTerms = Dict[Monomial, Coef]
 Pair = Tuple[Tuple[Term, ...], Coef]   # [a, b] terms, (a | b)
-
-
-class LoopGenerator(NamedTuple):
-    base: int
-    mode: int
-
-    @property
-    def key(self) -> Gen:
-        return (self.mode, self.base)
 
 
 class CapExceededError(RuntimeError):
@@ -91,11 +84,7 @@ class StateVector(NamedTuple):
             raise ValueError("cannot add states of different weight or degree")
         terms = dict(self.terms)
         for m, v in other.terms.items():
-            new = terms.get(m, Q(0)) + v
-            if new:
-                terms[m] = new
-            else:
-                terms.pop(m, None)
+            _acc(terms, m, v)
         return StateVector(self.level, self.weight, self.degree, terms)
 
 
@@ -137,9 +126,13 @@ class _Engine:
             self._into(out, (), gen, mono, _lift(coef))
         return out
 
-    def act_gen(self, gen: Gen, terms: Terms) -> Terms:
-        """Normal-ordered image of gen on a combination; Fraction in and out."""
-        return {m: Q(c) for m, c in self.act_terms(gen, terms).items()}
+    def act_string(self, gens: Sequence[Gen],
+                   terms: EngineTerms) -> EngineTerms:
+        """Normal-ordered image of the product of gens on a combination,
+        rightmost factor first, with ``Coef`` values."""
+        for gen in reversed(gens):
+            terms = self.act_terms(gen, terms)
+        return terms
 
     def _pair(self, a: int, b: int) -> Pair:
         """Memoize [a, b] as (index, Coef) terms, and (a | b) as a Coef."""
@@ -185,51 +178,39 @@ class _Engine:
             _acc(out, prefix + mono, c)
 
 
-def _acc(out: EngineTerms, mono: Monomial, c: Coef) -> None:
-    new = out.get(mono, 0) + c
-    if new:
-        out[mono] = new
-    else:
-        out.pop(mono, None)
+def _grade(lr: LieRealization, gens: Sequence[Gen]) -> Tuple[Vec, int]:
+    """The weight and conformal degree that a product of gens adds."""
+    weight = vzero(lr.rs.ambient)
+    for _, base in gens:
+        weight = vadd(weight, lr.weights[base])
+    return weight, -sum(mode for mode, _ in gens)
 
 
-def _apply_with(engine: _Engine, gen: LoopGenerator, v: StateVector) -> StateVector:
-    terms = engine.act_gen(gen.key, v.terms)
-    return StateVector(
-        level=v.level,
-        weight=vadd(v.weight, engine.lr.weights[gen.base]),
-        degree=v.degree - gen.mode,
-        terms=terms,
-    )
+def apply(lr: LieRealization, gen: Gen, v: StateVector) -> StateVector:
+    """Normal-ordered image of x(n) v, for gen = (n, index of x); pure, exact."""
+    return apply_string(lr, (gen,), v)
 
 
-def apply(lr: LieRealization, gen: LoopGenerator, v: StateVector) -> StateVector:
-    """Normal-ordered image of x(n) v; pure, exact."""
-    return _apply_with(_Engine(lr, v.level), gen, v)
-
-
-def apply_string(lr: LieRealization, gens: Sequence[LoopGenerator],
+def apply_string(lr: LieRealization, gens: Sequence[Gen],
                  v: StateVector) -> StateVector:
     """Apply a product of loop generators, rightmost factor first.
 
-    One straightening engine, with one table of constants, serves them all.
+    One straightening engine, with one table of constants, serves them all,
+    and the coefficients become Fractions once, in the returned state.
     """
-    engine = _Engine(lr, v.level)
-    for gen in reversed(gens):
-        v = _apply_with(engine, gen, v)
-    return v
+    weight, degree = _grade(lr, gens)
+    terms = _Engine(lr, v.level).act_string(gens, v.terms)
+    return StateVector(v.level, vadd(v.weight, weight), v.degree + degree,
+                       {m: Q(c) for m, c in terms.items()})
 
 
-def raising_generators(lr: LieRealization) -> List[Tuple[str, LoopGenerator]]:
+def raising_generators(lr: LieRealization) -> List[Tuple[str, Gen]]:
     """The singularity test set: e_alpha(0) for simple alpha, and e_-theta(1)."""
     rs = lr.rs
-    gens = [
-        (f"e[{_root_str(a)}](0)", LoopGenerator(lr.e(a), 0))
-        for a in rs.simple_roots
-    ]
+    gens = [(f"e[{_root_str(a)}](0)", (0, lr.e(a))) for a in rs.simple_roots]
     gens.append(
         (f"e[{_root_str(vscale(-1, rs.theta))}](1)",
-         LoopGenerator(lr.e(vscale(-1, rs.theta)), 1))
+         (1, lr.e(vscale(-1, rs.theta))))
     )
     return gens
 
@@ -241,15 +222,15 @@ def _root_str(a: Vec) -> str:
 def is_singular(lr: LieRealization, v: StateVector):
     """True iff every raising generator kills v; else (False, witness).
 
-    The witness is the pair (generator label, first nonvanishing image).
+    The witness is the pair (generator label, first nonvanishing image); one
+    engine tests every generator, and ``apply`` makes the witness's state.
     """
     if v.is_zero():
         raise ValueError("is_singular needs a nonzero vector")
     engine = _Engine(lr, v.level)
     for label, gen in raising_generators(lr):
-        image = _apply_with(engine, gen, v)
-        if not image.is_zero():
-            return False, (label, image)
+        if engine.act_string((gen,), v.terms):
+            return False, (label, apply(lr, gen, v))
     return True, None
 
 
@@ -408,7 +389,7 @@ def constraint_rows(engine: _Engine,
     rows: Dict[Tuple[int, Monomial], linalg.Row] = {}
     for gidx, (_, gen) in enumerate(raising_generators(engine.lr)):
         for col, mono in enumerate(monomials):
-            for imono, c in engine.act_mono(gen.key, mono).items():
+            for imono, c in engine.act_mono(gen, mono).items():
                 rows.setdefault((gidx, imono), {})[col] = Q(c)
     return list(rows.values())
 

@@ -102,11 +102,6 @@ class RootSystem(NamedTuple):
         return dot(a, b) / self.scale
 
 
-def form(rs: RootSystem, a: Vec, b: Vec) -> Q:
-    """Normalized invariant form, with (theta, theta) = 2."""
-    return rs.form(a, b)
-
-
 def casimir_eigenvalue(rs: RootSystem, mu: Vec) -> Q:
     """Casimir eigenvalue (mu, mu + 2 rho) on the highest-weight module of mu."""
     return rs.form(mu, vadd(mu, vscale(2, rs.rho)))
@@ -336,11 +331,13 @@ def canonical_type(family: str, rank: int) -> Tuple[str, int]:
     return (family, rank)
 
 
-def _span_dim(vectors: Sequence[Sequence]) -> int:
-    """Dimension of the linear span; of each pair v, -v only one is eliminated."""
-    lines = dict.fromkeys(max(tuple(v), tuple(-x for x in v)) for v in vectors)
-    rows = [{c: Q(x) for c, x in enumerate(v) if x} for v in lines]
-    return linalg.rank(rows, len(vectors[0]) if vectors else 0)
+def _span_dim(roots: Sequence[Sequence]) -> int:
+    """The rank of a root system: the number of its simple roots for the
+    lexicographic order, the positive roots a with no positive root b for
+    which a - b is positive too.  No elimination is needed."""
+    pos = {tuple(a) for a in roots if tuple(a) > tuple(-x for x in a)}
+    return sum(1 for a in pos if not any(
+        tuple(map(operator.sub, a, b)) in pos for b in pos))
 
 
 def classify_subsystem(roots: Sequence[Vec], form_fn) -> Tuple[str, int]:

@@ -15,21 +15,21 @@ root-vector normalizations are not determined by the formulas alone.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import sys
 from fractions import Fraction as Q
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .liealg import LieRealization, UnsupportedAlgebraError, _lift, dynkin_flip
+from .liealg import (LieRealization, UnsupportedAlgebraError, _acc, _lift,
+                     dynkin_flip)
 from .pbw import (
     CapExceededError,
     EngineTerms,
-    LoopGenerator,
+    Gen,
     StateVector,
-    _acc,
     _Engine,
+    _grade,
     component_size,
     constraint_rows,
     singular_kernel,
@@ -39,7 +39,7 @@ from .rootdata import Vec, basis_vector, vadd, vscale, vzero
 DEFAULT_COMPONENT_CAP = 200_000
 
 PairInvolution = Tuple[Tuple[int, int], ...]
-Summand = Tuple[Q, Sequence[LoopGenerator]]
+Summand = Tuple[Q, Sequence[Gen]]
 
 
 def enumerate_involutions(l: int) -> List[PairInvolution]:
@@ -111,7 +111,7 @@ def vsub_eps(lr, i, j) -> Vec:
 
 def _products(lr: LieRealization, signed_roots) -> Iterator[Summand]:
     """Summands (sign, prod_r e_r(-1)) from tuples (sign, root, root, ...)."""
-    return ((Q(s), [LoopGenerator(lr.e(r), -1) for r in roots])
+    return ((Q(s), [(-1, lr.e(r)) for r in roots])
             for s, *roots in signed_roots)
 
 
@@ -135,9 +135,7 @@ def _power(lr: LieRealization, summands: Iterable[Summand], level, n: int = 1,
     summands = list(summands)
     if not summands:
         raise ValueError("operator has no summands")
-    grades = {(functools.reduce(vadd, (lr.weights[g.base] for g in gens),
-                                vzero(lr.rs.ambient)),
-               -sum(g.mode for g in gens)) for _, gens in summands}
+    grades = {_grade(lr, gens) for _, gens in summands}
     if len(grades) > 1:
         raise ValueError("summands differ in weight or degree")
     ((step_weight, step_degree),) = grades
@@ -149,11 +147,8 @@ def _power(lr: LieRealization, summands: Iterable[Summand], level, n: int = 1,
     for _ in range(n):
         total: EngineTerms = {}
         for coef, gens in summands:
-            piece = terms
-            for g in reversed(gens):
-                piece = engine.act_terms(g.key, piece)
             coef = _lift(coef)
-            for mono, c in piece.items():
+            for mono, c in engine.act_string(gens, terms).items():
                 _acc(total, mono, coef * c)
         terms = total
     return StateVector(Q(level), state_weight, state_degree,
@@ -247,7 +242,7 @@ def theta_image(lr: LieRealization, v: StateVector) -> StateVector:
     flip = dynkin_flip(lr)
     summands = []
     for mono, coef in v.terms.items():
-        gens = [LoopGenerator(flip[b][0], mode) for mode, b in mono]
+        gens = [(mode, flip[b][0]) for mode, b in mono]
         for _, b in mono:
             coef *= flip[b][1]
         summands.append((coef, gens))

@@ -1,9 +1,11 @@
 """Checks that only the tests use: a reference straightener, sign-flip
-equivalence, span membership and the dominance of classified module lists."""
+equivalence, span membership, a reference linear solve and the dominance of
+classified module lists."""
 
 from fractions import Fraction as Q
 from typing import Dict, List, Sequence, Tuple
 
+from vkg import linalg
 from vkg.conformal import KLSpectrum
 from vkg.liealg import LieRealization
 from vkg.pbw import StateVector, graded_basis
@@ -160,6 +162,25 @@ def in_span_of_component(lr: LieRealization, v: StateVector) -> bool:
     """Every monomial of v lies in the enumerated graded component."""
     basis = set(graded_basis(lr, v.weight, int(v.degree)))
     return set(v.terms) <= basis
+
+
+def expand(basis: Sequence[Vec], target: Vec) -> List[Q]:
+    """Exact coefficients of target in the given independent vectors, by
+    one ``linalg.rref`` of the augmented system."""
+    m = len(basis)
+    rows = []
+    for r in range(len(target)):
+        row = {c: Q(basis[c][r]) for c in range(m) if basis[c][r]}
+        if target[r]:
+            row[m] = Q(target[r])
+        rows.append(row)
+    reduced, pivots = linalg.rref(rows, m + 1)
+    if m in pivots:
+        raise ValueError(f"{target} is not in the span")
+    out = [Q(0)] * m
+    for row, pc in zip(reduced, pivots):
+        out[pc] = row.get(m, Q(0))
+    return out
 
 
 def nonnegative_solutions(roots: Sequence[Q], half_integral=False) -> List[Q]:

@@ -30,7 +30,6 @@ from vkg.conformal import (
 from vkg.liealg import build_realization, invariance_holds, jacobi_holds
 from vkg.pbw import (
     CapExceededError,
-    LoopGenerator,
     apply,
     is_singular,
     proportional,
@@ -291,11 +290,11 @@ def test_criterion_7_property_sweeps():
             done += 1
             a, b = rng.randrange(lr.dim), rng.randrange(lr.dim)
             m, n_ = rng.randint(-2, 2), rng.randint(-2, 2)
-            ga, gb = LoopGenerator(a, m), LoopGenerator(b, n_)
+            ga, gb = (m, a), (n_, b)
             lhs = apply(lr, ga, apply(lr, gb, v))
             rhs = apply(lr, gb, apply(lr, ga, v)).terms.copy()
             for idx, coef in lr.bracket(a, b):
-                for mono, c in apply(lr, LoopGenerator(idx, m + n_), v).terms.items():
+                for mono, c in apply(lr, (m + n_, idx), v).terms.items():
                     rhs[mono] = rhs.get(mono, Q(0)) + coef * c
             if m + n_ == 0 and lr.form(a, b):
                 for mono, c in v.terms.items():
@@ -314,7 +313,7 @@ def test_criterion_7_property_sweeps():
             pairs += 1
             b = rng.randrange(lr.dim)
             mode = rng.randint(-2, 2)
-            img = apply(lr, LoopGenerator(b, mode), v)
+            img = apply(lr, (mode, b), v)
             ok = ok and img.weight == vadd(v.weight, lr.weights[b])
             ok = ok and img.degree == v.degree - mode
     record_acceptance(

@@ -27,7 +27,7 @@ from vkg.rootdata import (
 )
 from vkg.serialize import realization_to_json
 
-from helpers import flip_root_pair, flip_structure_constant
+from helpers import expand, flip_root_pair, flip_structure_constant
 
 
 def bracket_vec(lr, terms, idx):
@@ -313,6 +313,19 @@ def test_dual_pairs_coroots_and_casimir_are_exact(family, rank):
             assert _exact(c for _, c in lr.coroot(a))
         assert _exact([restricted_dual_coxeter(mg, i)])
     assert _exact([restricted_dual_coxeter(mg, -1)])
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3),
+                                         ("D", 4), ("E", 6), ("E", 7)])
+def test_coroot_is_the_solved_expansion(family, rank):
+    """nu(alpha), read off the tables, is alpha solved in the Cartan duals
+    by elimination, for every root, and every value is a Fraction."""
+    lr = build_realization(family, rank)
+    for a in lr.rs.roots:
+        coroot = lr.coroot(a)
+        assert all(type(c) is Q for _, c in coroot)
+        solved = expand(lr.cartan_duals, a)
+        assert coroot == tuple((i, c) for i, c in enumerate(solved) if c)
 
 
 def test_jacobi_refuses_a_flipped_structure_constant():

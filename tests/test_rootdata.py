@@ -4,8 +4,11 @@ from fractions import Fraction as Q
 
 import pytest
 
+from vkg import linalg
+from vkg.collapsing import DEFAULT_AUDIT_ALGEBRAS
 from vkg.rootdata import (
     UnsupportedAlgebraError,
+    _span_dim,
     build_root_system,
     canonical_name,
     canonical_type,
@@ -217,6 +220,30 @@ def test_root_system_oracle(family, rank):
     for a in rs.positive_roots:
         assert tuple(x + y for x, y in zip(rs.theta, a)) not in roots
     assert rs.dual_coxeter == _dual_coxeter(family, rank)
+
+
+def _eliminated_rank(vectors):
+    rows = [{c: Q(x) for c, x in enumerate(v) if x} for v in vectors]
+    return linalg.rank(rows, len(vectors[0]))
+
+
+@pytest.mark.parametrize("field", ["lattice", "roots"])
+@pytest.mark.parametrize("family,rank", SUPPORTED_UP_TO_RANK_8)
+def test_span_dim_counts_the_simple_roots(family, rank, field):
+    """The count of lexicographically simple roots is the rank that exact
+    elimination finds, on the int lattice and on the Fraction roots."""
+    rs = build_root_system(family, rank)
+    vectors = getattr(rs, field)
+    assert _span_dim(vectors) == _eliminated_rank(vectors) == rs.rank
+
+
+@pytest.mark.parametrize("g", DEFAULT_AUDIT_ALGEBRAS)
+def test_span_dim_of_every_grading_component(g):
+    """Every component block of the audited gradings, including the rank
+    one blocks inside a larger ambient space."""
+    for comp in minimal_grading_data(build_root_system(*g)).components:
+        assert _span_dim(comp.roots) == _eliminated_rank(comp.roots)
+        assert _span_dim(comp.roots) == comp.rank
 
 
 def test_form_dimension_mismatch():

@@ -57,6 +57,28 @@ def test_traced_entry_points_exist():
         assert hasattr(fn, "cache_info"), dotted
 
 
+def test_every_export_is_named_in_the_tests():
+    """Each name that ``vkg/__init__.py`` imports is imported by some test
+    (from ``vkg`` or one of its modules) or read there as ``vkg.<name>``:
+    an export that no test names is dead or untested."""
+    init = Path(vkg.__file__)
+    exports = [alias.asname or alias.name
+               for node in ast.parse(init.read_text(encoding="utf-8")).body
+               if isinstance(node, ast.ImportFrom) for alias in node.names]
+    named = set()
+    for path in Path(__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.module or "").split(".")[0] == "vkg"):
+                named.update(alias.name for alias in node.names)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "vkg"):
+                named.add(node.attr)
+    missing = [name for name in exports if name not in named]
+    assert exports and not missing, missing
+
+
 def test_no_dataclasses_import():
     """Records are ``NamedTuple`` classes; ``dataclasses`` would bring
     ``inspect`` into every process's start-up."""

@@ -8,7 +8,6 @@ import pytest
 from vkg.liealg import build_realization
 from vkg.pbw import (
     CapExceededError,
-    LoopGenerator,
     is_singular,
     proportional,
     singular_kernel,
@@ -34,6 +33,7 @@ from vkg.vectors import (
 )
 
 from helpers import (
+    expand,
     flip_root_pair,
     flip_vector_signs,
     in_span_of_component,
@@ -298,7 +298,7 @@ def test_w_n_cap_is_checked_before_the_involutions(monkeypatch):
 
 
 def _pair(lr, a, b):
-    return [LoopGenerator(lr.e(a), -1), LoopGenerator(lr.e(b), -1)]
+    return [(-1, lr.e(a)), (-1, lr.e(b))]
 
 
 def test_power_refuses_mixed_weight_summands():
@@ -308,8 +308,8 @@ def test_power_refuses_mixed_weight_summands():
     with pytest.raises(ValueError, match="weight or degree"):
         _power(lr, summands, Q(-2))
     # the same weight at another degree is refused too
-    summands[1] = (Q(1), [LoopGenerator(lr.e(vec(1, 1, 0, 0)), -2),
-                          LoopGenerator(lr.e(vec(0, 0, 1, 1)), -1)])
+    summands[1] = (Q(1), [(-2, lr.e(vec(1, 1, 0, 0))),
+                          (-1, lr.e(vec(0, 0, 1, 1)))])
     with pytest.raises(ValueError, match="weight or degree"):
         _power(lr, summands, Q(-2))
 
@@ -442,9 +442,8 @@ def test_e7_d6_a1_subalgebra_structure():
     # the six generators lie in the subsystem and are its simple roots:
     # every positive root is a nonnegative integer combination of them
     assert all(g in pos for g in generators)
-    from vkg.liealg import _expand
     for r in pos:
-        coeffs = _expand(list(generators), r)
+        coeffs = expand(list(generators), r)
         assert all(c.denominator == 1 and c >= 0 for c in coeffs)
     # bracket closure: [subsystem, subsystem] stays inside it + its Cartan
     span = set(full)
