@@ -29,7 +29,8 @@ engine, in a ``StateVector`` or a ``constraint_rows`` row, is a
 ``Fraction``, so no caller ever divides two ints.  ``_Engine.act_string`` is
 the one product path: ``apply``, ``apply_string``, ``is_singular`` and
 ``vectors._power`` straighten through it on ``Coef`` terms, and only the
-``StateVector`` each builds turns them into Fractions.
+``StateVector`` each builds (``_state`` for the first three) turns them
+into Fractions.
 """
 
 from __future__ import annotations
@@ -186,6 +187,15 @@ def _grade(lr: LieRealization, gens: Sequence[Gen]) -> Tuple[Vec, int]:
     return weight, -sum(mode for mode, _ in gens)
 
 
+def _state(lr: LieRealization, gens: Sequence[Gen], v: StateVector,
+           image: EngineTerms) -> StateVector:
+    """The state gens . v, from its engine image: the one place where the
+    coefficients of a product become Fractions."""
+    weight, degree = _grade(lr, gens)
+    return StateVector(v.level, vadd(v.weight, weight), v.degree + degree,
+                       {m: Q(c) for m, c in image.items()})
+
+
 def apply(lr: LieRealization, gen: Gen, v: StateVector) -> StateVector:
     """Normal-ordered image of x(n) v, for gen = (n, index of x); pure, exact."""
     return apply_string(lr, (gen,), v)
@@ -195,13 +205,9 @@ def apply_string(lr: LieRealization, gens: Sequence[Gen],
                  v: StateVector) -> StateVector:
     """Apply a product of loop generators, rightmost factor first.
 
-    One straightening engine, with one table of constants, serves them all,
-    and the coefficients become Fractions once, in the returned state.
+    One straightening engine, with one table of constants, serves them all.
     """
-    weight, degree = _grade(lr, gens)
-    terms = _Engine(lr, v.level).act_string(gens, v.terms)
-    return StateVector(v.level, vadd(v.weight, weight), v.degree + degree,
-                       {m: Q(c) for m, c in terms.items()})
+    return _state(lr, gens, v, _Engine(lr, v.level).act_string(gens, v.terms))
 
 
 def raising_generators(lr: LieRealization) -> List[Tuple[str, Gen]]:
@@ -222,15 +228,15 @@ def _root_str(a: Vec) -> str:
 def is_singular(lr: LieRealization, v: StateVector):
     """True iff every raising generator kills v; else (False, witness).
 
-    The witness is the pair (generator label, first nonvanishing image); one
-    engine tests every generator, and ``apply`` makes the witness's state.
+    The witness is the pair (generator label, first nonvanishing image).
     """
     if v.is_zero():
         raise ValueError("is_singular needs a nonzero vector")
     engine = _Engine(lr, v.level)
     for label, gen in raising_generators(lr):
-        if engine.act_string((gen,), v.terms):
-            return False, (label, apply(lr, gen, v))
+        image = engine.act_string((gen,), v.terms)
+        if image:
+            return False, (label, _state(lr, (gen,), v, image))
     return True, None
 
 

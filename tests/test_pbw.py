@@ -508,6 +508,7 @@ def test_is_singular_examples():
     assert not ok
     label, image = witness
     assert image.terms == {(): Q(-2)}
+    assert image == apply(D4, gen(D4, vscale(-1, D4.rs.theta), 1), v)
     with pytest.raises(ValueError):
         is_singular(D4, StateVector(Q(-2), vzero(4), Q(0), {}))
 
