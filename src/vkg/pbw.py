@@ -14,11 +14,15 @@ x(m) moves right past f_1, ..., f_{j-1}, the factors before its sorted slot;
 passing f_i adds prefix f_1 ... f_{i-1} [x(m), f_i] f_{i+1} ... f_r 1, by a
 nested call with that longer prefix (the central part needs no reordering).
 For m < 0 the pass ends with the sorted M = f_1 ... f_{j-1} x(m) f_j ... f_r,
-for m >= 0 with nothing.  M joins the prefix by concatenation when the last
-prefix factor p is <= its first factor; otherwise a nested call acts with p
-on M and keeps the rest of the prefix.  Each nested call lowers
+for m >= 0 with nothing.  Only its first factor g can be smaller than the
+last prefix factor.  g slides left past each prefix factor p > g with
+[p, g] = 0 and (p | g) = 0 inside the loop: such a p adds no term, so terms
+reach the dict in the order of one nested call per p.  At a prefix factor
+<= g the term is added by concatenation; at a p > g that does not commute
+with g, one nested call acts with p on g, the factors g passed and the rest
+of M, and keeps the prefix before p.  Each nested call lowers
 (len(prefix) + len(monomial), len(prefix)) lexicographically, so the
-recursion ends, one Python frame per step of that measure.
+recursion ends.
 
 Coefficients: inside the straightening engine a coefficient is a
 ``liealg.Coef``, an ``int`` whenever it is integral and a ``Fraction`` only
@@ -39,13 +43,12 @@ from fractions import Fraction as Q
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
-from .liealg import Coef, LieRealization, Term, _acc, _lift
+from .liealg import Coef, LieRealization, _acc, _lift
 from .rootdata import Vec, vadd, vscale, vzero
 
 Gen = Tuple[int, int]          # (mode, base index); tuple order = PBW order
 Monomial = Tuple[Gen, ...]
 EngineTerms = Dict[Monomial, Coef]
-Pair = Tuple[Tuple[Term, ...], Coef]   # [a, b] terms, (a | b)
 
 
 class CapExceededError(RuntimeError):
@@ -109,16 +112,24 @@ def proportional(a: StateVector, b: StateVector) -> Optional[Q]:
 class _Engine:
     """Normal-ordering engine for one realization at one level.
 
-    It caches only the level, as a ``Coef``, and the realization's bracket
-    and form constants of each basis pair as one tuple, so ``_into`` makes
-    one lookup per commutator where the tables would take two.  An image is
-    built in one dict, which every nested call adds into.
+    It caches the level, as a ``Coef``, and one partner row per basis index
+    a, built on first use: entry b is None when [a, b] = 0 and (a | b) = 0,
+    else ([a, b] terms, (a | b)).  An image is built in one dict, which every
+    nested call adds into.
     """
 
     def __init__(self, lr: LieRealization, k: Q):
         self.lr = lr
         self.k = _lift(Q(k))
-        self._pairs: Dict[Tuple[int, int], Pair] = {}
+        self._rows: List[Optional[list]] = [None] * lr.dim
+
+    def _row(self, a: int) -> list:
+        brackets, forms = self.lr.bracket_table, self.lr.form_table
+        row = self._rows[a] = [
+            (brackets.get((a, b), ()), forms.get((a, b), 0))
+            if (a, b) in brackets or (a, b) in forms else None
+            for b in range(self.lr.dim)]
+        return row
 
     def act_terms(self, gen: Gen, terms: EngineTerms) -> EngineTerms:
         """Normal-ordered image of gen on a combination, with ``Coef`` values."""
@@ -135,12 +146,6 @@ class _Engine:
             terms = self.act_terms(gen, terms)
         return terms
 
-    def _pair(self, a: int, b: int) -> Pair:
-        """Memoize [a, b] as (index, Coef) terms, and (a | b) as a Coef."""
-        pair = self._pairs[(a, b)] = (self.lr.bracket(a, b),
-                                      self.lr.form(a, b))
-        return pair
-
     def act_mono(self, gen: Gen, mono: Monomial) -> EngineTerms:
         """Normal-ordered image of gen on one monomial, with ``Coef`` values."""
         out: EngineTerms = {}
@@ -155,11 +160,14 @@ class _Engine:
         fit before mono[0] and stops before mono[1]: heads stay sorted.
         """
         mode, base = gen
-        pairs = self._pairs
+        row = self._rows[base] or self._row(base)
         for slot, y in enumerate(mono):
             if gen <= y:
                 break
-            brackets, form = pairs.get((base, y[1])) or self._pair(base, y[1])
+            pair = row[y[1]]
+            if pair is None:
+                continue
+            brackets, form = pair
             new_mode = mode + y[0]
             central = form and new_mode == 0
             if brackets or central:
@@ -173,10 +181,16 @@ class _Engine:
                 return
             slot = len(mono)
         mono = mono[:slot] + (gen,) + mono[slot:]
-        if prefix and prefix[-1] > mono[0]:
-            self._into(out, prefix[:-1], prefix[-1], mono, c)
-        else:
-            _acc(out, prefix + mono, c)
+        first, j = mono[0], len(prefix)
+        while j and (p := prefix[j - 1]) > first:
+            if (self._rows[p[1]] or self._row(p[1]))[first[1]] is not None:
+                self._into(out, prefix[:j - 1], p,
+                           (first,) + prefix[j:] + mono[1:], c)
+                return
+            j -= 1
+        if j < len(prefix):
+            mono = (first,) + prefix[j:] + mono[1:]
+        _acc(out, prefix[:j] + mono, c)
 
 
 def _grade(lr: LieRealization, gens: Sequence[Gen]) -> Tuple[Vec, int]:

@@ -27,7 +27,7 @@ from vkg.pbw import (
 )
 from vkg.rootdata import vadd, vec, vscale, vzero
 from vkg import serialize
-from vkg.vectors import build_w_n
+from vkg.vectors import build_v_n, build_w_n
 
 from helpers import ReferenceStraightener, in_span_of_component
 
@@ -134,6 +134,7 @@ def test_nested_straightening_calls_lower_the_termination_measure(monkeypatch):
             _Engine(lr, k).act_mono(gen, mono)
     d6 = build_realization("D", 6)
     assert is_singular(d6, build_w_n(d6, 1)) == (True, None)
+    assert is_singular(D4, build_v_n(D4, 4)) == (True, None)
     assert nested > 0
     assert out_of_order > 0
     assert not rising, (len(rising), rising[:3])
@@ -163,11 +164,31 @@ def _cancelling_pair(lr, reference):
     return gen, {h1: r2[target], h2: -r1[target]}
 
 
-@pytest.mark.parametrize("family, rank", STRAIGHTENED_ALGEBRAS)
+def sliding_combinations(lr):
+    """Paper vectors made of long runs of mutually commuting mode -1
+    factors, so the commutators of their raising images slide left past
+    many prefix factors: v_4 on D4, and 40 seeded monomials of w_2 on D8."""
+    if (lr.rs.family, lr.rs.rank) == ("D", 4):
+        yield build_v_n(lr, 4)
+    if (lr.rs.family, lr.rs.rank) == ("D", 8):
+        w = build_w_n(lr, 2)
+        monos = random.Random("w_2 on D8").sample(sorted(w.terms), 40)
+        yield w._replace(terms={m: w.terms[m] for m in monos})
+
+
+@pytest.mark.parametrize("family, rank", STRAIGHTENED_ALGEBRAS + [("D", 8)])
 def test_act_terms_is_the_sum_of_the_reference_images(family, rank):
     # one accumulator serves every term of a combination: its image is the
     # sum of the images of the terms, cancellations included
     lr = build_realization(family, rank)
+    for v in sliding_combinations(lr):
+        assert v.level.denominator == 1
+        engine = _Engine(lr, v.level)
+        reference = ReferenceStraightener(lr, v.level)
+        for _, gen in raising_generators(lr):
+            image = engine.act_terms(gen, v.terms)
+            assert image == _reference_image(reference, gen, v.terms)
+            assert all(type(c) is int for c in image.values())
     rng = random.Random(f"combinations {family}{rank}")
     inputs = list(straightening_inputs(lr))
     for k in (Q(-2), Q(-5, 2), -lr.rs.dual_coxeter):
@@ -686,3 +707,30 @@ def test_graded_basis_digest(family, rank, weight, degree, size, digest):
     assert component_size(lr, vec(*weight), degree, size) == size
     if size:
         assert component_size(lr, vec(*weight), degree, size - 1) is None
+
+
+# SHA-256 of the compact JSON of constraint_rows, each row as its [column,
+# value] pairs in insertion order with values through frac_str, and the
+# number of rows.  The order in which straightening emits terms fixes the
+# row order, the row order fixes the order of kernel bases, and so output
+# bytes.
+CONSTRAINT_ROWS_DIGESTS = [
+    ("D", 4, (1, 1, 0, 0), 4, Q(-13, 2), 968,
+     "4ec5e4c1f01aec5e38341dd44af80298bed63fc352ee5a4d383c9983a9df8f33"),
+    ("D", 6, (2,) * 6, 6, Q(-3), 456,
+     "1a9219472e9dd5188ba025474a3e2beef921f5bc252162125df763ff1771e2d1"),
+    ("E", 6, (Q(1, 2),) * 5 + (Q(-1, 2), Q(-1, 2), Q(1, 2)), 3, Q(-37, 3), 537,
+     "29e3f9cae8663f7593d69588e12270dd472a120152ca019b57a10758ab31d3b2"),
+]
+
+
+@pytest.mark.parametrize("family, rank, weight, degree, k, nrows, digest",
+                         CONSTRAINT_ROWS_DIGESTS)
+def test_constraint_rows_digest(family, rank, weight, degree, k, nrows,
+                                digest):
+    lr = build_realization(family, rank)
+    rows = constraint_rows(_Engine(lr, k), graded_basis(lr, vec(*weight), degree))
+    text = json.dumps([[[c, serialize.frac_str(v)] for c, v in row.items()]
+                       for row in rows], separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert len(rows) == nrows
