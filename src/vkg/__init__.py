@@ -68,7 +68,6 @@ from .conformal import (
     NotClassifiedError,
     collapse_ell_roots,
     kl_spectrum,
-    solve_quoted_s_equation,
     sugawara_weight,
     w_lowest_weight,
 )

@@ -72,24 +72,6 @@ def collapse_ell_roots(rs: RootSystem, k) -> Tuple[Q, Q]:
     return ell_equation_roots(k)
 
 
-def half_level_roots(h_dual) -> Tuple[Q, Q]:
-    """Specialization at k = -h/2 + 1: roots of 2 ell^2 + (h-4) ell."""
-    h = Q(h_dual)
-    return (Q(0), (4 - h) / 2)
-
-
-def deligne_level_roots(h_dual) -> Tuple[Q, Q]:
-    """Specialization at k = -h/6 - 1: roots of 6 ell^2 + h ell."""
-    h = Q(h_dual)
-    return (Q(0), -h / 6)
-
-
-def solve_quoted_s_equation(j) -> Tuple[Q, Q]:
-    """Exact solutions in s of (s + j)(s + j + 2) = j (j + 2)."""
-    j = Q(j)
-    return (Q(0), -2 * j - 2)
-
-
 # ---------------------------------------------------------------------------
 # Classified module families
 

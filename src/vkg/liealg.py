@@ -38,6 +38,7 @@ from .rootdata import (
     UnsupportedAlgebraError,
     Vec,
     _idot,
+    _lat,
     build_root_system,
     minimal_grading_data,
     vscale,
@@ -102,11 +103,6 @@ def _quo(a: int, b: int) -> Coef:
     """The exact quotient a / b of two ints, as a ``Coef``."""
     q, r = divmod(a, b)
     return Q(a, b) if r else q
-
-
-def _lat(v: Vec) -> Lat:
-    """A root-lattice vector in the doubled int coordinates of ``rs.lattice``."""
-    return tuple(int(2 * x) for x in v)
 
 
 def _lattice_form(rs: RootSystem):

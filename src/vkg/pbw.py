@@ -44,7 +44,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .liealg import Coef, LieRealization, _acc, _lift
-from .rootdata import Vec, vadd, vscale, vzero
+from .rootdata import Vec, _lat, vadd, vscale, vzero
 
 Gen = Tuple[int, int]          # (mode, base index); tuple order = PBW order
 Monomial = Tuple[Gen, ...]
@@ -324,7 +324,7 @@ def _search(lr: LieRealization, weight: Vec, degree: int,
     dim = rs.ambient
     if any((2 * x).denominator != 1 for x in weight):
         return 0    # off the doubled lattice that every root lies in
-    target = [int(2 * x) for x in weight]
+    target = _lat(weight)
     doubled = dict(zip(rs.roots, rs.lattice))
     wints = [(0,) * dim if lab[0] == "h" else doubled[w]
              for lab, w in zip(lr.labels, lr.weights)]

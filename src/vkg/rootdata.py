@@ -63,6 +63,11 @@ def _idot(a: Sequence, b: Sequence):
     return sum(map(operator.mul, a, b))
 
 
+def _lat(v: Vec) -> Lat:
+    """A root-lattice vector in the doubled int coordinates of ``rs.lattice``."""
+    return tuple(int(2 * x) for x in v)
+
+
 def basis_vector(dim: int, i: int, value=1) -> Vec:
     v = [Q(0)] * dim
     v[i] = Q(value)
@@ -144,32 +149,31 @@ def _cartan_matrix(simple: Sequence[Sequence]) -> List[List[int]]:
 
 
 def _positive_coefficients(cartan: Sequence[Sequence[int]]):
-    """Every positive root as its tuple of simple-root coefficients.
+    """Every positive root's simple-root coefficients -> its pairings.
 
     Grows the roots height by height with the root-string rule: if the
     alpha_j-string through beta is beta - p alpha_j, ..., beta + q alpha_j,
     then p - q = <beta, alpha_j^vee>, so beta + alpha_j is a root iff
-    q = p - <beta, alpha_j^vee> > 0.  All roots of smaller height are known
-    when beta's string is read, so p is exact.
+    q = p - <beta, alpha_j^vee> > 0.  p is exact, as every lower root is
+    known, and the pairings of beta + alpha_j are beta's plus row j of C.
     """
     l = len(cartan)
     layer = [tuple(int(i == j) for j in range(l)) for i in range(l)]
-    known = set(layer)
+    known = dict(zip(layer, cartan))  # root -> its pairings
     while layer:
         nxt = []
         for beta in layer:
-            for j in range(l):
-                down = list(beta)
-                down[j] -= 1
-                p = 0
-                while tuple(down) in known:
+            pairings = known[beta]
+            for j, pairing in enumerate(pairings):
+                p = 0  # beta - (p + 1) alpha_j needs a coefficient >= 0 at j
+                while beta[j] > p and (
+                        beta[:j] + (beta[j] - p - 1,) + beta[j + 1:] in known):
                     p += 1
-                    down[j] -= 1
-                pairing = sum(beta[i] * cartan[i][j] for i in range(l))
-                up = beta[:j] + (beta[j] + 1,) + beta[j + 1:]
-                if p > pairing and up not in known:
-                    known.add(up)
-                    nxt.append(up)
+                if p > pairing:
+                    up = beta[:j] + (beta[j] + 1,) + beta[j + 1:]
+                    if up not in known:
+                        known[up] = list(map(operator.add, pairings, cartan[j]))
+                        nxt.append(up)
         layer = nxt
     return known
 
@@ -194,7 +198,8 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     _validate(f"{family}{rank}", lattice, simple, len(pos), theta)
     coefficients = tuple(by_root[a] for a in pos)
     coefficients += tuple(tuple(-m for m in c) for c in coefficients)
-    halve = lambda a: tuple(Q(x, 2) for x in a)
+    halves = {x: Q(x, 2) for x in set().union(*lattice)}  # one per value
+    halve = lambda a: tuple(map(halves.__getitem__, a))
     roots = tuple(map(halve, lattice))
     # the doubled positive roots sum to 4 rho
     rho = tuple(Q(sum(col), 4) for col in zip(*pos))
@@ -333,11 +338,15 @@ def canonical_type(family: str, rank: int) -> Tuple[str, int]:
 
 def _span_dim(roots: Sequence[Sequence]) -> int:
     """The rank of a root system: the number of its simple roots for the
-    lexicographic order, the positive roots a with no positive root b for
-    which a - b is positive too.  No elimination is needed."""
+    lexicographic order.  A positive root a that is not simple is s + b for
+    a simple s < a and a positive b, so in increasing order a is simple iff
+    a - s is positive for no simple s found so far."""
     pos = {tuple(a) for a in roots if tuple(a) > tuple(-x for x in a)}
-    return sum(1 for a in pos if not any(
-        tuple(map(operator.sub, a, b)) in pos for b in pos))
+    simple = []
+    for a in sorted(pos):
+        if not any(tuple(map(operator.sub, a, s)) in pos for s in simple):
+            simple.append(a)
+    return len(simple)
 
 
 def classify_subsystem(roots: Sequence[Vec], form_fn) -> Tuple[str, int]:
@@ -377,46 +386,40 @@ def minimal_grading_data(rs: RootSystem) -> GradingData:
     """Decompose the algebra by ad(x) eigenvalues, x = theta^vee / 2.
 
     The grade of a root vector e_alpha is (alpha, theta)/2.  The grade-zero
-    roots orthogonal to theta split into irreducible subsystems; each one is
+    roots orthogonal to theta split into irreducible blocks; each one is
     reported with its highest-root norm and its dual Coxeter number with
     respect to the restricted (ambient) form, which is half of the Casimir
-    eigenvalue (theta_i, theta_i + 2 rho_i).  Everything is computed on the
-    doubled lattice, where form(a, b) = 2 (a, b) / (theta, theta) with int
-    dot products.
+    eigenvalue (theta_i, theta_i + 2 rho_i).  All of it runs in linear
+    passes on the doubled lattice, where form(a, b) = 2 (a, b) / (theta,
+    theta).  theta is dominant, so a root orthogonal to it is supported on
+    the simple roots orthogonal to it, and its block is the Dynkin piece of
+    its support.  A piece is the support of its highest root, which comes
+    first by decreasing height, so one pass labels the nodes and groups the
+    roots by the label of their first node.  For the lexicographically
+    positive roots, theta_i - beta is a sum of positive simple roots, so
+    theta_i is the lexicographically greatest root.
     """
-    theta = tuple(int(2 * x) for x in rs.theta)
+    theta = _lat(rs.theta)
     norm = _idot(theta, theta)  # form(a, b) = 2 * _idot(a, b) / norm
-    zero_roots = [a for a in rs.lattice if not _idot(a, theta)]
+    zero_roots = [(a, c) for a, c in zip(rs.lattice, rs.coefficients)
+                  if not _idot(a, theta)]
     half = sum(1 for a in rs.lattice if 2 * _idot(a, theta) == norm)
-    # connected components under (alpha, beta) != 0
-    remaining = set(zero_roots)
-    comps = []
-    while remaining:
-        seed = min(remaining)
-        block = {seed}
-        frontier = [seed]
-        while frontier:
-            a = frontier.pop()
-            new = {b for b in remaining - block if _idot(a, b)}
-            block |= new
-            frontier.extend(new)
-        remaining -= block
-        comps.append(sorted(block))
-    comps.sort(key=lambda block: (-len(block), block))
+    piece, blocks = {}, {}  # piece: node -> first node of the piece's top
+    for a, c in sorted(zero_roots, key=lambda ac: -sum(ac[1])):
+        first = next(i for i, m in enumerate(c) if m)
+        if first not in piece:
+            piece.update((i, first) for i, m in enumerate(c) if m)
+        blocks.setdefault(piece[first], []).append(a)
+    comps = sorted(map(sorted, blocks.values()), key=lambda b: (-len(b), b))
     to_root = dict(zip(rs.lattice, rs.roots))
     components = []
     for block in comps:
-        block_set = frozenset(block)
         pos = [a for a in block if a > tuple(-x for x in a)]  # lex positive
-        if 2 * len(pos) != len(block):
-            raise ValueError("root block is not closed under negation")
-        # the highest root: beta + alpha is never a root
-        tops = [b for b in pos if all(
-            tuple(map(operator.add, b, a)) not in block_set for a in pos)]
-        if len(tops) != 1:
-            raise ValueError(f"expected a unique highest root, got {tops}")
-        theta_i = tops[0]
         two_rho_i = [sum(col) for col in zip(*pos)]  # 2 rho_i, doubled
+        theta_i = block[-1]  # the greatest root of the block
+        block_set = frozenset(block)
+        if any(tuple(map(operator.add, theta_i, a)) in block_set for a in pos):
+            raise ValueError(f"{theta_i} is not the highest root of its block")
         fam, trank = classify_subsystem(block, _idot)
         components.append(
             RootSubsystem(

@@ -365,16 +365,17 @@ def resolve_signs(lr: LieRealization):
     weights = {vadd(a, b) for a, b in products}
     if len(weights) != 1:
         raise ValueError("support products are not weight-homogeneous")
+    engine = _Engine(lr, Q(-4))
     monos: List[Tuple] = []
     for a, b in products:
-        state = _power(lr, _products(lr, [(1, a, b)]), Q(-4))
-        if state.support_size() != 1:
+        terms = engine.act_string([(-1, lr.e(a)), (-1, lr.e(b))], {(): 1})
+        if len(terms) != 1:
             raise ValueError(f"product {a} * {b} is not one monomial")
-        ((mono, c),) = state.terms.items()
+        ((mono, c),) = terms.items()
         if c != 1:
             raise ValueError(f"product {a} * {b} has coefficient {c}")
         monos.append(mono)
-    rows = constraint_rows(_Engine(lr, Q(-4)), monos)
+    rows = constraint_rows(engine, monos)
     kernel = linalg.nullspace(rows, len(monos))
     if len(kernel) != 1:
         raise ValueError(

@@ -1,7 +1,9 @@
 """Checks that only the tests use: a reference straightener, sign-flip
-equivalence, span membership, a reference linear solve and the dominance of
-classified module lists."""
+equivalence, span membership, a reference linear solve, the dominance of
+classified module lists, the closed forms of the collapsing-level equations
+and the all-pairs rules of the minimal grading."""
 
+import operator
 from fractions import Fraction as Q
 from typing import Dict, List, Sequence, Tuple
 
@@ -9,7 +11,15 @@ from vkg import linalg
 from vkg.conformal import KLSpectrum
 from vkg.liealg import LieRealization
 from vkg.pbw import StateVector, graded_basis
-from vkg.rootdata import Vec, build_root_system, is_dominant_integral, vscale
+from vkg.rootdata import (
+    RootSubsystem,
+    RootSystem,
+    Vec,
+    build_root_system,
+    classify_subsystem,
+    is_dominant_integral,
+    vscale,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -201,3 +211,80 @@ def spectrum_is_dominant(spec: KLSpectrum, limit: int = 8) -> bool:
     """Every materialized weight of the classified list is dominant integral."""
     rs = build_root_system(*spec.algebra)
     return all(is_dominant_integral(rs, w) for w in spec.weights(limit))
+
+
+# ---------------------------------------------------------------------------
+# Closed forms of the collapsing-level equations
+
+
+def half_level_roots(h_dual) -> Tuple[Q, Q]:
+    """The ell equation at k = -h/2 + 1: roots of 2 ell^2 + (h - 4) ell."""
+    h = Q(h_dual)
+    return (Q(0), (4 - h) / 2)
+
+
+def deligne_level_roots(h_dual) -> Tuple[Q, Q]:
+    """The ell equation at k = -h/6 - 1: roots of 6 ell^2 + h ell."""
+    h = Q(h_dual)
+    return (Q(0), -h / 6)
+
+
+def solve_quoted_s_equation(j) -> Tuple[Q, Q]:
+    """Exact solutions in s of (s + j)(s + j + 2) = j (j + 2)."""
+    j = Q(j)
+    return (Q(0), -2 * j - 2)
+
+
+# ---------------------------------------------------------------------------
+# All-pairs rules of the minimal grading
+
+
+def reference_span_dim(roots: Sequence[Sequence]) -> int:
+    """The number of lexicographically simple roots: the positive roots a
+    with no positive root b for which a - b is positive too."""
+    pos = {tuple(a) for a in roots if tuple(a) > tuple(-x for x in a)}
+    return sum(1 for a in pos if not any(
+        tuple(map(operator.sub, a, b)) in pos for b in pos))
+
+
+def reference_grading_components(rs: RootSystem) -> Tuple[RootSubsystem, ...]:
+    """The components of ``rootdata.minimal_grading_data`` by all-pairs
+    rules on the doubled lattice: the roots orthogonal to theta grown into
+    blocks over nonzero inner products, the highest root of a block as its
+    one positive root beta with beta + alpha a root for no positive alpha,
+    and the rank by ``reference_span_dim``; the family is read from
+    ``classify_subsystem``."""
+    dot = lambda a, b: sum(map(operator.mul, a, b))
+    theta = dict(zip(rs.roots, rs.lattice))[rs.theta]
+    norm = dot(theta, theta)
+    remaining = {a for a in rs.lattice if not dot(a, theta)}
+    blocks = []
+    while remaining:
+        seed = min(remaining)
+        block, frontier = {seed}, [seed]
+        while frontier:
+            a = frontier.pop()
+            new = {b for b in remaining - block if dot(a, b)}
+            block |= new
+            frontier.extend(new)
+        remaining -= block
+        blocks.append(sorted(block))
+    blocks.sort(key=lambda block: (-len(block), block))
+    to_root = dict(zip(rs.lattice, rs.roots))
+    out = []
+    for block in blocks:
+        pos = [a for a in block if a > tuple(-x for x in a)]
+        assert 2 * len(pos) == len(block)
+        block_set = set(block)
+        (top,) = [b for b in pos if all(
+            tuple(map(operator.add, b, a)) not in block_set for a in pos)]
+        two_rho = [sum(col) for col in zip(*pos)]
+        out.append(RootSubsystem(
+            roots=tuple(to_root[a] for a in block),
+            rank=reference_span_dim(block),
+            family=classify_subsystem(block, dot)[0],
+            highest_root=to_root[top],
+            theta_norm=Q(2 * dot(top, top), norm),
+            dual_coxeter0=Q(dot(top, top) + dot(top, two_rho), norm),
+        ))
+    return tuple(out)

@@ -20,10 +20,8 @@ from vkg.collapsing import (
     table5_audit,
 )
 from vkg.conformal import (
-    deligne_level_roots,
     deligne_series,
     ell_equation_roots,
-    half_level_roots,
     kl_spectrum,
     w_lowest_weight,
 )
@@ -57,7 +55,12 @@ from vkg.vectors import (
     theta_image,
 )
 
-from helpers import monomial_roots, sign_pattern_flip_equivalent
+from helpers import (
+    deligne_level_roots,
+    half_level_roots,
+    monomial_roots,
+    sign_pattern_flip_equivalent,
+)
 from test_vectors import D6_MATCHING_SIGNS
 
 

@@ -94,8 +94,12 @@ def test_short_root_target_rescaling():
     assert kp == 1  # 2 * (1/2), restricted highest root has squared length 1
 
 
+# large classical algebras, to exercise the root-data passes at rank 20
+RANK_20 = (("A", 20), ("B", 20), ("C", 20), ("D", 20))
+
+
 def test_table5_audit_all_clean():
-    report = table5_audit()
+    report = table5_audit(DEFAULT_AUDIT_ALGEBRAS + RANK_20)
     assert report, "audit must cover rows"
     assert all(r["ok"] for r in report)
     audited = {(r["algebra"], r["k"]) for r in report}
@@ -115,7 +119,7 @@ def test_table5_c_rows_all_audited():
 
 
 def test_table1_audit_all_clean():
-    report = table1_audit(DEFAULT_AUDIT_ALGEBRAS)
+    report = table1_audit(DEFAULT_AUDIT_ALGEBRAS + RANK_20)
     assert all(r["ok"] for r in report)
     assert all(r["dim_identity"] for r in report)
 

@@ -10,12 +10,9 @@ from vkg.conformal import (
     NotClassifiedError,
     QUOTIENTS,
     collapse_ell_roots,
-    deligne_level_roots,
     deligne_series,
     ell_equation_roots,
-    half_level_roots,
     kl_spectrum,
-    solve_quoted_s_equation,
     sugawara_weight,
     w_lowest_weight,
 )
@@ -29,7 +26,13 @@ from vkg.rootdata import (
     vzero,
 )
 
-from helpers import nonnegative_solutions, spectrum_is_dominant
+from helpers import (
+    deligne_level_roots,
+    half_level_roots,
+    nonnegative_solutions,
+    solve_quoted_s_equation,
+    spectrum_is_dominant,
+)
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=8)
 

@@ -8,6 +8,7 @@ from vkg import linalg
 from vkg.collapsing import DEFAULT_AUDIT_ALGEBRAS
 from vkg.rootdata import (
     UnsupportedAlgebraError,
+    _idot,
     _span_dim,
     build_root_system,
     canonical_name,
@@ -25,6 +26,8 @@ from vkg.rootdata import (
     vzero,
 )
 from vkg.serialize import root_system_to_json
+
+from helpers import reference_grading_components
 
 # (family, rank, number of roots, dual Coxeter number)
 TABLE_ONE_VALUES = [
@@ -244,6 +247,34 @@ def test_span_dim_of_every_grading_component(g):
     for comp in minimal_grading_data(build_root_system(*g)).components:
         assert _span_dim(comp.roots) == _eliminated_rank(comp.roots)
         assert _span_dim(comp.roots) == comp.rank
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    SUPPORTED_UP_TO_RANK_8 + [("A", 20), ("B", 20), ("C", 20), ("D", 20)])
+def test_grading_components_match_the_all_pairs_rules(family, rank):
+    """Blocks, highest roots and ranks of the linear passes equal those of
+    the all-pairs rules, field by field."""
+    rs = build_root_system(family, rank)
+    gd = minimal_grading_data(rs)
+    reference = reference_grading_components(rs)
+    assert gd.components == reference
+    assert gd.center_dim == rs.rank - 1 - sum(c.rank for c in reference)
+
+
+@pytest.mark.parametrize("first,second,nroots", [
+    (("A", 8), ("E", 6), 72),
+    (("A", 15), ("E", 8), 240),
+    (("D", 15), ("A", 20), 420),
+])
+def test_classify_tells_apart_equal_root_counts(first, second, nroots):
+    """Root systems with the same number of roots and one root length are
+    told apart by their rank alone."""
+    for g in (first, second):
+        rs = build_root_system(*g)
+        assert len(rs.roots) == nroots
+        assert classify_subsystem(rs.roots, rs.form) == g
+        assert classify_subsystem(rs.lattice, _idot) == g
 
 
 def test_form_dimension_mismatch():
