@@ -31,6 +31,7 @@ DEFAULT_CAP = vectors.DEFAULT_COMPONENT_CAP
 CAP_ENV_VAR = "VKG_CAP"
 FORMATS = ("text", "json", "latex", "csv")
 USAGE_ERROR, CHECK_FAILED, OK = 2, 1, 0
+BATCH = 16_384  # indented-JSON encoder chunks per write: about 125 KB
 
 
 def read_config_file(path: str) -> dict:
@@ -179,10 +180,18 @@ def _parse_coordinates(rs, name: str, text: str):
     return w
 
 
+def _write_json(payload, **kw) -> None:
+    """print(json.dumps(payload, indent=2, **kw)), a batch at a time."""
+    chunks = json.JSONEncoder(indent=2, **kw).iterencode(payload)
+    while batch := "".join(itertools.islice(chunks, BATCH)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
+
+
 def _emit(payload, args, text_lines, latex_lines=None, csv_lines=None):
     """Print in the resolved format; latex and csv fall back to the text."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2, default=str))
+        _write_json(payload, default=str)
         return
     lines = {"latex": latex_lines, "csv": csv_lines}.get(args.format)
     print("\n".join(text_lines if lines is None else lines))
@@ -211,8 +220,7 @@ def cmd_roots(args) -> int:
     rs = parse_algebra(args.algebra)
     if args.realization:
         lr = build_realization(rs.family, rs.rank)
-        payload = serialize.realization_to_json(lr)
-        print(json.dumps(payload, indent=2))
+        _write_json(serialize.realization_to_json(lr))
         return OK
     payload = serialize.root_system_to_json(rs)
     text = [
@@ -308,7 +316,7 @@ def cmd_singular_verify(args) -> int:
         "generator": label,
         "image": serialize.state_to_json(lr, image),
     }
-    print(json.dumps(payload, indent=2))
+    _write_json(payload)
     return CHECK_FAILED
 
 

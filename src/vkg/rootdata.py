@@ -189,9 +189,15 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     """
     family = family.upper()
     dim, simple = _simple_roots(family, rank)
-    cols = list(zip(*simple))
-    by_root = {tuple(_idot(c, col) for col in cols): c
-               for c in _positive_coefficients(_cartan_matrix(simple))}
+    # a root is its coefficients times the simple roots' nonzero coordinates
+    sparse = [[(k, x) for k, x in enumerate(a) if x] for a in simple]
+    by_root = {}
+    for c in _positive_coefficients(_cartan_matrix(simple)):
+        v = [0] * dim
+        for s, m in zip(sparse, c):
+            for k, x in s:
+                v[k] += m * x
+        by_root[tuple(v)] = c
     pos = sorted(by_root)
     theta = max(pos, key=lambda a: sum(by_root[a]))
     lattice = tuple(pos) + tuple(tuple(-x for x in a) for a in pos)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from vkg import collapsing, serialize
-from vkg.cli import CAP_ENV_VAR, main, read_config_file
+from vkg.cli import CAP_ENV_VAR, _write_json, main, read_config_file
 from vkg.liealg import build_realization
 from vkg.pbw import MAX_SEARCH_DEGREE
 
@@ -237,9 +237,10 @@ def test_collapse_refuses_flags_its_mode_does_not_read(capsys):
         assert (code, out, err) == (2, "", f"error: collapse {flag}\n")
 
 
-def test_closed_stdout_ends_the_run_quietly():
-    """A reader that stops early is not an error: exit 0, nothing on stderr,
-    and no failed flush reported at interpreter shutdown."""
+def _read_e8_json_then_close(nbytes):
+    """Run `roots --algebra E8 --realization --format json` in a fresh
+    interpreter, read ``nbytes`` of stdout and close it: exit code, the
+    bytes read and stderr."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.Popen(
@@ -247,13 +248,71 @@ def test_closed_stdout_ends_the_run_quietly():
          "sys.exit(main())", "roots", "--algebra", "E8", "--realization",
          "--format", "json"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    head = proc.stdout.read(10)
+    head = proc.stdout.read(nbytes)
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
-    assert proc.wait(timeout=120) == 0
+    return proc.wait(timeout=120), head, err
+
+
+def test_closed_stdout_ends_the_run_quietly():
+    """A reader that stops early is not an error: exit 0, nothing on stderr,
+    and no failed flush reported at interpreter shutdown."""
+    code, head, err = _read_e8_json_then_close(10)
+    assert code == 0
     assert head == b'{\n  "root_'
     assert err == b""
+
+
+def test_reader_closing_after_the_first_batch_ends_the_run_quietly():
+    """The same after 300 000 bytes, past the first batch of the JSON
+    writer."""
+    code, head, err = _read_e8_json_then_close(300_000)
+    assert code == 0
+    assert len(head) == 300_000
+    assert err == b""
+
+
+def _json_writes(monkeypatch, payload, **kw):
+    """Each string `_write_json` writes to ``sys.stdout``, in order."""
+    writes = []
+    with monkeypatch.context() as m:
+        m.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append))
+        _write_json(payload, **kw)
+    return writes
+
+
+@pytest.fixture(scope="module")
+def e8_realization_json():
+    return serialize.realization_to_json(build_realization("E", 8))
+
+
+def test_json_writer_prints_what_one_dumps_prints(monkeypatch,
+                                                  e8_realization_json):
+    """The batched writer gives the bytes of ``print(json.dumps(...))``: on
+    a document of many batches, on values that need ``default=str`` and on
+    empty and nested-empty containers."""
+    cases = [
+        (e8_realization_json, {}),
+        ({"level": Q(-3, 2), "rows": [[Q(4), "x"], {"k": Q(1, 7)}]},
+         {"default": str}),
+        ({}, {}), ([], {}), ({"a": [], "b": {}}, {}),
+        ([[], [{}], {"c": []}], {}),
+    ]
+    for payload, kw in cases:
+        writes = _json_writes(monkeypatch, payload, **kw)
+        assert "".join(writes) == json.dumps(payload, indent=2, **kw) + "\n"
+        assert writes[-1] == "\n"
+
+
+def test_json_writer_never_writes_the_whole_document(monkeypatch,
+                                                     e8_realization_json):
+    """No single write of the E8 realization is longer than a quarter of
+    the document, so it is never held as one string (and the document of
+    the test above takes several batches)."""
+    writes = _json_writes(monkeypatch, e8_realization_json)
+    total = sum(map(len, writes))
+    assert max(map(len, writes)) <= total // 4
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):
@@ -705,6 +764,8 @@ OUTPUT_DIGESTS = [
      "7d6dd30fe97c74e9"),
     ("roots --algebra A:2 --realization",
      "c0afcadfbd9a280c"),
+    ("roots --algebra E7 --realization --format json",
+     "a115b7aae0b15bad"),
     ("roots --algebra sl(x)",
      "a3c39365ae3a2671"),
     ("bracket-audit --algebra B:2",

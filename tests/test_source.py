@@ -79,6 +79,19 @@ def test_every_export_is_named_in_the_tests():
     assert exports and not missing, missing
 
 
+def test_no_indented_json_dumps():
+    """Indented JSON goes through ``cli._write_json`` alone, which writes it
+    a batch at a time: no ``json.dump``/``json.dumps`` call with ``indent``
+    is left in the package."""
+    found = [
+        f"{name}:{node.lineno}" for name, node in _nodes()
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) in ("json.dump", "json.dumps")
+        and any(kw.arg == "indent" for kw in node.keywords)
+    ]
+    assert not found, found
+
+
 def test_no_dataclasses_import():
     """Records are ``NamedTuple`` classes; ``dataclasses`` would bring
     ``inspect`` into every process's start-up."""
