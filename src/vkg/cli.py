@@ -20,6 +20,8 @@ import os
 import random
 import sys
 from fractions import Fraction as Q
+from json.encoder import encode_basestring_ascii
+from types import GeneratorType
 from typing import Optional, Sequence
 
 from . import collapsing, conformal, serialize, vectors
@@ -31,7 +33,7 @@ DEFAULT_CAP = vectors.DEFAULT_COMPONENT_CAP
 CAP_ENV_VAR = "VKG_CAP"
 FORMATS = ("text", "json", "latex", "csv")
 USAGE_ERROR, CHECK_FAILED, OK = 2, 1, 0
-BATCH = 16_384  # indented-JSON encoder chunks per write: about 125 KB
+BATCH = 2048  # indented-JSON pieces per write: about 20 KB of the E8 tables
 
 
 def read_config_file(path: str) -> dict:
@@ -180,11 +182,58 @@ def _parse_coordinates(rs, name: str, text: str):
     return w
 
 
-def _write_json(payload, **kw) -> None:
-    """print(json.dumps(payload, indent=2, **kw)), a batch at a time."""
-    chunks = json.JSONEncoder(indent=2, **kw).iterencode(payload)
-    while batch := "".join(itertools.islice(chunks, BATCH)):
-        sys.stdout.write(batch)
+def _scalar(o):
+    """The JSON text of a str, None, bool, int or float; None otherwise."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    return json.dumps(o) if o is None or isinstance(o, (int, float)) else None
+
+
+def _write_json(payload, default=None) -> None:
+    """print(json.dumps(payload, indent=2, default=default)), where every
+    generator in ``payload`` reads as a list: json's isinstance order and
+    key rules, written ``BATCH`` pieces or more at a time, so a payload
+    made of generators is never held whole."""
+    out = []
+
+    def write(o, indent):
+        """Append the text of ``o``; ``indent`` is the newline and spaces
+        of its level, which the caller has written."""
+        if (text := _scalar(o)) is not None:
+            return out.append(text)
+        if keyed := isinstance(o, dict):
+            items, ends = o.items(), "{}"
+        elif isinstance(o, (list, tuple, GeneratorType)):
+            items, ends = o, "[]"
+        elif default is None:
+            raise TypeError(f"Object of type {o.__class__.__name__} "
+                            "is not JSON serializable")
+        else:
+            return write(default(o), indent)
+        inner = indent + "  "
+        sep, comma = ends[0] + inner, "," + inner
+        for v in items:
+            if keyed:
+                k, v = v
+                if (key := k if isinstance(k, str) else _scalar(k)) is None:
+                    raise TypeError("keys must be str, int, float, bool or "
+                                    f"None, not {k.__class__.__name__}")
+                sep += encode_basestring_ascii(key) + ": "
+            if (t := type(v)) is str:  # the common scalars, without a call
+                out.append(sep + encode_basestring_ascii(v))
+            elif t is int:
+                out.append(sep + int.__repr__(v))
+            else:
+                out.append(sep)
+                write(v, inner)
+            sep = comma
+        out.append(indent + ends[1] if sep is comma else ends)
+        if len(out) >= BATCH:
+            sys.stdout.write("".join(out))
+            out.clear()
+
+    write(payload, "\n")
+    sys.stdout.write("".join(out))
     sys.stdout.write("\n")
 
 

@@ -12,8 +12,6 @@ Rows for the basic Lie superalgebras are carried verbatim as strings; they
 are reference data only and nothing here computes with them.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction as Q
 from typing import List, NamedTuple, Sequence, Tuple
 

@@ -10,8 +10,6 @@ finite arithmetic progression of weights or an infinite one materialized
 lazily up to a caller-supplied bound.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction as Q
 from typing import List, NamedTuple, Optional, Tuple
 

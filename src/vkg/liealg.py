@@ -23,8 +23,6 @@ on the tables as half the Casimir eigenvalue sum [x, [x^dual, e_theta_i]],
 summed over one set of exact dual pairs (``_dual_pairs``) per component.
 """
 
-from __future__ import annotations
-
 import operator
 from fractions import Fraction as Q
 from functools import lru_cache

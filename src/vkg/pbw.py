@@ -37,8 +37,6 @@ the one product path: ``apply``, ``apply_string``, ``is_singular`` and
 into Fractions.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction as Q
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 

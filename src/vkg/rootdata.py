@@ -14,8 +14,6 @@ as an int tuple, which is integral for every type and sorts like the roots.
 ``Fraction`` appears only in the public fields and in caller-given weights.
 """
 
-from __future__ import annotations
-
 import operator
 from fractions import Fraction as Q
 from functools import lru_cache

@@ -75,22 +75,19 @@ def root_system_to_json(rs: RootSystem) -> dict:
 
 
 def realization_to_json(lr: LieRealization) -> dict:
-    """Basis, sparse bracket triples, and the sparse invariant form."""
-    bracket = []
-    for (a, b), terms in sorted(lr.bracket_table.items()):
-        bracket.append(
-            [a, b, [[i, frac_str(c)] for i, c in terms]]
-        )
-    form = [
-        [a, b, frac_str(v)]
-        for (a, b), v in sorted(lr.form_table.items())
-        if a <= b
-    ]
+    """Basis, sparse bracket triples, and the sparse invariant form.
+
+    "bracket" and "form" are generators in sorted (a, b) order, which
+    ``cli._write_json`` writes as lists without holding them whole; each
+    can be read only once."""
+    bracket, form, span = lr.bracket_table, lr.form_table, range(lr.dim)
     return {
         "root_system": root_system_to_json(lr.rs),
-        "basis": [base_label(lr, i) for i in range(lr.dim)],
-        "bracket": bracket,
-        "form": form,
+        "basis": [base_label(lr, i) for i in span],
+        "bracket": ([a, b, [[i, frac_str(c)] for i, c in bracket[a, b]]]
+                    for a in span for b in span if (a, b) in bracket),
+        "form": ([a, b, frac_str(v)]
+                 for (a, b), v in sorted(form.items()) if a <= b),
     }
 
 

@@ -1,9 +1,11 @@
 """Checks that only the tests use: a reference straightener, sign-flip
 equivalence, span membership, a reference linear solve, the dominance of
-classified module lists, the closed forms of the collapsing-level equations
-and the all-pairs rules of the minimal grading."""
+classified module lists, the closed forms of the collapsing-level equations,
+the all-pairs rules of the minimal grading and the list form of a lazy JSON
+payload."""
 
 import operator
+import types
 from fractions import Fraction as Q
 from typing import Dict, List, Sequence, Tuple
 
@@ -288,3 +290,18 @@ def reference_grading_components(rs: RootSystem) -> Tuple[RootSubsystem, ...]:
             dual_coxeter0=Q(dot(top, top) + dot(top, two_rho), norm),
         ))
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# JSON payloads
+
+
+def materialize(payload):
+    """``payload`` with every list, tuple and generator, at any depth, read
+    into a list: what ``json`` can encode, with the text of
+    ``cli._write_json``.  It reads each generator, which can be read once."""
+    if isinstance(payload, dict):
+        return {k: materialize(v) for k, v in payload.items()}
+    if isinstance(payload, (list, tuple, types.GeneratorType)):
+        return [materialize(v) for v in payload]
+    return payload

@@ -1,22 +1,27 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import types
 from fractions import Fraction as Q
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from vkg import collapsing, serialize
 from vkg.cli import CAP_ENV_VAR, _write_json, main, read_config_file
 from vkg.liealg import build_realization
-from vkg.pbw import MAX_SEARCH_DEGREE
+from vkg.pbw import MAX_SEARCH_DEGREE, Kernel
 
-from helpers import flip_structure_constant
+from helpers import flip_structure_constant, materialize
 
 
 def run(capsys, *argv):
@@ -282,26 +287,32 @@ def _json_writes(monkeypatch, payload, **kw):
     return writes
 
 
-@pytest.fixture(scope="module")
-def e8_realization_json():
+def _e8_payload():
     return serialize.realization_to_json(build_realization("E", 8))
 
 
-def test_json_writer_prints_what_one_dumps_prints(monkeypatch,
-                                                  e8_realization_json):
+@pytest.fixture
+def e8_realization_json():
+    """A fresh E8 payload: its generators can be read only once."""
+    return _e8_payload()
+
+
+def test_json_writer_prints_what_one_dumps_prints(monkeypatch):
     """The batched writer gives the bytes of ``print(json.dumps(...))``: on
     a document of many batches, on values that need ``default=str`` and on
-    empty and nested-empty containers."""
+    empty and nested-empty containers.  Each case is built twice, once for
+    ``json`` (its generators read into lists) and once for the writer."""
     cases = [
-        (e8_realization_json, {}),
-        ({"level": Q(-3, 2), "rows": [[Q(4), "x"], {"k": Q(1, 7)}]},
+        (_e8_payload, {}),
+        (lambda: {"level": Q(-3, 2), "rows": [[Q(4), "x"], {"k": Q(1, 7)}]},
          {"default": str}),
-        ({}, {}), ([], {}), ({"a": [], "b": {}}, {}),
-        ([[], [{}], {"c": []}], {}),
+        (dict, {}), (list, {}), (lambda: {"a": [], "b": {}}, {}),
+        (lambda: [[], [{}], {"c": []}], {}),
     ]
-    for payload, kw in cases:
-        writes = _json_writes(monkeypatch, payload, **kw)
-        assert "".join(writes) == json.dumps(payload, indent=2, **kw) + "\n"
+    for make, kw in cases:
+        text = json.dumps(materialize(make()), indent=2, **kw) + "\n"
+        writes = _json_writes(monkeypatch, make(), **kw)
+        assert "".join(writes) == text
         assert writes[-1] == "\n"
 
 
@@ -313,6 +324,96 @@ def test_json_writer_never_writes_the_whole_document(monkeypatch,
     writes = _json_writes(monkeypatch, e8_realization_json)
     total = sum(map(len, writes))
     assert max(map(len, writes)) <= total // 4
+
+
+class _Pair(NamedTuple):
+    first: object
+    second: object
+
+
+class _Lazy(list):
+    """A list that the writer is given as a generator."""
+
+
+def _lazy(spec):
+    """A fresh payload from ``spec``: each ``_Lazy`` list, at any depth, is
+    a generator, and every other container keeps its type."""
+    if isinstance(spec, _Lazy):
+        return (_lazy(v) for v in spec)
+    if isinstance(spec, Kernel):
+        return Kernel([_lazy(v) for v in spec], spec.component_dimension)
+    if isinstance(spec, dict):
+        return {k: _lazy(v) for k, v in spec.items()}
+    if isinstance(spec, _Pair):
+        return _Pair._make(map(_lazy, spec))
+    if isinstance(spec, (list, tuple)):
+        return type(spec)(map(_lazy, spec))
+    return spec
+
+
+_TEXT = st.text() | st.sampled_from([
+    "", "\x00\x1f\x7f", "tab\there\nnewline", 'quote " and \\',
+    "é ∑ \u2028", "\U0001f600 \ud800"])
+_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+_KEYS = _TEXT | st.integers() | _FLOATS | st.booleans() | st.none()
+_LEAVES = (_TEXT | st.none() | st.booleans() | _FLOATS | st.fractions()
+           | st.integers() | st.integers(min_value=2 ** 64, max_value=2 ** 300)
+           | st.integers(min_value=-2 ** 300, max_value=-2 ** 64))
+
+
+def _containers(children):
+    items = st.lists(children, max_size=4)
+    return (items | items.map(tuple) | items.map(_Lazy)
+            | st.builds(_Pair, children, children)
+            | items.map(lambda vs: Kernel(vs, len(vs)))
+            | st.dictionaries(_KEYS, children, max_size=4))
+
+
+@given(st.recursive(_LEAVES, _containers, max_leaves=25))
+@example({math.nan: [math.inf, -math.inf, math.nan, -0.0], 1.5: _Lazy(),
+          None: _Lazy([_Lazy([Q(1, 3), _Pair((), {})]), 2 ** 70]),
+          True: "\x00é", False: Kernel([], 0), -(2 ** 70): _Lazy([{}])})
+def test_json_writer_matches_json_on_random_payloads(spec):
+    """On nested payloads of generators, tuples, records, ``Kernel`` lists
+    and dicts with every kind of scalar key, the writer prints what
+    ``json.dumps`` prints of the payload with its generators read into
+    lists: non-ASCII and control characters, ``Fraction`` through
+    ``default``, NaN and infinities, big ints and empty containers."""
+    expected = json.dumps(materialize(_lazy(spec)), indent=2, default=str)
+    with contextlib.redirect_stdout(io.StringIO()) as sink:
+        _write_json(_lazy(spec), default=str)
+    assert sink.getvalue() == expected + "\n"
+
+
+@pytest.mark.parametrize("payload,default", [
+    ({(1, 2): 0}, str), ({Q(1, 2): 0}, str), ([{"a": {b"x": 1}}], str),
+    ({frozenset(): []}, None), (Q(1, 2), None), ([0, {"a": object()}], None),
+])
+def test_json_writer_refuses_what_json_refuses(payload, default):
+    """A key that is not a str or a scalar is a ``TypeError`` even with a
+    ``default``, as is a value that no ``default`` turns into JSON; the
+    message is json's."""
+    with pytest.raises(TypeError) as expected:
+        json.dumps(payload, indent=2, default=default)
+    with contextlib.redirect_stdout(io.StringIO()):
+        with pytest.raises(TypeError) as raised:
+            _write_json(payload, default=default)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_e8_realization_write_peaks_below_one_mib(monkeypatch):
+    """Written to a sink that keeps nothing, the E8 realization document
+    is never held: building and writing the payload peaks below 1 MiB
+    under ``tracemalloc`` (about 6 MiB while ``json`` needed its lists)."""
+    lr = build_realization("E", 8)
+    monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=len))
+    tracemalloc.start()
+    try:
+        _write_json(serialize.realization_to_json(lr))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):

@@ -27,7 +27,12 @@ from vkg.rootdata import (
 )
 from vkg.serialize import realization_to_json
 
-from helpers import expand, flip_root_pair, flip_structure_constant
+from helpers import (
+    expand,
+    flip_root_pair,
+    flip_structure_constant,
+    materialize,
+)
 
 
 def bracket_vec(lr, terms, idx):
@@ -234,12 +239,13 @@ def test_flip_root_pair_is_same_algebra():
     assert dict(lr2.bracket(e, f)) == dict(lr.bracket(e, f))
 
 
-# SHA-256 of the compact, key-sorted JSON of realization_to_json.  A3, B3,
-# C3, D4 and E6-E8 were recorded before the cocycle realization moved to int
-# simple-root coefficients, B5-B8, C4-C8, D7, D9 and D10 while the so(n)
-# and sp(n) matrices still had Fraction entries, the rest while the matrix
-# and cocycle tables still had a builder each.  Any change to the basis
-# order, a structure constant or the form fails here.
+# SHA-256 of the compact, key-sorted JSON of realization_to_json, its
+# generators read into lists.  A3, B3, C3, D4 and E6-E8 were recorded before
+# the cocycle realization moved to int simple-root coefficients, B5-B8,
+# C4-C8, D7, D9 and D10 while the so(n) and sp(n) matrices still had
+# Fraction entries, the rest while the matrix and cocycle tables still had
+# a builder each.  Any change to the basis order, a structure constant or
+# the form fails here.
 REALIZATION_DIGESTS = [
     ("A", 1, "6a86f9f1a6bb73c23da88a4739fcb8e5fa93479b4e2baa97cf622860e46d3ff9"),
     ("A", 2, "7b4ee8779437f15323d00faf3e1a0ff704f656337385e9dc81b122632cac7b1d"),
@@ -275,8 +281,8 @@ REALIZATION_DIGESTS = [
 
 @pytest.mark.parametrize("family,rank,digest", REALIZATION_DIGESTS)
 def test_realization_json_digest(family, rank, digest):
-    text = json.dumps(realization_to_json(build_realization(family, rank)),
-                      sort_keys=True, separators=(",", ":"))
+    payload = materialize(realization_to_json(build_realization(family, rank)))
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

@@ -2,10 +2,14 @@
 data compare equal, and a changed copy made with ``_replace`` is refused
 like a corrupted table."""
 
+import importlib
+import pkgutil
+import typing
 from fractions import Fraction as Q
 
 import pytest
 
+import vkg
 from vkg.collapsing import (
     CollapsePolynomial,
     CollapsingRow,
@@ -67,6 +71,24 @@ def test_record_fields_are_read_only(kind, build):
             setattr(record, name, getattr(record, name))
     with pytest.raises(AttributeError):
         record.extra = 0
+
+
+def test_record_annotations_are_types():
+    """The list above holds every record of the package, and no field
+    annotation is a ``typing.ForwardRef``: ``NamedTuple`` compiles one for
+    each string annotation at import."""
+    records = set()
+    for info in pkgutil.iter_modules(vkg.__path__):
+        module = importlib.import_module(f"vkg.{info.name}")
+        records.update(
+            obj for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, tuple)
+            and hasattr(obj, "_fields") and obj.__module__ == module.__name__)
+    assert records == {kind for kind, _ in RECORDS}
+    refs = [f"{kind.__name__}.{name}" for kind in records
+            for name, hint in kind.__annotations__.items()
+            if isinstance(hint, typing.ForwardRef)]
+    assert not refs, refs
 
 
 def test_root_systems_built_twice_compare_equal():

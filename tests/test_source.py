@@ -81,13 +81,16 @@ def test_every_export_is_named_in_the_tests():
 
 def test_no_indented_json_dumps():
     """Indented JSON goes through ``cli._write_json`` alone, which writes it
-    a batch at a time: no ``json.dump``/``json.dumps`` call with ``indent``
-    is left in the package."""
+    a batch at a time: no ``json.dump``/``json.dumps`` call with ``indent``,
+    no ``JSONEncoder`` and no ``iterencode`` is left in the package."""
     found = [
         f"{name}:{node.lineno}" for name, node in _nodes()
-        if isinstance(node, ast.Call)
-        and ast.unparse(node.func) in ("json.dump", "json.dumps")
-        and any(kw.arg == "indent" for kw in node.keywords)
+        if (isinstance(node, ast.Call)
+            and ast.unparse(node.func) in ("json.dump", "json.dumps")
+            and any(kw.arg == "indent" for kw in node.keywords))
+        or (isinstance(node, ast.Call)
+            and ast.unparse(node.func).split(".")[-1] == "JSONEncoder")
+        or (isinstance(node, ast.Attribute) and node.attr == "iterencode")
     ]
     assert not found, found
 
