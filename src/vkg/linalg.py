@@ -1,18 +1,20 @@
 """Exact Gaussian elimination over the rationals, sparse rows.
 
 A matrix is a list of rows; each row is a dict mapping column index to a
-nonzero Fraction.  `rref` eliminates in one streaming pass: rows go in
-shortest first, and each is reduced on insertion by the pivot rows found so
-far, leftmost column first.  One back-substitution pass, highest pivot
-first, then clears each pivot column in the other rows.  The pivot columns
-are the leftmost linearly independent columns and the reduced row echelon
-form is unique, so the output does not depend on the order or scale of the
-input rows.
+nonzero Fraction.  `rref` eliminates in one Gauss-Jordan pass: rows go in
+shortest first, and the pivot rows found so far stay reduced, with 1 at
+their pivot and 0 in every other pivot column.  An incoming row subtracts
+the pivot row of each pivot column it holds, which adds no entry in a
+pivot column; its leftmost remaining column becomes a new pivot, and that
+column is cleared from the pivot rows that hold it, found through an index
+of column -> pivot rows.  Leads stay leftmost, so the pivot columns are the
+leftmost linearly independent columns and the rows are the unique reduced
+row echelon form, whatever the order or scale of the input rows.
 
-The same insertion pass also runs over Z/p, p = 2^61 - 1, with each n/d
-read as n * d^-1 mod p.  The rank mod p is at most the rank over Q, so a
-full column rank mod p proves that a kernel is empty: `nullspace` returns
-no kernel on that certificate alone.  Mod p may prove a kernel empty, never
+The same pass also runs over Z/p, p = 2^61 - 1, with each n/d read as
+n * d^-1 mod p.  The rank mod p is at most the rank over Q, so a full
+column rank mod p proves that a kernel is empty: `nullspace` returns no
+kernel on that certificate alone.  Mod p may prove a kernel empty, never
 nonempty: a smaller rank mod p, or a denominator divisible by p (no
 reduction exists), sends `nullspace` down the exact path, and every kernel
 vector it returns comes from elimination over Q.
@@ -20,9 +22,8 @@ vector it returns comes from elimination over Q.
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction as Q
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 Row = Dict[int, Q]
 
@@ -46,7 +47,8 @@ def row_sub(target: Row, factor: Q, source: Row) -> None:
 
 def _echelon(rows: Sequence[Row], ncols: int,
              p: Optional[int] = None) -> Dict[int, Row]:
-    """The streaming insertion pass: pivot column -> row with 1 there.
+    """The Gauss-Jordan insertion pass: pivot column -> row with 1 there
+    and 0 in every other pivot column.
 
     Over Q when p is None, else over Z/p with every entry an int in
     [1, p).  Once each of the ncols columns has a pivot, later rows cannot
@@ -63,51 +65,50 @@ def _echelon(rows: Sequence[Row], ncols: int,
                 else:
                     del target[col]
     found: Dict[int, Row] = {}
+    # column -> pivots whose rows may hold it (an entry can cancel later)
+    holders: Dict[int, Set[int]] = {}
     for row in sorted((r for r in rows if r), key=len):
         if len(found) == ncols:
             break
         row = dict(row)
-        heap = list(row)
-        heapq.heapify(heap)
-        lead = None
-        while heap:
-            col = heapq.heappop(heap)
-            val = row.get(col)
-            if not val:
-                continue                # cancelled, or a repeated heap entry
-            pivot = found.get(col)
-            if pivot is None:
-                lead = col
-                break
-            sub(row, val, pivot)        # clears col: the pivot has 1 there
-            for c in pivot:
-                if c > col:
-                    heapq.heappush(heap, c)
-        if lead is None or lead >= ncols:
+        for col in [c for c in row if c in found]:
+            sub(row, row[col], found[col])
+        lead = min((c for c in row if c < ncols), default=None)
+        if lead is None:
             continue
         if p is None:
             inv = 1 / row[lead]
-            found[lead] = {c: v * inv for c, v in row.items()}
+            row = {c: v * inv for c, v in row.items()}
         else:
             inv = pow(row[lead], -1, p)
-            found[lead] = {c: v * inv % p for c, v in row.items()}
+            row = {c: v * inv % p for c, v in row.items()}
+        found[lead] = row
+        rest = [c for c in row if c != lead]
+        for c in rest:
+            holders.setdefault(c, set()).add(lead)
+        for pc in holders.pop(lead, ()):
+            held = found[pc]
+            val = held.get(lead)
+            if val:
+                sub(held, val, row)
+                for c in rest:
+                    holders[c].add(pc)
     return found
 
 
 def rref(rows: Sequence[Row], ncols: int) -> Tuple[List[Row], List[int]]:
     """Reduced row echelon form; returns (rows, pivot column list).
 
-    Columns >= ncols are carried along but never pivot; a row that cancels
-    or whose leading entry lies there is dropped.  The carried entries are
-    unique only when no nonzero combination of the rows vanishes on the
-    first ncols columns; no caller in the package depends on them.
+    The rows come in pivot-column order.  Each is a dict whose value at
+    each column is fixed; the order of its keys is not, so compare rows as
+    dicts.  Columns >= ncols are carried along but never pivot; a row that
+    cancels or whose leading entry lies there is dropped.  The carried
+    entries are unique only when no nonzero combination of the rows
+    vanishes on the first ncols columns; no caller in the package depends
+    on them.
     """
     found = _echelon(rows, ncols)
     pivots = sorted(found)
-    for col in reversed(pivots):
-        row = found[col]
-        for pc in [c for c in row if c != col and c in found]:
-            row_sub(row, row[pc], found[pc])
     return [found[c] for c in pivots], pivots
 
 
@@ -158,11 +159,6 @@ def nullspace(rows: Sequence[Row], ncols: int) -> List[Row]:
                 v[pc] = -coef
         basis.append(v)
     return basis
-
-
-def rank(rows: Sequence[Row], ncols: int) -> int:
-    """Rank of the first ncols columns: the pivot count of `_echelon`."""
-    return len(_echelon(rows, ncols))
 
 
 def invert(rows: Sequence[Row], n: int) -> List[List[Q]]:

@@ -1,6 +1,7 @@
 """Properties of the exact eliminator, checked without reusing rref."""
 
 import functools
+import hashlib
 from fractions import Fraction as Q
 
 import pytest
@@ -8,6 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vkg import linalg
+from vkg.liealg import build_realization
+from vkg.pbw import _Engine, constraint_rows, graded_basis
+from vkg.rootdata import vec
 
 
 @st.composite
@@ -59,6 +63,11 @@ def independent(dense, cols):
     return det(gram) != 0
 
 
+def pivot_count(dense, ncols):
+    """The rank of the first ncols columns, as rref's pivot count."""
+    return len(linalg.rref(sparse(dense), ncols)[1])
+
+
 def greedy_pivots(dense, ncols):
     """The leftmost independent columns among the first ncols, greedily."""
     chosen = []
@@ -71,14 +80,14 @@ def greedy_pivots(dense, ncols):
 @given(matrices())
 def test_rank_of_transpose(a):
     ncols = len(a[0])
-    assert linalg.rank(sparse(a), ncols) == linalg.rank(sparse(transpose(a)), len(a))
+    assert pivot_count(a, ncols) == pivot_count(transpose(a), len(a))
 
 
 @given(matrices())
 def test_rank_nullity(a):
     ncols = len(a[0])
     kernel = linalg.nullspace(sparse(a), ncols)
-    assert linalg.rank(sparse(a), ncols) + len(kernel) == ncols
+    assert pivot_count(a, ncols) + len(kernel) == ncols
 
 
 @given(matrices())
@@ -111,7 +120,7 @@ def test_invert(a):
 @given(matrices(square=True))
 def test_singular_iff_rank_deficient(a):
     n = len(a)
-    assert (det(a) == 0) == (linalg.rank(sparse(a), n) < n)
+    assert (det(a) == 0) == (pivot_count(a, n) < n)
 
 
 @given(matrices())
@@ -179,9 +188,9 @@ def rational_matrices(draw):
                          min_size=nrows, max_size=nrows))
 
 
-def reference_kernel(dense, ncols):
-    """Kernel basis by dense Gauss-Jordan over Q, normalized as nullspace's:
-    1 on its free column, supported on the pivot columns otherwise."""
+def reference_rref(dense, ncols):
+    """Dense Gauss-Jordan over Q on the first ncols columns: the nonzero
+    reduced rows, as dense lists, and the pivot columns."""
     rows = [[Q(x) for x in row[:ncols]] for row in dense]
     pivots = []
     for c in range(ncols):
@@ -196,12 +205,59 @@ def reference_kernel(dense, ncols):
                 f = rows[i][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
+    return rows[:len(pivots)], pivots
+
+
+def reference_kernel(dense, ncols):
+    """Kernel basis from reference_rref, normalized as nullspace's:
+    1 on its free column, supported on the pivot columns otherwise."""
+    rows, pivots = reference_rref(dense, ncols)
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
         v = {fc: Q(1)}
         v.update({pc: -rows[i][fc] for i, pc in enumerate(pivots) if rows[i][fc]})
         basis.append(v)
     return basis
+
+
+def reference_rank_mod(dense, p):
+    """Rank mod p of an integer matrix, by dense elimination."""
+    rows = [[x % p for x in row] for row in dense]
+    rank = 0
+    for c in range(len(rows[0])):
+        hit = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if hit is None:
+            continue
+        rows[rank], rows[hit] = rows[hit], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * inv % p
+            if f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Up to 30 x 30 integer matrices: drawn rows with at most 4 nonzeros,
+    and planted dependent rows, each a combination of two drawn rows, all
+    shuffled.  Pivot rows fill in and clear columns from one another."""
+    ncols = draw(st.integers(1, 30))
+    ndrawn = draw(st.integers(1, 30))
+    nplanted = draw(st.integers(0, 30 - ndrawn))
+    entries = st.integers(-5, 5).filter(bool)
+    drawn = [draw(st.dictionaries(st.integers(0, ncols - 1), entries,
+                                  min_size=min(2, ncols), max_size=4))
+             for _ in range(ndrawn)]
+    planted = []
+    for _ in range(nplanted):
+        u, w = draw(st.sampled_from(drawn)), draw(st.sampled_from(drawn))
+        x, y = draw(entries), draw(entries)
+        planted.append({c: x * u.get(c, 0) + y * w.get(c, 0)
+                        for c in range(ncols)})
+    dense = [[row.get(c, 0) for c in range(ncols)] for row in drawn + planted]
+    return draw(st.permutations(dense))
 
 
 def counting_rref(monkeypatch):
@@ -292,3 +348,92 @@ def test_numerator_divisible_by_p_takes_the_exact_path(monkeypatch):
 def test_nullspace_matches_a_certificate_free_reference(a):
     ncols = len(a[0])
     assert linalg.nullspace(sparse(a), ncols) == reference_kernel(a, ncols)
+
+
+# Gates on the package's own matrices: the raising-operator constraint rows
+# of components that kernel searches eliminate.
+
+def component_rows(family, rank, weight, degree, k):
+    lr = build_realization(family, rank)
+    basis = graded_basis(lr, vec(*weight), degree)
+    return constraint_rows(_Engine(lr, k), basis), len(basis)
+
+
+# SHA-256 of repr(nullspace(rows, n)): each kernel with its key order, which
+# fixes the order of the terms that singular-search prints.
+NULLSPACE_DIGESTS = [
+    ("D", 8, (1,) * 8, 4, Q(-6),
+     "192656d36f7bd775c86c02802fd7a211e73fc87f6292f52167f301cf59cd34f7"),
+    ("D", 6, (2,) * 6, 6, Q(-3),
+     "906a5065b1fcbb05331b9262a19afba6a0a99001998b30b3376234f648a1d145"),
+]
+
+
+@pytest.mark.parametrize("family, rank, weight, degree, k, digest",
+                         NULLSPACE_DIGESTS)
+def test_nullspace_digest(family, rank, weight, degree, k, digest):
+    rows, n = component_rows(family, rank, weight, degree, k)
+    kernel = linalg.nullspace(rows, n)
+    assert len(kernel) == 1
+    assert hashlib.sha256(repr(kernel).encode()).hexdigest() == digest
+
+
+# The components of the generic-level searches, with the dual Coxeter number.
+HALF = Q(1, 2)
+GENERIC_COMPONENTS = [
+    ("D", 4, (1, 1, 0, 0), 4, 6),
+    ("A", 3, (1, 0, 0, -1), 4, 4),
+    ("B", 3, (1, 1, 0), 4, 5),
+    ("E", 6, (HALF,) * 5 + (-HALF, -HALF, HALF), 3, 12),
+]
+
+
+@pytest.mark.parametrize("family, rank, weight, degree, h_dual",
+                         GENERIC_COMPONENTS)
+def test_rank_mod_certifies_generic_components(family, rank, weight, degree,
+                                               h_dual):
+    """Gorelik-Kac: no singular vector at k = -h - 3/7, so full rank mod P."""
+    rows, n = component_rows(family, rank, weight, degree, -h_dual - Q(3, 7))
+    assert linalg.rank_mod(rows, n) == n
+
+
+@given(sparse_matrices())
+def test_sparse_matrices_match_dense_gauss_jordan(a):
+    ncols = len(a[0])
+    rows, pivots = linalg.rref(sparse(a), ncols)
+    want_rows, want_pivots = reference_rref(a, ncols)
+    assert pivots == want_pivots
+    assert rows == [{c: x for c, x in enumerate(row) if x} for row in want_rows]
+    assert linalg.nullspace(sparse(a), ncols) == reference_kernel(a, ncols)
+
+
+@given(sparse_matrices(), st.sampled_from(PRIMES))
+def test_rank_mod_matches_a_dense_rank_mod_p(a, p):
+    assert linalg.rank_mod(sparse(a), len(a[0]), p) == reference_rank_mod(a, p)
+
+
+@given(matrices())
+def test_rank_mod_p_is_the_rank_on_small_integer_matrices(a):
+    """Every minor is below P (Hadamard: (3 sqrt 8)^8 < 2^61 - 1), so no
+    minor vanishes mod P that does not vanish over Q."""
+    ncols = len(a[0])
+    assert linalg.rank_mod(sparse(a), ncols) == len(greedy_pivots(a, ncols))
+
+
+def test_rref_work_on_a_generic_component(monkeypatch):
+    """A work count, not a wall-clock bound: the entries that row_sub
+    reads while rref eliminates the 968 x 422 D4 component at k = -15/2.
+    Gauss-Jordan insertion reads about 7 100; a pass that leaves the pivot
+    rows unreduced and back-substitutes at the end reads about 60 000."""
+    rows, n = component_rows("D", 4, (1, 1, 0, 0), 4, Q(-15, 2))
+    touched = []
+    exact = linalg.row_sub
+
+    def row_sub(target, factor, source):
+        touched.append(len(source))
+        exact(target, factor, source)
+
+    monkeypatch.setattr(linalg, "row_sub", row_sub)
+    _, pivots = linalg.rref(rows, n)
+    assert len(pivots) == n
+    assert sum(touched) <= 15000
