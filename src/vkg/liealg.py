@@ -26,7 +26,8 @@ summed over one set of exact dual pairs (``_dual_pairs``) per component.
 import operator
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from . import linalg
 from .rootdata import (
@@ -356,23 +357,41 @@ def _spot_check(lr: LieRealization):
                 raise ValueError(f"[h_{i + 1}, e] != alpha(h_{i + 1}) e for {a}")
 
 
-def jacobi_holds(lr: LieRealization, a: int, b: int, c: int) -> bool:
-    """[a, [b, c]] + [b, [c, a]] + [c, [a, b]] = 0 for basis indices a, b, c."""
-    table = lr.bracket_table
-    total: Dict[int, Coef] = {}
-    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-        for i, cv in table.get((y, z), ()):
-            for j, cc in table.get((x, i), ()):
-                total[j] = total.get(j, 0) + cv * cc
-    return not any(total.values())
+def identity_failure(lr: LieRealization, triples: Iterable[Tuple[int, int, int]]
+                     ) -> Optional[Tuple[Tuple[int, int, int], bool, bool]]:
+    """The first basis triple (a, b, c) of ``triples``, in iteration order,
+    that fails Jacobi, [a, [b, c]] + [b, [c, a]] + [c, [a, b]] = 0, or
+    invariance, ([a, b] | c) + (b | [a, c]) = 0, as (triple, jacobi_ok,
+    invariance_ok); None when both identities hold on every triple.
 
-
-def invariance_holds(lr: LieRealization, a: int, b: int, c: int) -> bool:
-    """([a, b] | c) + (b | [a, c]) = 0 for basis indices a, b, c."""
-    table, form = lr.bracket_table, lr.form_table
-    lhs = sum(cv * form.get((i, c), 0) for i, cv in table.get((a, b), ()))
-    rhs = sum(cv * form.get((b, i), 0) for i, cv in table.get((a, c), ()))
-    return lhs + rhs == 0
+    One pass checks both on every triple, over dense bracket rows built
+    from the tables at each call.  An empty sum is skipped: Jacobi when
+    [b, c], [c, a] and [a, b] are zero, invariance when [a, b] and [a, c] are.
+    """
+    n, get, form = lr.dim, lr.bracket_table.get, lr.form_table.get
+    rows = [[get((x, y), ()) for y in range(n)] for x in range(n)]
+    for triple in triples:
+        a, b, c = triple
+        ra, rb, rc = rows[a], rows[b], rows[c]
+        ab, ac, bc, ca = ra[b], ra[c], rb[c], rc[a]
+        jacobi = invariance = True
+        if ab or bc or ca:
+            total: Dict[int, Coef] = {}
+            for row, inner in ((ra, bc), (rb, ca), (rc, ab)):
+                for i, cv in inner:
+                    for j, cc in row[i]:
+                        total[j] = total.get(j, 0) + cv * cc
+            jacobi = not any(total.values())
+        if ab or ac:
+            lhs = 0
+            for i, cv in ab:
+                lhs += cv * form((i, c), 0)
+            for i, cv in ac:
+                lhs += cv * form((b, i), 0)
+            invariance = lhs == 0
+        if not (jacobi and invariance):
+            return triple, jacobi, invariance
+    return None
 
 
 # ---------------------------------------------------------------------------

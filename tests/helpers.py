@@ -1,8 +1,8 @@
-"""Checks that only the tests use: a reference straightener, sign-flip
-equivalence, span membership, a reference linear solve, the dominance of
-classified module lists, the closed forms of the collapsing-level equations,
-the all-pairs rules of the minimal grading and the list form of a lazy JSON
-payload."""
+"""Checks that only the tests use: a reference straightener, the per-triple
+Jacobi and invariance checks, sign-flip equivalence, span membership, a
+reference linear solve, the dominance of classified module lists, the closed
+forms of the collapsing-level equations, the all-pairs rules of the minimal
+grading and the list form of a lazy JSON payload."""
 
 import operator
 import types
@@ -11,7 +11,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from vkg import linalg
 from vkg.conformal import KLSpectrum
-from vkg.liealg import LieRealization
+from vkg.liealg import Coef, LieRealization
 from vkg.pbw import StateVector, graded_basis
 from vkg.rootdata import (
     RootSubsystem,
@@ -76,6 +76,39 @@ def _add_term(out, mono, c) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Reference Jacobi and invariance checks, one triple at a time
+
+
+def jacobi_holds(lr: LieRealization, a: int, b: int, c: int) -> bool:
+    """[a, [b, c]] + [b, [c, a]] + [c, [a, b]] = 0 for basis indices a, b, c."""
+    table = lr.bracket_table
+    total: Dict[int, Coef] = {}
+    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+        for i, cv in table.get((y, z), ()):
+            for j, cc in table.get((x, i), ()):
+                total[j] = total.get(j, 0) + cv * cc
+    return not any(total.values())
+
+
+def invariance_holds(lr: LieRealization, a: int, b: int, c: int) -> bool:
+    """([a, b] | c) + (b | [a, c]) = 0 for basis indices a, b, c."""
+    table, form = lr.bracket_table, lr.form_table
+    lhs = sum(cv * form.get((i, c), 0) for i, cv in table.get((a, b), ()))
+    rhs = sum(cv * form.get((b, i), 0) for i, cv in table.get((a, c), ()))
+    return lhs + rhs == 0
+
+
+def reference_identity_failure(lr: LieRealization, triples):
+    """``liealg.identity_failure`` one triple at a time: the first triple
+    that fails either check above, with both flags, or None."""
+    for triple in triples:
+        flags = jacobi_holds(lr, *triple), invariance_holds(lr, *triple)
+        if not all(flags):
+            return (triple,) + flags
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Per-root sign flips (basis rescaling)
 
 
@@ -109,6 +142,16 @@ def flip_structure_constant(lr: LieRealization, alpha: Vec,
     ((i, n),) = table[(a, b)]
     table[(a, b)], table[(b, a)] = ((i, -n),), ((i, n),)
     return lr._replace(bracket_table=table)
+
+
+def double_pairing(lr: LieRealization, alpha: Vec) -> LieRealization:
+    """A copy of lr with (e_alpha | e_-alpha) doubled in the form table only:
+    the brackets still read the old pairing, so invariance fails and Jacobi,
+    which reads no form, holds."""
+    e, f = lr.e(alpha), lr.e(vscale(-1, alpha))
+    form = dict(lr.form_table)
+    form[(e, f)] = form[(f, e)] = 2 * lr.form(e, f)
+    return lr._replace(form_table=form)
 
 
 def flip_vector_signs(lr: LieRealization, v: StateVector, root: Vec) -> StateVector:

@@ -25,7 +25,7 @@ from vkg.conformal import (
     kl_spectrum,
     w_lowest_weight,
 )
-from vkg.liealg import build_realization, invariance_holds, jacobi_holds
+from vkg.liealg import build_realization, identity_failure
 from vkg.pbw import (
     CapExceededError,
     apply,
@@ -266,18 +266,14 @@ def test_criterion_7_property_sweeps():
     # exhaustive Jacobi and invariance up to rank four
     for family, rank in [("D", 4), ("B", 4), ("C", 4), ("A", 4)]:
         lr = build_realization(family, rank)
-        n = lr.dim
-        for a, b, c in itertools.product(range(n), repeat=3):
-            if not jacobi_holds(lr, a, b, c) or not invariance_holds(lr, a, b, c):
-                ok = False
-                break
+        triples = itertools.product(range(lr.dim), repeat=3)
+        ok = ok and identity_failure(lr, triples) is None
     # seeded sample for the 133-dimensional algebra
     lr = build_realization("E", 7)
     rng = random.Random(7777)
-    for _ in range(10_000):
-        a, b, c = (rng.randrange(lr.dim) for _ in range(3))
-        ok = ok and jacobi_holds(lr, a, b, c)
-        ok = ok and invariance_holds(lr, a, b, c)
+    triples = [tuple(rng.randrange(lr.dim) for _ in range(3))
+               for _ in range(10_000)]
+    ok = ok and identity_failure(lr, triples) is None
 
     # commutator consistency of the loop action, seeded
     from test_pbw import random_small_state

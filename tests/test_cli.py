@@ -21,7 +21,7 @@ from vkg.cli import CAP_ENV_VAR, _write_json, main, read_config_file
 from vkg.liealg import build_realization
 from vkg.pbw import MAX_SEARCH_DEGREE, Kernel
 
-from helpers import flip_structure_constant, materialize
+from helpers import double_pairing, flip_structure_constant, materialize
 
 
 def run(capsys, *argv):
@@ -167,7 +167,20 @@ def test_bracket_audit_refuses_a_broken_table(monkeypatch, capsys):
     monkeypatch.setattr("vkg.cli.build_realization", lambda *_: broken)
     code, out, _ = run(capsys, "bracket-audit", "--algebra", "B:2")
     assert code == 1
-    assert '"kind": "jacobi-or-invariance"' in out
+    assert out == ('{"triple": ["-1,-1", "0,1", "1,-1"], '
+                   '"kind": "jacobi-or-invariance"}\n')
+
+
+def test_bracket_audit_refuses_a_changed_pairing(monkeypatch, capsys):
+    """On an A2 table with one pairing doubled, only invariance fails, and
+    the witness is the first such triple in itertools.product order."""
+    lr = build_realization("A", 2)
+    broken = double_pairing(lr, lr.rs.simple_roots[0])
+    monkeypatch.setattr("vkg.cli.build_realization", lambda *_: broken)
+    code, out, _ = run(capsys, "bracket-audit", "--algebra", "A:2")
+    assert code == 1
+    assert out == ('{"triple": ["-1,0,1", "0,1,-1", "1,-1,0"], '
+                   '"kind": "jacobi-or-invariance"}\n')
 
 
 def test_usage_errors(capsys):

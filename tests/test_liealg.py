@@ -13,8 +13,7 @@ from vkg.liealg import (
     _matrix_basis,
     build_realization,
     dynkin_flip,
-    invariance_holds,
-    jacobi_holds,
+    identity_failure,
     minimal_grading,
     restricted_dual_coxeter,
 )
@@ -28,10 +27,12 @@ from vkg.rootdata import (
 from vkg.serialize import realization_to_json
 
 from helpers import (
+    double_pairing,
     expand,
     flip_root_pair,
     flip_structure_constant,
     materialize,
+    reference_identity_failure,
 )
 
 
@@ -89,32 +90,92 @@ def test_e_f_bracket_lands_in_cartan():
             assert terms and all(lr.labels[i][0] == "h" for i, _ in terms)
 
 
+def _seeded_triples(n, seed, count):
+    rng = random.Random(seed)
+    return [(rng.randrange(n), rng.randrange(n), rng.randrange(n))
+            for _ in range(count)]
+
+
 @pytest.mark.parametrize("family,rank", [("D", 4), ("B", 3), ("C", 3), ("A", 3)])
 def test_jacobi_exhaustive_small(family, rank):
+    """Jacobi and invariance hold on every basis triple."""
     lr = build_realization(family, rank)
-    n = lr.dim
-    for a, b, c in itertools.product(range(n), repeat=3):
-        assert jacobi_holds(lr, a, b, c)
+    assert identity_failure(lr, itertools.product(range(lr.dim), repeat=3)) is None
 
 
 @pytest.mark.parametrize("family,rank", [("D", 4), ("B", 3), ("C", 3), ("A", 3)])
 def test_invariance_exhaustive_small(family, rank):
+    """With one pairing doubled in the form table, the exhaustive sweep
+    stops on a triple where invariance fails and Jacobi, which reads no
+    form, holds."""
     lr = build_realization(family, rank)
-    n = lr.dim
-    for a, b, c in itertools.product(range(n), repeat=3):
-        assert invariance_holds(lr, a, b, c)
+    broken = double_pairing(lr, lr.rs.simple_roots[0])
+    failure = identity_failure(broken, itertools.product(range(lr.dim), repeat=3))
+    assert failure is not None and failure[1:] == (True, False)
 
 
 @pytest.mark.parametrize("family,rank,samples", [("E", 7, 10_000), ("E", 6, 3_000),
                                                  ("E", 8, 3_000), ("D", 6, 3_000)])
 def test_jacobi_and_invariance_sampled(family, rank, samples):
     lr = build_realization(family, rank)
-    rng = random.Random(20240 + rank)
-    n = lr.dim
-    for _ in range(samples):
-        a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-        assert jacobi_holds(lr, a, b, c)
-        assert invariance_holds(lr, a, b, c)
+    triples = _seeded_triples(lr.dim, 20240 + rank, samples)
+    assert identity_failure(lr, triples) is None
+
+
+def _broken_tables(lr, count, seed):
+    """Copies of lr that are no longer a Lie algebra with an invariant form.
+
+    ``count`` negate one structure constant N_{a,b} each, for seeded
+    ordered pairs of roots with a + b a root, and one doubles the pairing
+    of the first simple root.  The rest enter a value where the tables have
+    none, so that the first failure is on a triple with only one nonzero
+    bracket among those a sum reads, which a narrower skip would miss:
+    (h_1 | e_theta) = 1, and, from rank 3, [h_x, h_y] = e_d for each pair
+    of h_1, h_2, h_3, with d a root that the third does not kill.
+    """
+    roots = set(lr.rs.roots)
+    pairs = [(a, b) for a in lr.rs.roots for b in lr.rs.roots
+             if vadd(a, b) in roots]
+    picked = random.Random(seed).sample(pairs, min(count, len(pairs)))
+    tables = [flip_structure_constant(lr, a, b) for a, b in picked]
+    tables.append(double_pairing(lr, lr.rs.simple_roots[0]))
+    h1, theta = lr.h(1), lr.e(lr.rs.theta)
+    form = dict(lr.form_table)
+    form[(h1, theta)] = form[(theta, h1)] = 1
+    tables.append(lr._replace(form_table=form))
+    if lr.rank >= 3:
+        h = [lr.h(1), lr.h(2), lr.h(3)]
+        for x, y, z in ((0, 1, 2), (1, 2, 0), (0, 2, 1)):
+            d = next(i for i in range(lr.rank, lr.dim) if lr.bracket(h[z], i))
+            bracket = dict(lr.bracket_table)
+            bracket[(h[x], h[y])], bracket[(h[y], h[x])] = ((d, 1),), ((d, -1),)
+            tables.append(lr._replace(bracket_table=bracket))
+    return tables
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 3), ("D", 4)])
+def test_identity_failure_matches_the_per_triple_oracle(family, rank):
+    """On the exhaustive triple list, the batched checker and the per-triple
+    oracle return None on the intact table and the same first failing
+    triple with the same two flags on every broken copy."""
+    lr = build_realization(family, rank)
+    triples = list(itertools.product(range(lr.dim), repeat=3))
+    assert identity_failure(lr, triples) is None
+    assert reference_identity_failure(lr, triples) is None
+    for broken in _broken_tables(lr, 12, seed=rank):
+        failure = identity_failure(broken, triples)
+        assert failure is not None
+        assert failure == reference_identity_failure(broken, triples)
+
+
+def test_identity_failure_flags_match_the_oracle_on_single_triples():
+    """On A2, intact and broken, each one-triple list gives the oracle's
+    two flags, or None where both identities hold."""
+    lr = build_realization("A", 2)
+    for table in [lr] + _broken_tables(lr, 12, seed=0):
+        for triple in itertools.product(range(lr.dim), repeat=3):
+            assert (identity_failure(table, [triple])
+                    == reference_identity_failure(table, [triple]))
 
 
 def test_grading_respects_bracket():
@@ -227,12 +288,7 @@ def test_dynkin_flip_rejects_non_d():
 def test_flip_root_pair_is_same_algebra():
     lr = build_realization("D", 4)
     lr2 = flip_root_pair(lr, vec(1, 1, 0, 0))
-    n = lr2.dim
-    rng = random.Random(5)
-    for _ in range(4000):
-        a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-        assert jacobi_holds(lr2, a, b, c)
-        assert invariance_holds(lr2, a, b, c)
+    assert identity_failure(lr2, _seeded_triples(lr2.dim, 5, 4000)) is None
     # pairing and coroot conventions survive the rescale
     e, f = lr2.e(vec(1, 1, 0, 0)), lr2.e(vec(-1, -1, 0, 0))
     assert lr2.form(e, f) == 1
@@ -336,13 +392,14 @@ def test_coroot_is_the_solved_expansion(family, rank):
 
 def test_jacobi_refuses_a_flipped_structure_constant():
     """With N_{a1,a2} negated in A2, the triple (e_a1, e_a2, e_-theta) fails
-    Jacobi: only [e_-theta, [e_a1, e_a2]] changes, and it is nonzero."""
+    Jacobi: only [e_-theta, [e_a1, e_a2]] changes, and it is nonzero.  It
+    fails invariance too, as ([e_a1, e_a2] | e_-theta) changes sign."""
     lr = build_realization("A", 2)
     a1, a2 = lr.rs.simple_roots
     triple = (lr.e(a1), lr.e(a2), lr.e(vscale(-1, lr.rs.theta)))
     broken = flip_structure_constant(lr, a1, a2)
-    assert jacobi_holds(lr, *triple)
-    assert not jacobi_holds(broken, *triple)
+    assert identity_failure(lr, [triple]) is None
+    assert identity_failure(broken, [triple]) == (triple, False, False)
 
 
 def test_invariance_refuses_a_changed_pairing():
@@ -352,12 +409,9 @@ def test_invariance_refuses_a_changed_pairing():
     lr = build_realization("A", 2)
     a1 = lr.rs.simple_roots[0]
     e, f, h = lr.e(a1), lr.e(vscale(-1, a1)), lr.h(1)
-    form = dict(lr.form_table)
-    form[(e, f)] = form[(f, e)] = 2 * lr.form(e, f)
-    broken = lr._replace(form_table=form)
-    assert invariance_holds(lr, e, f, h)
-    assert not invariance_holds(broken, e, f, h)
-    assert jacobi_holds(broken, e, f, h)
+    broken = double_pairing(lr, a1)
+    assert identity_failure(lr, [(e, f, h)]) is None
+    assert identity_failure(broken, [(e, f, h)]) == ((e, f, h), True, False)
 
 
 def _flip_sign(x):

@@ -23,7 +23,7 @@ from vkg.liealg import (
     LieRealization,
     MinimalGrading,
     build_realization,
-    invariance_holds,
+    identity_failure,
     minimal_grading,
 )
 from vkg.pbw import StateVector, vacuum
@@ -35,6 +35,8 @@ from vkg.rootdata import (
     minimal_grading_data,
     vscale,
 )
+
+from helpers import double_pairing
 
 
 def _grading_data():
@@ -122,11 +124,9 @@ def test_replaced_form_table_is_refused():
     lr = build_realization("A", 2)
     a1 = lr.rs.simple_roots[0]
     e, f, h = lr.e(a1), lr.e(vscale(-1, a1)), lr.h(1)
-    form = dict(lr.form_table)
-    form[(e, f)] = form[(f, e)] = 2 * lr.form(e, f)
-    broken = lr._replace(form_table=form)
+    broken = double_pairing(lr, a1)
     assert type(broken) is LieRealization
     assert broken.rs is lr.rs and broken.bracket_table is lr.bracket_table
     assert lr.form(e, f) != broken.form(e, f)
-    assert invariance_holds(lr, e, f, h)
-    assert not invariance_holds(broken, e, f, h)
+    assert identity_failure(lr, [(e, f, h)]) is None
+    assert identity_failure(broken, [(e, f, h)]) == ((e, f, h), True, False)
