@@ -17,7 +17,6 @@ from .rootdata import (
     canonical_name,
     casimir_eigenvalue,
     fundamental_weight,
-    is_dominant_integral,
     minimal_grading_data,
     parse_algebra,
 )
@@ -56,7 +55,6 @@ from .collapsing import (
     CollapsingRow,
     NotCollapsingError,
     collapsed_level,
-    component_level,
     is_collapsing,
     p_of_k,
     table1_audit,

@@ -101,13 +101,6 @@ def _levels(rs, gd, k: Q) -> Tuple[List[Q], Q]:
     return [k + (h - c.dual_coxeter0) / 2 for c in gd.components], k + h / 2
 
 
-def component_level(g: GType, k, i: int) -> Q:
-    """Level k_i = k + (h - h0_i)/2 of component i; i = -1 is the center."""
-    rs = build_root_system(*g)
-    levels, center_level = _levels(rs, minimal_grading_data(rs), Q(k))
-    return center_level if i == -1 else levels[i]
-
-
 def collapsed_level(g: GType, k) -> Tuple[str, Q]:
     """Target of the collapse at level k and its renormalized level k'.
 
@@ -141,7 +134,7 @@ def collapsed_level(g: GType, k) -> Tuple[str, Q]:
 
 
 def table1_expected(g: GType) -> Table1Row:
-    fam, rank = g
+    fam, rank = canonical_type(*g)
     if fam == "A" and rank >= 2:
         n = rank + 1
         comps = (canonical_type("A", n - 3),) if n >= 4 else ()
@@ -155,17 +148,14 @@ def table1_expected(g: GType) -> Table1Row:
     if fam == "D" and rank >= 3:
         n = 2 * rank
         comps = [("A", 1)]
-        center = 0
-        if n - 4 == 2:
-            center = 1
-        elif n - 4 == 4:
+        if n - 4 == 4:
             comps += [("A", 1), ("A", 1)]
-        elif n - 4 >= 6:
+        else:
             comps.append(canonical_type("D", (n - 4) // 2))
-        return Table1Row(g, Q(n - 2), tuple(sorted(comps)), center, 2 * (n - 4))
-    if fam == "C" and rank >= 2:
+        return Table1Row(g, Q(n - 2), tuple(sorted(comps)), 0, 2 * (n - 4))
+    if fam == "C" and rank >= 3:
         n = 2 * rank
-        comps = (canonical_type("C", rank - 1),) if rank >= 2 else ()
+        comps = (canonical_type("C", rank - 1),)
         return Table1Row(g, Q(n, 2) + 1, comps, 0, n - 2)
     if (fam, rank) == ("G", 2):
         return Table1Row(g, Q(4), (("A", 1),), 0, 4)
@@ -177,7 +167,7 @@ def table1_expected(g: GType) -> Table1Row:
         return Table1Row(g, Q(18), (("D", 6),), 0, 32)
     if (fam, rank) == ("E", 8):
         return Table1Row(g, Q(30), (("E", 7),), 0, 56)
-    raise UnsupportedAlgebraError(f"no table row for {canonical_name(fam, rank)}")
+    raise UnsupportedAlgebraError(f"no table row for {canonical_name(*g)}")
 
 
 def table1_audit(algebras: Sequence[GType]) -> List[dict]:
@@ -252,10 +242,7 @@ def stored_table5_rows(g: GType) -> List[CollapsingRow]:
             add(Q(4 - n, 2), canonical_type("B", (n - 5) // 2), Q(8 - n, 2))
     elif fam == "D" and rank >= 3:
         n = 2 * rank
-        if n == 6:
-            add(-2, ("A", 1), -1)
-            add(Q(4 - n, 2), "M(1)", 1)
-        elif n == 8:
+        if n == 8:
             add(-2, "C", 0)
         else:
             add(-2, ("A", 1), Q(n - 8, 2))

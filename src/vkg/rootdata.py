@@ -274,15 +274,6 @@ def fundamental_weight(rs: RootSystem, i: int) -> Vec:
                  for col in zip(*rs.simple_roots))
 
 
-def is_dominant_integral(rs: RootSystem, mu: Vec) -> bool:
-    """True iff (mu, alpha^vee) is a nonnegative integer for every simple alpha."""
-    for a in rs.simple_roots:
-        c = 2 * rs.form(mu, a) / rs.form(a, a)
-        if c < 0 or c.denominator != 1:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Minimal grading at the root-data level
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction as Q
-from typing import Dict, List, Sequence
+from typing import List
 
 from .liealg import LieRealization
-from .pbw import Monomial, StateVector
+from .pbw import StateVector
 from .rootdata import RootSystem, Vec
 
 _FRACTION_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
@@ -38,10 +38,6 @@ def weight_to_json(w: Vec) -> List[str]:
     return [frac_str(x) for x in w]
 
 
-def weight_from_json(arr: Sequence[str]) -> Vec:
-    return tuple(parse_frac(x) for x in arr)
-
-
 def parse_weight(text: str) -> Vec:
     """Parse a comma-separated coordinate list such as '1,1,0,0' or '1/2,...'."""
     return tuple(parse_frac(p) for p in text.split(","))
@@ -52,12 +48,6 @@ def base_label(lr: LieRealization, idx: int) -> str:
     if kind == "h":
         return f"h:{val}"
     return ",".join(frac_str(x) for x in val)
-
-
-def base_from_label(lr: LieRealization, label: str) -> int:
-    if label.startswith("h:"):
-        return lr.h(int(label[2:]))
-    return lr.e(parse_weight(label))
 
 
 def root_system_to_json(rs: RootSystem) -> dict:
@@ -106,20 +96,3 @@ def state_to_json(lr: LieRealization, v: StateVector) -> dict:
         "degree": int(v.degree) if Q(v.degree).denominator == 1 else frac_str(v.degree),
         "terms": terms,
     }
-
-
-def state_from_json(lr: LieRealization, payload: dict) -> StateVector:
-    terms: Dict[Monomial, Q] = {}
-    for t in payload["terms"]:
-        mono = tuple(
-            sorted((int(mode), base_from_label(lr, lab)) for lab, mode in t["monomial"])
-        )
-        coeff = parse_frac(t["coeff"])
-        if coeff:
-            terms[mono] = terms.get(mono, Q(0)) + coeff
-    return StateVector(
-        level=parse_frac(payload["level"]),
-        weight=weight_from_json(payload["weight"]),
-        degree=Q(payload["degree"]),
-        terms={m: c for m, c in terms.items() if c},
-    )

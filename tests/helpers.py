@@ -1,8 +1,11 @@
 """Checks that only the tests use: a reference straightener, the per-triple
 Jacobi and invariance checks, sign-flip equivalence, span membership, a
-reference linear solve, the dominance of classified module lists, the closed
-forms of the collapsing-level equations, the all-pairs rules of the minimal
-grading and the list form of a lazy JSON payload."""
+reference linear solve, the dominance of classified module lists
+(``is_dominant_integral``), the closed forms of the collapsing-level
+equations and the component levels (``component_level``), the all-pairs
+rules of the minimal grading, the list form of a lazy JSON payload and the
+JSON reader of a state vector (``state_from_json``, with
+``weight_from_json`` and ``base_from_label``)."""
 
 import operator
 import types
@@ -10,18 +13,20 @@ from fractions import Fraction as Q
 from typing import Dict, List, Sequence, Tuple
 
 from vkg import linalg
+from vkg.collapsing import GType, _levels
 from vkg.conformal import KLSpectrum
 from vkg.liealg import Coef, LieRealization
-from vkg.pbw import StateVector, graded_basis
+from vkg.pbw import Monomial, StateVector, graded_basis
 from vkg.rootdata import (
     RootSubsystem,
     RootSystem,
     Vec,
     build_root_system,
     classify_subsystem,
-    is_dominant_integral,
+    minimal_grading_data,
     vscale,
 )
+from vkg.serialize import parse_frac, parse_weight
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +257,15 @@ def nonnegative_solutions(roots: Sequence[Q], half_integral=False) -> List[Q]:
     return sorted(set(out))
 
 
+def is_dominant_integral(rs: RootSystem, mu: Vec) -> bool:
+    """True iff (mu, alpha^vee) is a nonnegative integer for every simple alpha."""
+    for a in rs.simple_roots:
+        c = 2 * rs.form(mu, a) / rs.form(a, a)
+        if c < 0 or c.denominator != 1:
+            return False
+    return True
+
+
 def spectrum_is_dominant(spec: KLSpectrum, limit: int = 8) -> bool:
     """Every materialized weight of the classified list is dominant integral."""
     rs = build_root_system(*spec.algebra)
@@ -259,7 +273,7 @@ def spectrum_is_dominant(spec: KLSpectrum, limit: int = 8) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Closed forms of the collapsing-level equations
+# Closed forms of the collapsing-level equations, and component levels
 
 
 def half_level_roots(h_dual) -> Tuple[Q, Q]:
@@ -278,6 +292,13 @@ def solve_quoted_s_equation(j) -> Tuple[Q, Q]:
     """Exact solutions in s of (s + j)(s + j + 2) = j (j + 2)."""
     j = Q(j)
     return (Q(0), -2 * j - 2)
+
+
+def component_level(g: GType, k, i: int) -> Q:
+    """Level k_i = k + (h - h0_i)/2 of component i; i = -1 is the center."""
+    rs = build_root_system(*g)
+    levels, center_level = _levels(rs, minimal_grading_data(rs), Q(k))
+    return center_level if i == -1 else levels[i]
 
 
 # ---------------------------------------------------------------------------
@@ -348,3 +369,30 @@ def materialize(payload):
     if isinstance(payload, (list, tuple, types.GeneratorType)):
         return [materialize(v) for v in payload]
     return payload
+
+
+def weight_from_json(arr: Sequence[str]) -> Vec:
+    return tuple(parse_frac(x) for x in arr)
+
+
+def base_from_label(lr: LieRealization, label: str) -> int:
+    if label.startswith("h:"):
+        return lr.h(int(label[2:]))
+    return lr.e(parse_weight(label))
+
+
+def state_from_json(lr: LieRealization, payload: dict) -> StateVector:
+    terms: Dict[Monomial, Q] = {}
+    for t in payload["terms"]:
+        mono = tuple(
+            sorted((int(mode), base_from_label(lr, lab)) for lab, mode in t["monomial"])
+        )
+        coeff = parse_frac(t["coeff"])
+        if coeff:
+            terms[mono] = terms.get(mono, Q(0)) + coeff
+    return StateVector(
+        level=parse_frac(payload["level"]),
+        weight=weight_from_json(payload["weight"]),
+        degree=Q(payload["degree"]),
+        terms={m: c for m, c in terms.items() if c},
+    )

@@ -21,7 +21,12 @@ from vkg.cli import CAP_ENV_VAR, _write_json, main, read_config_file
 from vkg.liealg import build_realization
 from vkg.pbw import MAX_SEARCH_DEGREE, Kernel
 
-from helpers import double_pairing, flip_structure_constant, materialize
+from helpers import (
+    double_pairing,
+    flip_structure_constant,
+    materialize,
+    state_from_json,
+)
 
 
 def run(capsys, *argv):
@@ -69,7 +74,7 @@ def test_singular_search_round_trip(capsys):
     payload = json.loads(out)
     assert payload["kernel_dimension"] == 1
     lr = build_realization("D", 4)
-    v = serialize.state_from_json(lr, payload["vectors"][0])
+    v = state_from_json(lr, payload["vectors"][0])
     assert serialize.state_to_json(lr, v) == payload["vectors"][0]
 
 
@@ -437,15 +442,17 @@ def test_config_file_rejects_unknown_keys(tmp_path):
 
 
 def test_resolved_cap_and_format_are_checked(tmp_path, capsys):
-    """A cap below 1000 and an unknown format are usage errors; the format
-    is checked first.  The default cap is pinned by
-    test_involutions_refused_above_cap."""
-    yaml = tmp_path / "yaml.cfg"
+    """A cap below 1000, an unknown format and a config line without '='
+    are usage errors; the format is checked first.  The default cap is
+    pinned by test_involutions_refused_above_cap."""
+    yaml, noeq = tmp_path / "yaml.cfg", tmp_path / "noeq.cfg"
     yaml.write_text("format = yaml\n")
+    noeq.write_text("cap 1500\n")
     for argv, message in [
         (("--cap", "999"), "cap must be at least 1000"),
         (("--config", str(yaml)), "unknown format 'yaml'"),
         (("--config", str(yaml), "--cap", "999"), "unknown format 'yaml'"),
+        (("--config", str(noeq)), f"{noeq}:1: expected 'key = value'"),
     ]:
         code, out, err = run(capsys, "involutions", "--ell", "2", "--count",
                              *argv)
@@ -606,6 +613,8 @@ def test_bad_level_refused_before_building(monkeypatch, capsys):
      "error: weight needs 8 coordinates for E8"),
     (("--level=-2", "--weight", "0,0,0,0,0,0,0,0", "--degree", "-1"),
      "error: degree must be nonnegative"),
+    (("--weight", "0,0,0,0,0,0,0,0", "--degree", "2"),
+     "error: --level is required here\n"),
 ])
 def test_bad_search_arguments_refused_before_building(monkeypatch, capsys,
                                                        argv, error):
@@ -852,6 +861,10 @@ def test_empty_algebra_label_is_a_usage_error(capsys, argv):
     ((f"{CAP_ENV_VAR}=abc", "involutions", "--ell", "2", "--count"), 2),
     ((f"{CAP_ENV_VAR}=abc", "involutions", "--ell", "2", "--count",
       "--cap", "999"), 2),
+    (("kl", "--algebra", "D:4"), 2),
+    (("weights", "--algebra", "D:4", "--mu", "0,0,0,0"), 2),
+    (("singular-search", "--algebra", "D:4", "--weight", "1,1,1,1",
+      "--degree", "2"), 2),
 ])
 def test_exit_code_sweep(capsys, monkeypatch, argv, exit_code):
     """Every input ends in exit 0, 1 or 2 through main(), never a traceback.

@@ -9,14 +9,16 @@ from vkg.collapsing import (
     NotCollapsingError,
     TABLE5_SUPER,
     collapsed_level,
-    component_level,
     is_collapsing,
     p_of_k,
     stored_table5_rows,
     table1_audit,
+    table1_expected,
     table5_audit,
 )
 from vkg.rootdata import UnsupportedAlgebraError, build_root_system
+
+from helpers import component_level
 
 
 def test_polynomial_examples():
@@ -122,6 +124,19 @@ def test_table1_audit_all_clean():
     report = table1_audit(DEFAULT_AUDIT_ALGEBRAS + RANK_20)
     assert all(r["ok"] for r in report)
     assert all(r["dim_identity"] for r in report)
+
+
+@pytest.mark.parametrize("g, iso, values", [
+    (("D", 3), ("A", 3), (4, (("A", 1),), 1, 4)),
+    (("C", 2), ("B", 2), (3, (("A", 1),), 0, 2)),
+])
+def test_tables_agree_across_exceptional_isomorphisms(g, iso, values):
+    """D3 = A3 and C2 = B2: both tables give the isomorphic type's values;
+    a Table 1 row keeps the algebra it was asked for."""
+    row = table1_expected(g)
+    assert row.algebra == g
+    assert row[1:] == table1_expected(iso)[1:] == values
+    assert stored_table5_rows(g) == stored_table5_rows(iso)
 
 
 def test_stored_rows_shape():

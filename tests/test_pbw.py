@@ -29,7 +29,11 @@ from vkg.rootdata import vadd, vec, vscale, vzero
 from vkg import serialize
 from vkg.vectors import build_v_n, build_w_n
 
-from helpers import ReferenceStraightener, in_span_of_component
+from helpers import (
+    ReferenceStraightener,
+    in_span_of_component,
+    state_from_json,
+)
 
 D4 = build_realization("D", 4)
 B2 = build_realization("B", 2)
@@ -561,7 +565,7 @@ def test_raising_generator_count():
 def test_state_serialize_round_trip():
     w1 = w1_d4()
     payload = serialize.state_to_json(D4, w1)
-    back = serialize.state_from_json(D4, payload)
+    back = state_from_json(D4, payload)
     assert back == w1
     again = serialize.state_to_json(D4, back)
     assert again == payload
@@ -654,7 +658,7 @@ def test_serialize_round_trip_random_states(data):
         elif piece.weight == total.weight and piece.degree == total.degree:
             total = total + piece
     payload = serialize.state_to_json(D4, total)
-    back = serialize.state_from_json(D4, payload)
+    back = state_from_json(D4, payload)
     assert back == total
     assert serialize.state_to_json(D4, back) == payload
 

@@ -17,7 +17,6 @@ from vkg.rootdata import (
     classify_subsystem,
     dot,
     fundamental_weight,
-    is_dominant_integral,
     minimal_grading_data,
     parse_algebra,
     vadd,
@@ -27,7 +26,7 @@ from vkg.rootdata import (
 )
 from vkg.serialize import root_system_to_json
 
-from helpers import reference_grading_components
+from helpers import is_dominant_integral, reference_grading_components
 
 # (family, rank, number of roots, dual Coxeter number)
 TABLE_ONE_VALUES = [
@@ -58,6 +57,7 @@ def test_root_counts_and_dual_coxeter(family, rank, nroots, hdual):
     assert rs.form(rs.theta, rs.theta) == 2
     assert rs.form(rs.rho, rs.theta) == rs.dual_coxeter - 1
     assert rs.dual_coxeter == hdual
+    assert classify_subsystem(rs.roots, rs.form) == canonical_type(family, rank)
 
 
 def test_e7_root_breakdown():

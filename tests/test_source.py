@@ -118,3 +118,38 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
                          capture_output=True, text=True).stdout.split()
     assert "vkg.cli" in out
     assert not {"dataclasses", "inspect"} & set(out), out
+
+
+# Top-level definitions that no package code names, each kept for a reason.
+UNREACHED_BY_DESIGN = {
+    "rootdata.vec": "the tests' exact-vector constructor, at about 116 call "
+                    "sites",
+    "vectors.e7_d6_a1_subalgebra": "the conformal embedding in V_{-4}(E7) "
+                                   "will call it (ROADMAP item 7)",
+}
+
+
+def test_every_definition_is_reached():
+    """Each top-level function and class of the package is named (as a
+    ``Name`` or an ``Attribute``) somewhere in the package outside its own
+    definition, or exported by ``vkg/__init__.py``: code that only the tests
+    reach belongs in ``tests/helpers.py``."""
+    pkg = Path(vkg.__file__).parent
+    init = ast.parse((pkg / "__init__.py").read_text(encoding="utf-8"))
+    exports = {alias.asname or alias.name for node in init.body
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    defined, named = [], {}  # named: name -> {(module, top-level index)}
+    for path in sorted(pkg.glob("*.py")):
+        body = ast.parse(path.read_text(encoding="utf-8"), str(path)).body
+        for i, stmt in enumerate(body):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.stem, i, stmt.name))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    named.setdefault(node.id, set()).add((path.stem, i))
+                elif isinstance(node, ast.Attribute):
+                    named.setdefault(node.attr, set()).add((path.stem, i))
+    unreached = [f"{module}.{name}" for module, i, name in defined
+                 if not named.get(name, set()) - {(module, i)}
+                 and name not in exports]
+    assert sorted(unreached) == sorted(UNREACHED_BY_DESIGN), unreached
