@@ -8,12 +8,15 @@ would cause work beyond the size cap is refused by `_capped`, which writes
 every `capped` report.  Exit codes: 0 success / verified / capped, 1 a
 mathematical check failed (a JSON witness is printed), 2 usage or
 configuration error; a reader that closes stdout early ends the run with 0.
-All rationals cross this boundary as "p/q" strings.
+All rationals cross this boundary as "p/q" strings.  A `vkg` process freezes
+its start-up objects (`gc.freeze`), so the collections at exit skip them;
+`main(argv)` called in process leaves the collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import os
@@ -650,6 +653,8 @@ def cmd_involutions(args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    if argv is None:  # a whole process: start-up objects live until exit
+        gc.freeze()
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

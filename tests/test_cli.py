@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -260,17 +261,23 @@ def test_collapse_refuses_flags_its_mode_does_not_read(capsys):
         assert (code, out, err) == (2, "", f"error: collapse {flag}\n")
 
 
+def _vkg_process(*argv):
+    """A fresh interpreter running the `vkg` console-script body on ``argv``,
+    with stdout and stderr piped."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.Popen(
+        [sys.executable, "-c", "import sys; from vkg.cli import main; "
+         "sys.exit(main())", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+
+
 def _read_e8_json_then_close(nbytes):
     """Run `roots --algebra E8 --realization --format json` in a fresh
     interpreter, read ``nbytes`` of stdout and close it: exit code, the
     bytes read and stderr."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.Popen(
-        [sys.executable, "-c", "import sys; from vkg.cli import main; "
-         "sys.exit(main())", "roots", "--algebra", "E8", "--realization",
-         "--format", "json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc = _vkg_process("roots", "--algebra", "E8", "--realization",
+                        "--format", "json")
     head = proc.stdout.read(nbytes)
     proc.stdout.close()
     err = proc.stderr.read()
@@ -294,6 +301,47 @@ def test_reader_closing_after_the_first_batch_ends_the_run_quietly():
     assert code == 0
     assert len(head) == 300_000
     assert err == b""
+
+
+def test_process_entry_freezes_the_start_up_objects(monkeypatch, capsys):
+    """main() reading the process's own command line first moves every
+    object tracked so far into the permanent generation, which no
+    collection walks."""
+    monkeypatch.setattr(sys, "argv",
+                        ["vkg", "involutions", "--ell", "3", "--count"])
+    before = gc.get_freeze_count()
+    try:
+        assert main() == 0
+        assert gc.get_freeze_count() > before
+    finally:
+        gc.unfreeze()
+    assert capsys.readouterr().out == "15\n"
+
+
+def test_in_process_main_leaves_the_collector_alone(capsys):
+    before = gc.get_freeze_count()
+    assert run(capsys, "involutions", "--ell", "3", "--count")[:2] == (0, "15\n")
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    ("singular-verify --algebra D:4 --family w1", 0),
+    ("singular-verify --algebra D:4 --family w1 --level=-3", 1),
+    ("singular-verify --algebra D:4", 2),
+])
+def test_process_entry_matches_in_process_main(monkeypatch, capsys, argv,
+                                               exit_code):
+    """The console-script body in a fresh interpreter gives the exit code,
+    stdout bytes and stderr of main(argv) in process."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to this width
+    proc = _vkg_process(*argv.split())
+    out, err = proc.communicate(timeout=120)
+    code, in_out, in_err = run(capsys, *argv.split())
+    assert code == exit_code
+    assert (proc.returncode, out, err) == (code, in_out.encode(),
+                                           in_err.encode())
+    if code == 1:
+        assert json.loads(out)["witness"]
 
 
 def _json_writes(monkeypatch, payload, **kw):

@@ -108,6 +108,24 @@ def test_no_dataclasses_import():
     assert not found, found
 
 
+def test_only_cli_touches_the_collector():
+    """The collector policy lives in one place: ``cli`` alone imports
+    ``gc``, under its own name, and calls only ``gc.freeze`` (at process
+    entry)."""
+    imports, uses = [], set()
+    for name, node in _nodes():
+        if isinstance(node, ast.Import):
+            imports += [f"{name} as {a.asname}" if a.asname else name
+                        for a in node.names if a.name == "gc"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            imports.append(f"{name}:{node.lineno}")
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name) and node.value.id == "gc"):
+            uses.add(f"{name}:gc.{node.attr}")
+    assert imports == ["cli.py"], imports
+    assert uses == {"cli.py:gc.freeze"}, uses
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     """In a fresh interpreter, ``import vkg.cli`` adds neither module to
     those that start-up (``site`` included) has already loaded."""
