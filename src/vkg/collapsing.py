@@ -8,6 +8,9 @@ data alone: component levels come from k_i = k + (h - h0_i)/2 and the final
 level is rescaled so the surviving component's minimal root has squared
 length 2.
 
+The roots of p(k), the Table 1 values and the Table 5 rows of each Lie
+algebra come from one per-type table, _paper_rows.
+
 Rows for the basic Lie superalgebras are carried verbatim as strings; they
 are reference data only and nothing here computes with them.
 """
@@ -16,14 +19,13 @@ from fractions import Fraction as Q
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .rootdata import (
+    GType,
     UnsupportedAlgebraError,
     build_root_system,
     canonical_name,
     canonical_type,
     minimal_grading_data,
 )
-
-GType = Tuple[str, int]
 
 
 class NotCollapsingError(ValueError):
@@ -58,32 +60,80 @@ class Table1Row(NamedTuple):
     dim_g_half: int
 
 
+def _paper_rows(t: GType):
+    """The paper's rows for one canonical type, or None if it has none.
+
+    Returns the two roots of p(k); the Table 1 values (h^vee, the sorted
+    component types, the center dimension, dim g_{1/2}); and the Table 5
+    rows (k, target, k'), each target a canonical name, "C" or "M(1)".
+    """
+    fam, rank = t
+    sizes = {"A": rank + 1, "B": 2 * rank + 1, "C": 2 * rank, "D": 2 * rank}
+    n = sizes.get(fam)  # the classical rows are for sl(n), so(n) and sp(n)
+    if fam == "A" and n >= 3:
+        roots = (Q(-1), Q(-n, 2))
+        comps = (("A", n - 3),) if n >= 4 else ()
+        top = (canonical_name("A", n - 3), Q(2 - n, 2)) if n >= 4 else ("C", 0)
+        table1 = (Q(n), comps, 1, 2 * (n - 2))
+        table5 = [(-1, "M(1)", 1), (Q(-n, 2), *top)]
+    elif fam in ("B", "D") and n >= 5:
+        rest = canonical_type("B" if n % 2 else "D", (n - 4) // 2)  # so(n - 4)
+        roots = (Q(-2), Q(4 - n, 2))
+        comps = (("A", 1), rest)
+        top = (canonical_name(*rest), Q(8 - n, 2))
+        if n == 5:  # so(1) = 0
+            comps, top = (("A", 1),), ("C", 0)
+        elif n == 7:
+            # the target so(3) is short-root: its stored k' follows the
+            # minimal-root normalization (squared length 2), which rescales
+            # the restricted component level by 2
+            top = ("sl(2)", 1)
+        table5 = [(-2, "sl(2)", Q(n - 8, 2)), (Q(4 - n, 2), *top)]
+        if n == 8:  # so(4) = sl(2) + sl(2), and -2 is a double root of p(k)
+            comps, table5 = (("A", 1),) * 3, [(-2, "C", 0)]
+        table1 = (Q(n - 2), comps, 0, 2 * (n - 4))
+    elif fam == "C" and n >= 6:
+        rest = canonical_type("C", rank - 1)  # sp(n - 2)
+        roots = (Q(-1, 2), Q(-(n + 4), 4))
+        table1 = (Q(n + 2, 2), (rest,), 0, n - 2)
+        table5 = [
+            (Q(-1, 2), "C", 0),
+            (Q(-(n + 4), 4), canonical_name(*rest), Q(-(n + 2), 4)),
+        ]
+    elif t == ("G", 2):
+        roots = (Q(-4, 3), Q(-5, 3))
+        table1 = (Q(4), (("A", 1),), 0, 4)
+        table5 = [(Q(-4, 3), "sl(2)", 1), (Q(-5, 3), "C", 0)]
+    elif t == ("F", 4):
+        roots = (Q(-5, 2), Q(-3))
+        table1 = (Q(9), (("C", 3),), 0, 14)
+        table5 = [(-3, "sp(6)", Q(-1, 2)), (Q(-5, 2), "C", 0)]
+    elif t == ("E", 6):
+        roots = (Q(-3), Q(-4))
+        table1 = (Q(12), (("A", 5),), 0, 20)
+        table5 = [(-4, "sl(6)", -1), (-3, "C", 0)]
+    elif t == ("E", 7):
+        roots = (Q(-4), Q(-6))
+        table1 = (Q(18), (("D", 6),), 0, 32)
+        table5 = [(-6, "so(12)", -2), (-4, "C", 0)]
+    elif t == ("E", 8):
+        roots = (Q(-6), Q(-10))
+        table1 = (Q(30), (("E", 7),), 0, 56)
+        table5 = [(-10, "E7", -4), (-6, "C", 0)]
+    else:
+        return None
+    return roots, table1, table5
+
+
 def p_of_k(g: GType) -> CollapsePolynomial:
     """The factored collapsing polynomial for a simple Lie algebra."""
-    fam, rank = canonical_type(*g)
-    if fam == "A" and rank >= 2:
-        roots = (Q(-1), Q(-(rank + 1), 2))
-    elif fam == "B" and rank >= 2:
-        roots = (Q(-2), Q(3 - 2 * rank, 2))
-    elif fam == "C" and rank >= 3:
-        roots = (Q(-1, 2), Q(-(rank + 2), 2))
-    elif fam == "D" and rank >= 3:
-        roots = (Q(-2), Q(2 - rank))
-    elif fam == "G":
-        roots = (Q(-4, 3), Q(-5, 3))
-    elif fam == "F":
-        roots = (Q(-5, 2), Q(-3))
-    elif (fam, rank) == ("E", 6):
-        roots = (Q(-3), Q(-4))
-    elif (fam, rank) == ("E", 7):
-        roots = (Q(-4), Q(-6))
-    elif (fam, rank) == ("E", 8):
-        roots = (Q(-6), Q(-10))
-    else:
+    t = canonical_type(*g)
+    rows = _paper_rows(t)
+    if rows is None:
         raise UnsupportedAlgebraError(
-            f"no collapsing polynomial tabulated for {canonical_name(fam, rank)}"
+            f"no collapsing polynomial tabulated for {canonical_name(*t)}"
         )
-    return CollapsePolynomial((fam, rank), roots)
+    return CollapsePolynomial(t, rows[0])
 
 
 def is_collapsing(g: GType, k) -> bool:
@@ -134,40 +184,10 @@ def collapsed_level(g: GType, k) -> Tuple[str, Q]:
 
 
 def table1_expected(g: GType) -> Table1Row:
-    fam, rank = canonical_type(*g)
-    if fam == "A" and rank >= 2:
-        n = rank + 1
-        comps = (canonical_type("A", n - 3),) if n >= 4 else ()
-        return Table1Row(g, Q(n), comps, 1, 2 * (n - 2))
-    if fam == "B" and rank >= 2:
-        n = 2 * rank + 1
-        comps: Tuple[GType, ...] = (("A", 1),)
-        if n - 4 >= 3:
-            comps += (canonical_type("B", (n - 5) // 2),)
-        return Table1Row(g, Q(n - 2), tuple(sorted(comps)), 0, 2 * (n - 4))
-    if fam == "D" and rank >= 3:
-        n = 2 * rank
-        comps = [("A", 1)]
-        if n - 4 == 4:
-            comps += [("A", 1), ("A", 1)]
-        else:
-            comps.append(canonical_type("D", (n - 4) // 2))
-        return Table1Row(g, Q(n - 2), tuple(sorted(comps)), 0, 2 * (n - 4))
-    if fam == "C" and rank >= 3:
-        n = 2 * rank
-        comps = (canonical_type("C", rank - 1),)
-        return Table1Row(g, Q(n, 2) + 1, comps, 0, n - 2)
-    if (fam, rank) == ("G", 2):
-        return Table1Row(g, Q(4), (("A", 1),), 0, 4)
-    if (fam, rank) == ("F", 4):
-        return Table1Row(g, Q(9), (("C", 3),), 0, 14)
-    if (fam, rank) == ("E", 6):
-        return Table1Row(g, Q(12), (("A", 5),), 0, 20)
-    if (fam, rank) == ("E", 7):
-        return Table1Row(g, Q(18), (("D", 6),), 0, 32)
-    if (fam, rank) == ("E", 8):
-        return Table1Row(g, Q(30), (("E", 7),), 0, 56)
-    raise UnsupportedAlgebraError(f"no table row for {canonical_name(*g)}")
+    rows = _paper_rows(canonical_type(*g))
+    if rows is None:
+        raise UnsupportedAlgebraError(f"no table row for {canonical_name(*g)}")
+    return Table1Row(g, *rows[1])
 
 
 def table1_audit(algebras: Sequence[GType]) -> List[dict]:
@@ -177,7 +197,7 @@ def table1_audit(algebras: Sequence[GType]) -> List[dict]:
         rs = build_root_system(*g)
         gd = minimal_grading_data(rs)
         expected = table1_expected(g)
-        got_comps = tuple(sorted((c.family, c.rank) for c in gd.components))
+        got_comps = sorted((c.family, c.rank) for c in gd.components)
         dim_g = len(rs.roots) + rs.rank
         entry = {
             "algebra": canonical_name(*g),
@@ -193,12 +213,9 @@ def table1_audit(algebras: Sequence[GType]) -> List[dict]:
             "dim_g_half_expected": expected.dim_g_half,
             "dim_identity": dim_g == gd.dim_gnat + 3 + 2 * gd.dim_g_half,
         }
-        entry["ok"] = (
-            entry["h_dual"] == entry["h_dual_expected"]
-            and got_comps == tuple(sorted(expected.components))
-            and gd.center_dim == expected.center_dim
-            and gd.dim_g_half == expected.dim_g_half
-            and entry["dim_identity"]
+        entry["ok"] = entry["dim_identity"] and all(
+            entry[key] == entry[key + "_expected"]
+            for key in ("h_dual", "components", "center_dim", "dim_g_half")
         )
         report.append(entry)
     return report
@@ -209,67 +226,14 @@ def table1_audit(algebras: Sequence[GType]) -> List[dict]:
 
 
 def stored_table5_rows(g: GType) -> List[CollapsingRow]:
-    """The tabulated (k, target, k') rows for one simple Lie algebra.
-
-    so(7) at k = -3/2 collapses onto the short-root so(3); its stored k'
-    follows the minimal-root normalization (squared length 2), which
-    rescales the restricted component level by 2.
-    """
-    fam, rank = canonical_type(*g)
-    rows: List[CollapsingRow] = []
-
-    def add(k, target: GType | str, kp):
-        name = target if isinstance(target, str) else canonical_name(*target)
-        rows.append(CollapsingRow((fam, rank), Q(k), name, Q(kp)))
-
-    if fam == "A" and rank >= 2:
-        n = rank + 1
-        add(-1, "M(1)", 1)
-        if n == 3:
-            add(Q(-3, 2), "C", 0)
-        else:
-            add(Q(-n, 2), ("A", n - 3), Q(2 - n, 2))
-    elif fam == "B" and rank >= 2:
-        n = 2 * rank + 1
-        if n == 5:
-            add(-2, ("A", 1), Q(-3, 2))
-            add(Q(4 - n, 2), "C", 0)
-        elif n == 7:
-            add(-2, ("A", 1), Q(n - 8, 2))
-            add(Q(4 - n, 2), ("A", 1), 1)
-        else:
-            add(-2, ("A", 1), Q(n - 8, 2))
-            add(Q(4 - n, 2), canonical_type("B", (n - 5) // 2), Q(8 - n, 2))
-    elif fam == "D" and rank >= 3:
-        n = 2 * rank
-        if n == 8:
-            add(-2, "C", 0)
-        else:
-            add(-2, ("A", 1), Q(n - 8, 2))
-            add(Q(4 - n, 2), canonical_type("D", (n - 4) // 2), Q(8 - n, 2))
-    elif fam == "C" and rank >= 3:
-        add(Q(-1, 2), "C", 0)
-        add(Q(-(rank + 2), 2), canonical_type("C", rank - 1), Q(-(rank + 1), 2))
-    elif (fam, rank) == ("G", 2):
-        add(Q(-4, 3), ("A", 1), 1)
-        add(Q(-5, 3), "C", 0)
-    elif (fam, rank) == ("F", 4):
-        add(-3, ("C", 3), Q(-1, 2))
-        add(Q(-5, 2), "C", 0)
-    elif (fam, rank) == ("E", 6):
-        add(-4, ("A", 5), -1)
-        add(-3, "C", 0)
-    elif (fam, rank) == ("E", 7):
-        add(-6, ("D", 6), -2)
-        add(-4, "C", 0)
-    elif (fam, rank) == ("E", 8):
-        add(-10, ("E", 7), -4)
-        add(-6, "C", 0)
-    else:
+    """The tabulated (k, target, k') rows for one simple Lie algebra."""
+    t = canonical_type(*g)
+    rows = _paper_rows(t)
+    if rows is None:
         raise UnsupportedAlgebraError(
-            f"no stored collapsing rows for {canonical_name(fam, rank)}"
+            f"no stored collapsing rows for {canonical_name(*t)}"
         )
-    return rows
+    return [CollapsingRow(t, Q(k), target, Q(kp)) for k, target, kp in rows[2]]
 
 
 DEFAULT_AUDIT_ALGEBRAS: Tuple[GType, ...] = (

@@ -14,6 +14,7 @@ from fractions import Fraction as Q
 from typing import List, NamedTuple, Optional, Tuple
 
 from .rootdata import (
+    GType,
     RootSystem,
     Vec,
     build_root_system,
@@ -25,8 +26,6 @@ from .rootdata import (
     vscale,
     vzero,
 )
-
-GType = Tuple[str, int]
 
 
 class CriticalLevelError(ValueError):

@@ -320,7 +320,10 @@ def canonical_name(family: str, rank: int) -> str:
     return f"{family}{rank}"
 
 
-def canonical_type(family: str, rank: int) -> Tuple[str, int]:
+GType = Tuple[str, int]  # a simple Lie algebra as (family, rank)
+
+
+def canonical_type(family: str, rank: int) -> GType:
     """Collapse the exceptional isomorphisms B2=C2, A3=D3, A1=B1=C1."""
     if family == "C" and rank == 2:
         return ("B", 2)
@@ -344,7 +347,7 @@ def _span_dim(roots: Sequence[Sequence]) -> int:
     return len(simple)
 
 
-def classify_subsystem(roots: Sequence[Vec], form_fn) -> Tuple[str, int]:
+def classify_subsystem(roots: Sequence[Vec], form_fn) -> GType:
     """Identify the isomorphism type of an irreducible root subsystem.
 
     The answer is returned in canonical form (see ``canonical_type``); e.g.

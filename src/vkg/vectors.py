@@ -315,8 +315,7 @@ def e7_subset_root(subset: Sequence[int]) -> Vec:
 def e7_support_products(lr: LieRealization) -> List[Tuple[Vec, Vec]]:
     """The five displayed quadratic products for the E7 singular vector."""
     _require_e7(lr, "e7_support_products")
-    e = lambda i: basis_vector(8, i - 1)
-    first = (vadd(e(8), vscale(-1, e(7))), vadd(e(6), e(5)))
+    first = (vsub_eps(lr, 8, 7), vadd_eps(lr, 6, 5))
     rest = [
         (e7_subset_root(a), e7_subset_root(b)) for a, b in E7_SUPPORT_SUBSETS
     ]
@@ -331,8 +330,7 @@ def e7_d6_a1_subalgebra(lr: LieRealization):
     six roots whose root vectors generate the D6 factor.
     """
     _require_e7(lr, "e7_d6_a1_subalgebra")
-    e = lambda i: basis_vector(8, i - 1)
-    pos: List[Vec] = [vadd(e(6), e(5)), vadd(e(8), vscale(-1, e(7)))]
+    pos: List[Vec] = [vadd_eps(lr, 6, 5), vsub_eps(lr, 8, 7)]
     pos += [e7_subset_root((i,)) for i in range(1, 5)]
     triples = list(itertools.combinations(range(1, 5), 3))
     pos += [e7_subset_root(t) for t in triples]
@@ -340,16 +338,16 @@ def e7_d6_a1_subalgebra(lr: LieRealization):
     pos += [e7_subset_root(t + (5, 6)) for t in triples]
     for i in range(1, 5):
         for j in range(i + 1, 5):
-            pos.append(vadd(e(i), e(j)))
-            pos.append(vadd(vscale(-1, e(i)), e(j)))
-    a1_root = vadd(e(6), vscale(-1, e(5)))
+            pos.append(vadd_eps(lr, i, j))
+            pos.append(vsub_eps(lr, j, i))
+    a1_root = vsub_eps(lr, 6, 5)
     generators = (
-        vadd(e(6), e(5)),
+        vadd_eps(lr, 6, 5),
         e7_subset_root((1,)),
-        vadd(vscale(-1, e(1)), e(2)),
-        vadd(vscale(-1, e(2)), e(3)),
-        vadd(e(1), e(2)),
-        vadd(vscale(-1, e(3)), e(4)),
+        vsub_eps(lr, 2, 1),
+        vsub_eps(lr, 3, 2),
+        vadd_eps(lr, 1, 2),
+        vsub_eps(lr, 4, 3),
     )
     return tuple(pos), a1_root, generators
 

@@ -39,6 +39,26 @@ def test_polynomials_not_tabulated_for_rank_one():
             p_of_k(g)
 
 
+@pytest.mark.parametrize("g, name, asked", [
+    (("A", 1), "sl(2)", "sl(2)"),
+    (("C", 1), "sl(2)", "sp(2)"),
+    (("B", 1), "sl(2)", "so(3)"),
+    (("D", 2), "so(4)", "so(4)"),
+])
+def test_untabulated_error_texts(g, name, asked):
+    """p(k) and Table 5 name the canonical type; Table 1 names the algebra
+    it was asked for."""
+    cases = [
+        (p_of_k, f"no collapsing polynomial tabulated for {name}"),
+        (table1_expected, f"no table row for {asked}"),
+        (stored_table5_rows, f"no stored collapsing rows for {name}"),
+    ]
+    for fn, text in cases:
+        with pytest.raises(UnsupportedAlgebraError) as exc:
+            fn(g)
+        assert str(exc.value) == text
+
+
 def test_roots_never_critical():
     for g in DEFAULT_AUDIT_ALGEBRAS:
         rs = build_root_system(*g)
@@ -110,6 +130,14 @@ def test_table5_audit_all_clean():
         ("F4", Q(-3)), ("G2", Q(-4, 3)),
     ]:
         assert needed in audited
+
+
+def test_stored_levels_are_the_roots_of_p():
+    """The converse of the audit's root check: every root of p(k) has a
+    stored row (D4's double root -2 has one)."""
+    for g in DEFAULT_AUDIT_ALGEBRAS + RANK_20:
+        levels = {row.k for row in stored_table5_rows(g)}
+        assert set(p_of_k(g).roots) == levels, g
 
 
 def test_table5_c_rows_all_audited():
