@@ -11,8 +11,11 @@ and the constants N_{alpha,beta}:
 
 * so(n) and sp(n) (types B, C, D): their int matrix realizations,
   antisymmetric with respect to the anti-diagonal form and the standard
-  symplectic form, which pin every sign canonically; N is the exact
-  quotient of an int matrix commutator by X_{alpha+beta}.
+  symplectic form, which pin every sign canonically.  One rule over pairs
+  of rows builds every root matrix: X_alpha = E_rc -+ E_(n-1-c)(n-1-r) for
+  the first pair of rows of the standard representation whose weights
+  differ by alpha.  N is the exact quotient of an int matrix commutator by
+  X_{alpha+beta}.
 
 * The simply-laced types A and E6/E7/E8: a bimultiplicative sign cocycle eps
   on the root lattice with eps(alpha, alpha) = (-1)^((alpha,alpha)/2),
@@ -23,6 +26,7 @@ on the tables as half the Casimir eigenvalue sum [x, [x^dual, e_theta_i]],
 summed over one set of exact dual pairs (``_dual_pairs``) per component.
 """
 
+import itertools
 import operator
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -195,40 +199,33 @@ def _build_tables(rs: RootSystem, duals: Sequence[Lat], pairing,
 
 def _matrix_basis(rs: RootSystem):
     """Sparse int matrices for the chosen basis of so(n) / sp(n), each root
-    keyed by its int epsilon-coordinates, and the pairing factor."""
+    keyed by its int epsilon-coordinates, and the pairing factor.
+
+    Row r of the standard representation has weight eps_(r+1) for r < l,
+    -eps_(n-r) for the last l rows and 0 for the middle row of B.  X_a has
+    1 at the entry (r, c) with the smallest row whose weights differ by a,
+    and at its mirror (n-1-c, n-1-r), when that is another entry, -1 for
+    so(n); for sp(n) -1 within one half and +1 across the halves.  so(n)
+    skips the pairs with r = n-1-c, whose weight 2 eps_i is not a root.
+    """
     l = rs.rank
     n = 2 * l + (rs.family == "B")
-    factor = 1 if rs.family == "C" else Q(1, 2)
-    pr = lambda i: n - 1 - i
-    mats: Dict[Label, SparseMat] = {}
-    for i in range(l):
-        mats[("h", i + 1)] = {(i, i): 1, (pr(i), pr(i)): -1}
-
-    def put(coords: Lat, entries):
-        mats[("e", coords)] = dict(entries)
-
-    e = lambda i, c=1: tuple(c * (j == i) for j in range(l))
-    for i in range(l):
-        for j in range(l):
-            if i != j:
-                coords = tuple(a - b for a, b in zip(e(i), e(j)))
-                put(coords, [((i, j), 1), ((pr(j), pr(i)), -1)])
-    sign = 1 if rs.family == "C" else -1
-    for i in range(l):
-        for j in range(i + 1, l):
-            coords = tuple(a + b for a, b in zip(e(i), e(j)))
-            put(coords, [((i, pr(j)), 1), ((j, pr(i)), sign)])
-            coords = tuple(-c for c in coords)
-            put(coords, [((pr(j), i), 1), ((pr(i), j), sign)])
-    if rs.family == "B":
-        m = l
-        for i in range(l):
-            put(e(i), [((i, m), 1), ((m, pr(i)), -1)])
-            put(e(i, -1), [((m, i), 1), ((pr(i), m), -1)])
-    if rs.family == "C":
-        for i in range(l):
-            put(e(i, 2), [((i, pr(i)), 1)])
-            put(e(i, -2), [((pr(i), i), 1)])
+    symplectic = rs.family == "C"
+    factor = 1 if symplectic else Q(1, 2)
+    weight = [tuple((j == r) - (j == n - 1 - r) for j in range(l))
+              for r in range(n)]
+    mats: Dict[Label, SparseMat] = {
+        ("h", i + 1): {(i, i): 1, (n - 1 - i, n - 1 - i): -1}
+        for i in range(l)}
+    for r, c in itertools.product(range(n), repeat=2):
+        mirror = (n - 1 - c, n - 1 - r)
+        if r == c or (mirror == (r, c) and not symplectic):
+            continue
+        key = ("e", tuple(map(operator.sub, weight[r], weight[c])))
+        if key not in mats:
+            x = mats[key] = {(r, c): 1}
+            if mirror != (r, c):
+                x[mirror] = 1 if symplectic and (r < l) != (c < l) else -1
     return mats, factor
 
 

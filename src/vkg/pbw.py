@@ -31,10 +31,13 @@ type, so the engine lifts only the level and its input; at an integral
 level every coefficient is an int.  Every coefficient that leaves the
 engine, in a ``StateVector`` or a ``constraint_rows`` row, is a
 ``Fraction``, so no caller ever divides two ints.  ``_Engine.act_string`` is
-the one product path: ``apply``, ``apply_string``, ``is_singular`` and
-``vectors._power`` straighten through it on ``Coef`` terms, and only the
-``StateVector`` each builds (``_state`` for the first three) turns them
-into Fractions.
+the one product path and the engine's one public method: ``apply``,
+``apply_string``, ``is_singular``, ``vectors._power`` and
+``vectors.resolve_signs`` straighten through it on ``Coef`` terms, and only
+the ``StateVector`` each builds (``_state`` for the first three) turns them
+into Fractions.  ``constraint_rows`` alone calls ``_into`` directly, once
+per column and raising generator, and turns each image into Fractions as
+it files it in the rows.
 """
 
 from fractions import Fraction as Q
@@ -129,26 +132,16 @@ class _Engine:
             for b in range(self.lr.dim)]
         return row
 
-    def act_terms(self, gen: Gen, terms: EngineTerms) -> EngineTerms:
-        """Normal-ordered image of gen on a combination, with ``Coef`` values."""
-        out: EngineTerms = {}
-        for mono, coef in terms.items():
-            self._into(out, (), gen, mono, _lift(coef))
-        return out
-
     def act_string(self, gens: Sequence[Gen],
                    terms: EngineTerms) -> EngineTerms:
         """Normal-ordered image of the product of gens on a combination,
         rightmost factor first, with ``Coef`` values."""
         for gen in reversed(gens):
-            terms = self.act_terms(gen, terms)
+            out: EngineTerms = {}
+            for mono, coef in terms.items():
+                self._into(out, (), gen, mono, _lift(coef))
+            terms = out
         return terms
-
-    def act_mono(self, gen: Gen, mono: Monomial) -> EngineTerms:
-        """Normal-ordered image of gen on one monomial, with ``Coef`` values."""
-        out: EngineTerms = {}
-        self._into(out, (), gen, mono, 1)
-        return out
 
     def _into(self, out: EngineTerms, prefix: Monomial, gen: Gen,
               mono: Monomial, c: Coef) -> None:
@@ -407,7 +400,9 @@ def constraint_rows(engine: _Engine,
     rows: Dict[Tuple[int, Monomial], linalg.Row] = {}
     for gidx, (_, gen) in enumerate(raising_generators(engine.lr)):
         for col, mono in enumerate(monomials):
-            for imono, c in engine.act_mono(gen, mono).items():
+            image: EngineTerms = {}
+            engine._into(image, (), gen, mono, 1)
+            for imono, c in image.items():
                 rows.setdefault((gidx, imono), {})[col] = Q(c)
     return list(rows.values())
 

@@ -34,7 +34,8 @@ from vkg.serialize import parse_frac, parse_weight
 
 
 class ReferenceStraightener:
-    """The plain recursive normal ordering of ``pbw._Engine.act_mono``.
+    """The plain recursive normal ordering of ``pbw._Engine.act_string``
+    on one generator and one monomial.
 
     One rule, with no fast path: x(m) passes the first factor y(n) of the
     monomial when x(m) > y(n), by x(m) y(n) = y(n) x(m) + [x, y](m + n)

@@ -33,12 +33,6 @@ def test_polynomial_examples():
     assert p.evaluate(-4) == 0 and p.evaluate(-6) == 0 and p.evaluate(-5) != 0
 
 
-def test_polynomials_not_tabulated_for_rank_one():
-    for g in (("A", 1), ("C", 1), ("B", 1), ("D", 2)):
-        with pytest.raises(UnsupportedAlgebraError):
-            p_of_k(g)
-
-
 @pytest.mark.parametrize("g, name, asked", [
     (("A", 1), "sl(2)", "sl(2)"),
     (("C", 1), "sl(2)", "sp(2)"),

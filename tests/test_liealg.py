@@ -433,6 +433,30 @@ def test_matrix_entries_are_ints(family, rank):
     assert all(type(v) is int for m in mats.values() for v in m.values())
 
 
+# SHA-256 of [rank, pairing factor, sorted (label, sorted entries)] of the
+# so(n) / sp(n) root matrices, over C1-C10, B2-B10 and D3-D10; recorded
+# while the matrices were still written out one root type at a time.
+MATRIX_BASIS_DIGESTS = [
+    ("B", range(2, 11),
+     "b3ef66e8a4af5d9a9cd0e55d34645e89fa54d66a65b35fd6665541b26243d244"),
+    ("C", range(1, 11),
+     "d2c4c6e4575ee5546e4cc2715b24fe5a71c75f1ba73b295878f321ad46afb677"),
+    ("D", range(3, 11),
+     "16c6846b5fd41dcf17690ce30a118827300b89cf3d2009d192483873d873411b"),
+]
+
+
+@pytest.mark.parametrize("family,ranks,digest", MATRIX_BASIS_DIGESTS)
+def test_matrix_basis_digest(family, ranks, digest):
+    payload = []
+    for rank in ranks:
+        mats, factor = _matrix_basis(build_root_system(family, rank))
+        payload.append([rank, str(factor), sorted(
+            (label, sorted(m.items())) for label, m in mats.items())])
+    text = json.dumps(payload, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("corrupt", [_flip_sign, _misplace, _double])
 def test_corrupted_root_matrix_is_refused(monkeypatch, corrupt):
     """A root matrix off by one sign, or with one entry doubled, fails

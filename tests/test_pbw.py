@@ -103,7 +103,7 @@ def test_engine_matches_the_reference_straightener(family, rank):
         if k not in engines:
             engines[k] = _Engine(lr, k), ReferenceStraightener(lr, k)
         engine, reference = engines[k]
-        image = engine.act_mono(gen, mono)
+        image = engine.act_string((gen,), {mono: 1})
         assert image == reference.act_mono(gen, mono)
         sizes.add(min(len(image), 2))
     assert sizes == {0, 1, 2}
@@ -135,7 +135,7 @@ def test_nested_straightening_calls_lower_the_termination_measure(monkeypatch):
     for family, rank in STRAIGHTENED_ALGEBRAS:
         lr = build_realization(family, rank)
         for k, gen, mono in straightening_inputs(lr):
-            _Engine(lr, k).act_mono(gen, mono)
+            _Engine(lr, k).act_string((gen,), {mono: 1})
     d6 = build_realization("D", 6)
     assert is_singular(d6, build_w_n(d6, 1)) == (True, None)
     assert is_singular(D4, build_v_n(D4, 4)) == (True, None)
@@ -190,7 +190,7 @@ def test_act_terms_is_the_sum_of_the_reference_images(family, rank):
         engine = _Engine(lr, v.level)
         reference = ReferenceStraightener(lr, v.level)
         for _, gen in raising_generators(lr):
-            image = engine.act_terms(gen, v.terms)
+            image = engine.act_string((gen,), v.terms)
             assert image == _reference_image(reference, gen, v.terms)
             assert all(type(c) is int for c in image.values())
     rng = random.Random(f"combinations {family}{rank}")
@@ -199,7 +199,7 @@ def test_act_terms_is_the_sum_of_the_reference_images(family, rank):
         engine, reference = _Engine(lr, k), ReferenceStraightener(lr, k)
         den = 1 if k.denominator == 1 else 3
         planted_gen, pair = _cancelling_pair(lr, reference)
-        assert engine.act_terms(planted_gen, pair) == {}
+        assert engine.act_string((planted_gen,), pair) == {}
         for i in range(60):
             gen = planted_gen if i % 3 == 0 else rng.choice(inputs)[1]
             monos = {rng.choice(inputs)[2] for _ in range(rng.randint(1, 6))}
@@ -207,7 +207,7 @@ def test_act_terms_is_the_sum_of_the_reference_images(family, rank):
                      for m in monos}
             if gen == planted_gen:
                 terms.update(pair)
-            image = engine.act_terms(gen, terms)
+            image = engine.act_string((gen,), terms)
             assert image == _reference_image(reference, gen, terms)
             if k.denominator == 1:
                 assert all(type(c) is int for c in image.values())
@@ -229,9 +229,9 @@ def test_500_factor_monomials_straighten_within_the_default_recursion_limit():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)         # Python's default
     try:
-        image = engine.act_mono((1, f), ((-1, e),) * n)
-        mixed = engine.act_mono(
-            (0, f), ((-2, f),) + ((-1, f),) * (n - 2) + ((-1, e),))
+        image = engine.act_string(((1, f),), {((-1, e),) * n: 1})
+        mixed = engine.act_string(((0, f),), {
+            ((-2, f),) + ((-1, f),) * (n - 2) + ((-1, e),): 1})
     finally:
         sys.setrecursionlimit(limit)
     # e_-a(1) e_a(-1)^n = sum_i e_a(-1)^i (c_fe h(0) + k (f | e)) e_a(-1)^(n-1-i)
@@ -471,7 +471,8 @@ def test_integer_and_rational_levels_agree():
     saw_level = False
     for _, g in raising_generators(lr):
         for mono in basis:
-            img = {k: e.act_mono(g, mono) for k, e in engines.items()}
+            img = {k: e.act_string((g,), {mono: 1})
+                   for k, e in engines.items()}
             for k in (Q(-3), Q(-2)):
                 assert all(type(c) is int for c in img[k].values())
             keys = set().union(*img.values())

@@ -126,6 +126,18 @@ def test_only_cli_touches_the_collector():
     assert uses == {"cli.py:gc.freeze"}, uses
 
 
+def test_engine_has_one_public_method():
+    """The straightening engine has one product path: ``pbw._Engine``
+    defines ``act_string`` and no other public method."""
+    engines = [node for name, node in _nodes() if name == "pbw.py"
+               and isinstance(node, ast.ClassDef) and node.name == "_Engine"]
+    assert len(engines) == 1
+    public = [node.name for node in engines[0].body
+              if isinstance(node, ast.FunctionDef)
+              and not node.name.startswith("_")]
+    assert public == ["act_string"], public
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     """In a fresh interpreter, ``import vkg.cli`` adds neither module to
     those that start-up (``site`` included) has already loaded."""
