@@ -36,8 +36,8 @@ the one product path and the engine's one public method: ``apply``,
 ``vectors.resolve_signs`` straighten through it on ``Coef`` terms, and only
 the ``StateVector`` each builds (``_state`` for the first three) turns them
 into Fractions.  ``constraint_rows`` alone calls ``_into`` directly, once
-per column and raising generator, and turns each image into Fractions as
-it files it in the rows.
+per column and raising generator, and files each coefficient of an image
+in the rows as a Fraction, one shared immutable object per distinct value.
 """
 
 from fractions import Fraction as Q
@@ -288,7 +288,8 @@ def _search(lr: LieRealization, weight: Vec, degree: int,
     degree, weight so far) is memoized.  The running total never exceeds the
     size of the component, so passing the cap proves it too large.  The walk
     runs on the doubled root coordinates of ``rs.lattice``, each generator
-    weight stored as its nonzero (coordinate, value) pairs, with two prunes:
+    weight stored as its nonzero (coordinate, value) pairs, with two prunes
+    and one lookup:
 
     - in the generator loop, the mass ``need`` (the L1 distance to the
       target) is updated from the sparse pairs, and a generator is skipped,
@@ -300,7 +301,12 @@ def _search(lr: LieRealization, weight: Vec, degree: int,
       per unit of degree, and its mode -1 copy is also from ``start`` on,
       so the bounds are suffix maxima of the mode -1 steps up and down:
       over the basis from ``start`` when it lies in the mode -1 block,
-      over all of it otherwise.
+      over all of it otherwise;
+    - at one degree left, the last factor has mode -1 and weight target -
+      cur, so it is looked up, not searched: a dict maps each doubled
+      generator weight to its basis indices in ascending order (the Cartan
+      elements share the zero weight), and the indices from ``start`` on
+      close the monomial, in generator-stream order, with one ``proven``.
 
     A node starts its loop at the first generator whose mode fits the
     remaining degree, and that start is the one in the memo key.
@@ -329,6 +335,9 @@ def _search(lr: LieRealization, weight: Vec, degree: int,
     reach.reverse()
     last = (degree - 1) * lr.dim          # the first mode -1 generator
     sparse = [tuple((c, x) for c, x in enumerate(w) if x) for w in wints]
+    by_weight: Dict[Tuple[int, ...], List[int]] = {}
+    for b, w in enumerate(wints):
+        by_weight.setdefault(w, []).append(b)
     gens: List[Gen] = [
         (mode, b) for mode in range(-degree, 0) for b in range(lr.dim)
     ]
@@ -358,6 +367,15 @@ def _search(lr: LieRealization, weight: Vec, degree: int,
             d = target[c] - cur[c]
             if d > remaining * up[c] or -d > remaining * down[c]:
                 return 0
+        if remaining == 1:
+            # the last factor has mode -1 and weight target - cur
+            last_bases = [b for b in by_weight.get(
+                tuple(t - x for t, x in zip(target, cur)), ())
+                if b >= start - last]
+            if out is not None:
+                out.extend(tuple(stack) + ((-1, b),) for b in last_bases)
+            proven(len(last_bases))
+            return len(last_bases)
         if out is None:
             key = (start, remaining, tuple(cur))
             count = memo.get(key)
@@ -395,15 +413,21 @@ def constraint_rows(engine: _Engine,
 
     Column j stands for monomials[j]; there is one row per pair (raising
     generator, monomial of its image), so the kernel of the stacked rows is
-    the set of combinations that every raising generator kills.
+    the set of combinations that every raising generator kills.  Each
+    distinct engine coefficient becomes a Fraction once per call, and every
+    entry of that value shares the one immutable object.
     """
     rows: Dict[Tuple[int, Monomial], linalg.Row] = {}
+    fractions: Dict[Coef, Q] = {}
     for gidx, (_, gen) in enumerate(raising_generators(engine.lr)):
         for col, mono in enumerate(monomials):
             image: EngineTerms = {}
             engine._into(image, (), gen, mono, 1)
             for imono, c in image.items():
-                rows.setdefault((gidx, imono), {})[col] = Q(c)
+                q = fractions.get(c)
+                if q is None:
+                    q = fractions[c] = Q(c)
+                rows.setdefault((gidx, imono), {})[col] = q
     return list(rows.values())
 
 

@@ -364,10 +364,7 @@ def brute_graded_basis(lr, weight, degree):
     return brute_components(lr, degree).get(tuple(weight), set())
 
 
-@pytest.mark.parametrize("family, rank", [("A", 2), ("B", 2), ("C", 2), ("D", 4)])
-@pytest.mark.parametrize("degree", [0, 1, 2, 3])
-def test_search_matches_brute_force_on_every_component(family, rank, degree):
-    lr = build_realization(family, rank)
+def check_every_component(lr, degree):
     components = brute_components(lr, degree)
     for weight, monos in components.items():
         assert graded_basis(lr, weight, degree) == sorted(monos)
@@ -377,6 +374,20 @@ def test_search_matches_brute_force_on_every_component(family, rank, degree):
     assert far not in components
     assert graded_basis(lr, far, degree) == []
     assert component_size(lr, far, degree, 10) == 0
+
+
+@pytest.mark.parametrize("family, rank", [("A", 2), ("B", 2), ("C", 2), ("D", 4)])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_search_matches_brute_force_on_every_component(family, rank, degree):
+    check_every_component(build_realization(family, rank), degree)
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_search_matches_brute_force_on_e6(degree):
+    """E6 weights have half-integer coordinates, so the doubled weights that
+    the search looks its last factors up by are odd.  Degree 2 alone takes
+    seconds by brute force, so E6 stops at degree 1."""
+    check_every_component(build_realization("E", 6), degree)
 
 
 def test_graded_basis_d4_oracle():
@@ -679,7 +690,10 @@ def test_frac_str_prints_every_type_as_a_fraction_would():
 
 # SHA-256 of the compact JSON of graded_basis, recorded while the search ran
 # on LCM-rescaled coordinates, with the size of each component.  The two D4
-# weights off the root lattice have empty components.
+# weights off the root lattice have empty components.  E6 at theta and D4 at
+# weight 0 were recorded while the search still looped over every generator
+# for the last factor of a monomial; at weight 0 many last factors are
+# Cartan elements, which share one doubled weight.
 GRADED_BASIS_DIGESTS = [
     ("D", 4, (1, 1, 0, 0), 4, 422,
      "ad4ecb4a3e0f6973813dfe28de3f37360cb5c2a06301ba05d97cf35bd0292d96"),
@@ -697,6 +711,10 @@ GRADED_BASIS_DIGESTS = [
      "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
     ("D", 4, (Q(1, 2),) * 4, 2, 0,
      "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    ("E", 6, (Q(1, 2),) * 5 + (Q(-1, 2), Q(-1, 2), Q(1, 2)), 3, 240,
+     "51ddf64dca76a0c8a1a2dc18d73796de3cdcd749867d7e77f2989f3c524300d0"),
+    ("D", 4, (0,) * 4, 4, 779,
+     "e4689c4111c1ed9f7cc3b3fe38c123276387772673696cd8db50ca9776793b8a"),
 ]
 
 
