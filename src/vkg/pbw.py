@@ -32,16 +32,16 @@ level every coefficient is an int.  Every coefficient that leaves the
 engine, in a ``StateVector`` or a ``constraint_rows`` row, is a
 ``Fraction``, so no caller ever divides two ints.  ``_Engine.act_string`` is
 the one product path and the engine's one public method: ``apply``,
-``apply_string``, ``is_singular``, ``vectors._power`` and
+``apply_string``, ``vectors._power`` (unless its factors commute) and
 ``vectors.resolve_signs`` straighten through it on ``Coef`` terms, and only
-the ``StateVector`` each builds (``_state`` for the first three) turns them
-into Fractions.  ``constraint_rows`` alone calls ``_into`` directly, once
-per column and raising generator, and files each coefficient of an image
-in the rows as a Fraction, one shared immutable object per distinct value.
+the ``StateVector`` each builds turns them into Fractions.  ``_raising_images``
+makes ``_into``'s top-level calls for every raising generator in one scan: of
+a vector for ``is_singular``, of each column for ``constraint_rows``, which
+files each coefficient as a Fraction, one shared object per distinct value.
 """
 
 from fractions import Fraction as Q
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .liealg import Coef, LieRealization, _acc, _lift
@@ -237,12 +237,36 @@ def is_singular(lr: LieRealization, v: StateVector):
     """
     if v.is_zero():
         raise ValueError("is_singular needs a nonzero vector")
-    engine = _Engine(lr, v.level)
-    for label, gen in raising_generators(lr):
-        image = engine.act_string((gen,), v.terms)
+    raising = raising_generators(lr)
+    (images,) = _raising_images(_Engine(lr, v.level), raising, [v.terms])
+    for (label, gen), image in zip(raising, images):
         if image:
             return False, (label, _state(lr, (gen,), v, image))
     return True, None
+
+
+def _raising_images(engine: _Engine, raising: List[Tuple[str, Gen]],
+                    combinations: Iterable[EngineTerms]):
+    """Per combination, the raising images from one scan: at mode >= 0 a
+    top-level ``_into`` acts only at slots whose base has a partner entry."""
+    table: List[list] = [[] for _ in range(engine.lr.dim)]
+    for gidx, (_, (mode, base)) in enumerate(raising):
+        for b, pair in enumerate(engine._rows[base] or engine._row(base)):
+            if pair is not None:
+                table[b].append((gidx, mode, *pair))
+    for terms in combinations:
+        images: List[EngineTerms] = [{} for _ in raising]
+        for mono, c in terms.items():
+            c = _lift(c)
+            for slot, (y_mode, y_base) in enumerate(mono):
+                head, rest = mono[:slot], mono[slot + 1:]
+                for gidx, mode, brackets, form in table[y_base]:
+                    new, out = mode + y_mode, images[gidx]
+                    for idx, coef in brackets:
+                        engine._into(out, head, (new, idx), rest, c * coef)
+                    if form and new == 0:
+                        _acc(out, head + rest, c * mode * engine.k * form)
+        yield images
 
 
 # ---------------------------------------------------------------------------
@@ -417,18 +441,18 @@ def constraint_rows(engine: _Engine,
     distinct engine coefficient becomes a Fraction once per call, and every
     entry of that value shares the one immutable object.
     """
-    rows: Dict[Tuple[int, Monomial], linalg.Row] = {}
+    raising = raising_generators(engine.lr)
+    rows: List[dict] = [{} for _ in raising]
     fractions: Dict[Coef, Q] = {}
-    for gidx, (_, gen) in enumerate(raising_generators(engine.lr)):
-        for col, mono in enumerate(monomials):
-            image: EngineTerms = {}
-            engine._into(image, (), gen, mono, 1)
+    images = _raising_images(engine, raising, ({m: 1} for m in monomials))
+    for col, col_images in enumerate(images):
+        for gen_rows, image in zip(rows, col_images):
             for imono, c in image.items():
                 q = fractions.get(c)
                 if q is None:
                     q = fractions[c] = Q(c)
-                rows.setdefault((gidx, imono), {})[col] = q
-    return list(rows.values())
+                gen_rows.setdefault(imono, {})[col] = q
+    return [row for gen_rows in rows for row in gen_rows.values()]
 
 
 class Kernel(List[StateVector]):

@@ -126,13 +126,15 @@ def _power(lr: LieRealization, summands: Iterable[Summand], level, n: int = 1,
     for a refused component; with a weight and degree, the result must land
     in that component.  The summands must share one weight and degree.  Each
     power is summed into one dict of engine coefficients, turned into
-    Fractions once at the end.
-    """
+    Fractions once at the end.  Generators of negative mode whose bases have
+    no partner entries ([a, b] = 0, (a | b) = 0) commute: then a summand
+    times a monomial is the sorted run of both, else (B3's ``w1``) the
+    engine straightens it."""
     if cap is not None and component_size(lr, weight, degree, cap) is None:
         raise CapExceededError(
             f"graded component at degree {degree} exceeds cap {cap}"
         )
-    summands = list(summands)
+    summands = [(_lift(coef), tuple(gens)) for coef, gens in summands]
     if not summands:
         raise ValueError("operator has no summands")
     grades = {_grade(lr, gens) for _, gens in summands}
@@ -143,12 +145,16 @@ def _power(lr: LieRealization, summands: Iterable[Summand], level, n: int = 1,
     if weight is not None and (state_weight, state_degree) != (weight, degree):
         raise ValueError("vector landed outside its weight and degree")
     engine = _Engine(lr, level)
+    used = {g for _, gens in summands for g in gens}
+    commuting = all(mode < 0 and (engine._rows[a] or engine._row(a))[b] is None
+                    for mode, a in used for _, b in used)
     terms: EngineTerms = {(): 1}
     for _ in range(n):
         total: EngineTerms = {}
         for coef, gens in summands:
-            coef = _lift(coef)
-            for mono, c in engine.act_string(gens, terms).items():
+            for mono, c in (((tuple(sorted(m + gens)), c) for m, c in
+                             terms.items()) if commuting
+                            else engine.act_string(gens, terms).items()):
                 _acc(total, mono, coef * c)
         terms = total
     return StateVector(Q(level), state_weight, state_degree,

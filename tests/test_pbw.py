@@ -8,13 +8,14 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, strategies as st
 
-from vkg.liealg import build_realization
+from vkg.liealg import _lift, build_realization
 from vkg.pbw import (
     MAX_SEARCH_DEGREE,
     CapExceededError,
     StateVector,
     apply,
     _Engine,
+    _raising_images,
     apply_string,
     component_size,
     constraint_rows,
@@ -182,8 +183,9 @@ def sliding_combinations(lr):
 
 @pytest.mark.parametrize("family, rank", STRAIGHTENED_ALGEBRAS + [("D", 8)])
 def test_act_terms_is_the_sum_of_the_reference_images(family, rank):
-    # one accumulator serves every term of a combination: its image is the
-    # sum of the images of the terms, cancellations included
+    """``_Engine.act_string`` on one generator: one accumulator serves every
+    term of a combination, so its image is the sum of the reference images
+    of the terms, cancellations included."""
     lr = build_realization(family, rank)
     for v in sliding_combinations(lr):
         assert v.level.denominator == 1
@@ -211,6 +213,88 @@ def test_act_terms_is_the_sum_of_the_reference_images(family, rank):
             assert image == _reference_image(reference, gen, terms)
             if k.denominator == 1:
                 assert all(type(c) is int for c in image.values())
+
+
+@pytest.mark.parametrize("family, rank", STRAIGHTENED_ALGEBRAS + [("D", 8)])
+def test_raising_images_match_the_reference_and_one_call_per_generator(
+        family, rank):
+    """The one-scan images of ``_raising_images`` equal the reference images,
+    and the top-level ``_into`` calls one generator at a time, term for term
+    and in insertion order; several combinations in one call keep their
+    images apart."""
+    lr = build_realization(family, rank)
+    combinations = {}
+    for v in sliding_combinations(lr):
+        combinations.setdefault(v.level, []).append(v.terms)
+    rng = random.Random(f"raising images {family}{rank}")
+    inputs = list(straightening_inputs(lr))
+    for k in (Q(-2), Q(-5, 2), -lr.rs.dual_coxeter):
+        for _ in range(30):
+            monos = {rng.choice(inputs)[2] for _ in range(rng.randint(1, 6))}
+            combinations.setdefault(k, []).append(
+                {m: Q(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+                 for m in monos})
+    raising = raising_generators(lr)
+    nonzero = 0
+    for k, combos in combinations.items():
+        engine, reference = _Engine(lr, k), ReferenceStraightener(lr, k)
+        all_images = list(_raising_images(engine, raising, combos))
+        assert len(all_images) == len(combos)
+        for terms, images in zip(combos, all_images):
+            assert len(images) == len(raising)
+            for (_, gen), image in zip(raising, images):
+                one = {}
+                for mono, c in terms.items():
+                    engine._into(one, (), gen, mono, _lift(c))
+                assert list(image.items()) == list(one.items())
+                assert image == _reference_image(reference, gen, terms)
+                nonzero += bool(image)
+    assert nonzero
+
+
+def _first_failing_generator(lr, v):
+    """The witness of ``is_singular``, found with one ``act_string`` call per
+    raising generator, and how many generators fail."""
+    engine = _Engine(lr, v.level)
+    failing = [(label, gen, image) for label, gen in raising_generators(lr)
+               if (image := engine.act_string((gen,), v.terms))]
+    label, gen, image = failing[0]
+    return label, gen, [(m, Q(c)) for m, c in image.items()], len(failing)
+
+
+def _check_witness(lr, v, label, gen):
+    ok, (witness_label, image) = is_singular(lr, v)
+    assert not ok and witness_label == label
+    assert list(image.terms.items()) == _first_failing_generator(lr, v)[2]
+    assert (image.weight, image.degree) == (
+        apply(lr, gen, v).weight, apply(lr, gen, v).degree)
+    assert all(type(c) is Q for c in image.terms.values())
+
+
+def test_is_singular_witness_at_a_mode_0_simple_root():
+    # a combination of a whole component fails at several generators; the
+    # witness is the first in raising order, a mode 0 simple root
+    basis = graded_basis(D4, vec(1, 1, 0, 0), 2)
+    v = StateVector(Q(-5, 2), vec(1, 1, 0, 0), Q(2),
+                    {m: Q(i + 1) for i, m in enumerate(basis)})
+    label, gen, _, failing = _first_failing_generator(D4, v)
+    assert gen[0] == 0 and failing >= 2
+    assert label == raising_generators(D4)[0][0]
+    _check_witness(D4, v, label, gen)
+
+
+@pytest.mark.parametrize("lr, build", [
+    (D4, lambda lr: w1_d4(Q(-1))),
+    (build_realization("D", 5), lambda lr: build_v_n(lr, 2).at_level(Q(-1))),
+    (build_realization("D", 6), lambda lr: build_w_n(lr, 1).at_level(Q(-2))),
+], ids=["w1 D4", "v_2 D5", "w_1 D6"])
+def test_is_singular_witness_of_a_paper_vector_at_a_wrong_level(lr, build):
+    # mode 0 images do not depend on the level, so a paper vector at a
+    # wrong level fails only at e_-theta(1), the last raising generator
+    v = build(lr)
+    label, gen, _, failing = _first_failing_generator(lr, v)
+    assert failing == 1 and (label, gen) == raising_generators(lr)[-1]
+    _check_witness(lr, v, label, gen)
 
 
 def test_500_factor_monomials_straighten_within_the_default_recursion_limit():

@@ -5,9 +5,11 @@ from fractions import Fraction as Q
 
 import pytest
 
-from vkg.liealg import build_realization
+from vkg import vectors
+from vkg.liealg import _acc, _lift, build_realization
 from vkg.pbw import (
     CapExceededError,
+    _Engine,
     is_singular,
     proportional,
     singular_kernel,
@@ -343,6 +345,87 @@ def test_power_of_a_cancelling_sum_is_zero_in_its_component(n):
     assert v.level == Q(-5, 2)
     assert v.weight == vscale(n, vadd(a, b))
     assert v.degree == 2 * n
+
+
+# ---------------------------------------------------------------------------
+# the sorted runs of _power against the straightening engine
+
+
+def _engine_power(lr, summands, level, n):
+    """(sum of coef * product)^n 1 with every product straightened by the
+    engine, as (monomial, coefficient) pairs in insertion order."""
+    engine = _Engine(lr, level)
+    terms = {(): 1}
+    for _ in range(n):
+        total = {}
+        for coef, gens in summands:
+            for mono, c in engine.act_string(gens, terms).items():
+                _acc(total, mono, _lift(Q(coef)) * c)
+        terms = total
+    return [(m, Q(c)) for m, c in terms.items()]
+
+
+def _checked_powers(monkeypatch, build, lr):
+    """Build a vector, comparing each ``_power`` call with ``_engine_power``;
+    returns the vector and whether each call went through ``act_string``."""
+    calls, engine_used = [], []
+    act_string, power = _Engine.act_string, vectors._power
+
+    def counted(self, gens, terms):
+        calls.append(gens)
+        return act_string(self, gens, terms)
+
+    def checked(lr, summands, level, n=1, **kwargs):
+        summands = list(summands)
+        calls.clear()
+        v = power(lr, summands, level, n, **kwargs)
+        engine_used.append(bool(calls))
+        assert list(v.terms.items()) == _engine_power(lr, summands, level, n)
+        return v
+
+    monkeypatch.setattr(_Engine, "act_string", counted)
+    monkeypatch.setattr(vectors, "_power", checked)
+    return build(lr), engine_used
+
+
+@pytest.mark.parametrize("family, rank, build", [
+    ("D", 4, build_w1_D),
+    ("B", 4, build_w1_B),
+    ("D", 4, build_w3_D4),
+    ("D", 5, lambda lr: build_v_n(lr, 1)),
+    ("D", 5, lambda lr: build_v_n(lr, 2)),
+    ("D", 6, lambda lr: build_v_n(lr, 3)),
+    ("D", 6, lambda lr: build_w_n(lr, 1)),
+    ("D", 8, lambda lr: build_w_n(lr, 2)),
+    ("D", 6, lambda lr: theta_image(lr, build_w_n(lr, 1))),
+], ids=["w1 D4", "w1 B4", "w3 D4", "v_1 D5", "v_2 D5", "v_3 D6", "w_1 D6",
+        "w_2 D8", "theta-w_1 D6"])
+def test_power_sorted_runs_match_the_engine(monkeypatch, family, rank, build):
+    # the paper's factors commute and pair to zero: no product is straightened
+    v, engine_used = _checked_powers(monkeypatch, build,
+                                     build_realization(family, rank))
+    assert not v.is_zero() and engine_used and not any(engine_used)
+
+
+def test_power_straightens_b3_w1_through_the_engine(monkeypatch):
+    # e_{eps2} and e_{eps3} do not commute, so the sorted runs do not apply
+    v, engine_used = _checked_powers(monkeypatch, build_w1_B,
+                                     build_realization("B", 3))
+    assert not v.is_zero() and engine_used == [True]
+
+
+def test_power_straightens_a_nonnegative_mode(monkeypatch):
+    # e_a(0) commutes with e_b(-1) and kills the vacuum: the product is zero,
+    # not a monomial with a mode 0 factor
+    a, b = vec(1, 1, 0, 0), vec(0, 0, 1, 1)
+
+    def build(lr):
+        return vectors._power(lr, [(Q(1), [(0, lr.e(a)), (-1, lr.e(b))])],
+                              Q(-2))
+
+    v, engine_used = _checked_powers(monkeypatch, build,
+                                     build_realization("D", 4))
+    assert v.is_zero() and engine_used == [True]
 
 
 # ---------------------------------------------------------------------------
