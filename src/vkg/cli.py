@@ -291,6 +291,18 @@ def cmd_roots(args) -> int:
     return OK
 
 
+def _randrange_draws(rng: random.Random, n: int, count: int):
+    """``count`` successive values of ``rng.randrange(n)``, n >= 1, drawn by
+    the rejection loop on ``getrandbits(n.bit_length())`` that randrange
+    runs, without its per-call argument checks."""
+    bits, draw = n.bit_length(), rng.getrandbits
+    for _ in range(count):
+        r = draw(bits)
+        while r >= n:
+            r = draw(bits)
+        yield r
+
+
 def cmd_bracket_audit(args) -> int:
     rs = parse_algebra(args.algebra)
     if args.samples < 1:
@@ -305,8 +317,8 @@ def cmd_bracket_audit(args) -> int:
     if exhaustive:
         triples, total = itertools.product(range(n), repeat=3), n ** 3
     else:
-        triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                   for _ in range(args.samples))
+        draws = _randrange_draws(rng, n, 3 * args.samples)
+        triples = zip(draws, draws, draws)
         total = args.samples
     failure = identity_failure(lr, triples)
     if failure is not None:

@@ -16,10 +16,12 @@ are reference data only and nothing here computes with them.
 """
 
 from fractions import Fraction as Q
+from functools import lru_cache
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .rootdata import (
     GType,
+    GradingData,
     UnsupportedAlgebraError,
     build_root_system,
     canonical_name,
@@ -145,6 +147,13 @@ def is_collapsing(g: GType, k) -> bool:
     return p_of_k(g).evaluate(k) == 0
 
 
+@lru_cache(maxsize=None)
+def _grading_data(g: GType) -> GradingData:
+    """``minimal_grading_data`` of one type, computed once per process and
+    keyed by the type, not by its root system."""
+    return minimal_grading_data(build_root_system(*g))
+
+
 def _levels(rs, gd, k: Q) -> Tuple[List[Q], Q]:
     """Levels k + (h - h0_i)/2 of the components and k + h/2 of the center."""
     h = rs.dual_coxeter
@@ -163,7 +172,7 @@ def collapsed_level(g: GType, k) -> Tuple[str, Q]:
     if not is_collapsing(g, k):
         raise NotCollapsingError(f"{canonical_name(*g)} at k = {k}")
     rs = build_root_system(*g)
-    gd = minimal_grading_data(rs)
+    gd = _grading_data(g)
     levels, center_level = _levels(rs, gd, k)
     survivors = [(comp, ki) for comp, ki in zip(gd.components, levels) if ki]
     center_survives = gd.center_dim > 0 and center_level != 0
@@ -195,7 +204,7 @@ def table1_audit(algebras: Sequence[GType]) -> List[dict]:
     report = []
     for g in algebras:
         rs = build_root_system(*g)
-        gd = minimal_grading_data(rs)
+        gd = _grading_data(g)
         expected = table1_expected(g)
         got_comps = sorted((c.family, c.rank) for c in gd.components)
         dim_g = len(rs.roots) + rs.rank

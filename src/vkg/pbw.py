@@ -192,6 +192,15 @@ def _grade(lr: LieRealization, gens: Sequence[Gen]) -> Tuple[Vec, int]:
     return weight, -sum(mode for mode, _ in gens)
 
 
+def _lattice_weights(lr: LieRealization) -> List[Tuple[int, ...]]:
+    """The weight of each basis element in the doubled int coordinates of
+    ``rs.lattice``; the Cartan elements have weight zero."""
+    doubled = dict(zip(lr.rs.roots, lr.rs.lattice))
+    zero = (0,) * lr.rs.ambient
+    return [zero if lab[0] == "h" else doubled[w]
+            for lab, w in zip(lr.labels, lr.weights)]
+
+
 def _state(lr: LieRealization, gens: Sequence[Gen], v: StateVector,
            image: EngineTerms) -> StateVector:
     """The state gens . v, from its engine image: the one place where the
@@ -307,33 +316,39 @@ def _search(lr: LieRealization, weight: Vec, degree: int,
             cap: Optional[int], out: Optional[List[Monomial]]) -> int:
     """Walk the monomials of a graded component and return how many there are.
 
-    With a list, every monomial is appended to it in generator-stream order;
-    without one, the count of the subtree under each (start index, remaining
-    degree, weight so far) is memoized.  The running total never exceeds the
-    size of the component, so passing the cap proves it too large.  The walk
-    runs on the doubled root coordinates of ``rs.lattice``, each generator
-    weight stored as its nonzero (coordinate, value) pairs, with two prunes
-    and one lookup:
+    With a list, every monomial is appended to it; without one, the count of
+    the subtree under each (walk index, remaining degree, weight so far) is
+    memoized.  The running total never exceeds the size of the component,
+    so passing the cap proves it too large.  The walk runs on the doubled
+    root coordinates of ``rs.lattice``, each generator weight stored as its
+    nonzero (coordinate, value) pairs.  A monomial is a walk-nondecreasing
+    sequence of the generators that can occur: those of mode -m and weight
+    w with |target - w|_1 <= (degree - m) * max_mass, the mass prune below
+    applied once at the root, which holds at every depth.  They are walked
+    mode-major, most negative first, so the modes that fit start at one
+    index; within a mode, by the first coordinate they move, taking
+    coordinates by increasing |target| (ties by index; the zero weight
+    moves none and comes last), then by basis index.  So the least-demanded
+    coordinates are settled first.  Two prunes and one lookup:
 
     - in the generator loop, the mass ``need`` (the L1 distance to the
       target) is updated from the sparse pairs, and a generator is skipped,
       before it touches ``cur`` or recurses, when ``need`` exceeds what the
       degree left after it can reach (``left * max_mass``);
     - at node entry, a coordinate that the generators from ``start`` on
-      cannot move to the target in the remaining degree cuts the node.  A
-      generator of mode -m moves a coordinate by at most its step over m
-      per unit of degree, and its mode -1 copy is also from ``start`` on,
-      so the bounds are suffix maxima of the mode -1 steps up and down:
-      over the basis from ``start`` when it lies in the mode -1 block,
-      over all of it otherwise;
+      cannot move to the target in the remaining degree cuts the node.
+      Each factor left is one of them and adds at least 1 to the degree,
+      so ``reach``, the suffix maxima of the steps up and down over the
+      walk, bounds the move per unit of degree in any walk order;
     - at one degree left, the last factor has mode -1 and weight target -
       cur, so it is looked up, not searched: a dict maps each doubled
-      generator weight to its basis indices in ascending order (the Cartan
-      elements share the zero weight), and the indices from ``start`` on
-      close the monomial, in generator-stream order, with one ``proven``.
+      generator weight to its mode -1 walk indices in ascending order (the
+      Cartan elements share the zero weight), and the indices from
+      ``start`` on close the monomial with one ``proven``.
 
-    A node starts its loop at the first generator whose mode fits the
-    remaining degree, and that start is the one in the memo key.
+    Each listed monomial is its factors in PBW order, and the list is sorted
+    once at the end.  Monomials of one degree are never prefixes of one
+    another, so that is the lexicographic order of the generator stream.
     """
     degree = int(degree)
     if degree < 0:
@@ -346,25 +361,31 @@ def _search(lr: LieRealization, weight: Vec, degree: int,
     if any((2 * x).denominator != 1 for x in weight):
         return 0    # off the doubled lattice that every root lies in
     target = _lat(weight)
-    doubled = dict(zip(rs.roots, rs.lattice))
-    wints = [(0,) * dim if lab[0] == "h" else doubled[w]
-             for lab, w in zip(lr.labels, lr.weights)]
+    wints = _lattice_weights(lr)
     max_mass = max((sum(abs(c) for c in w) for w in wints), default=0)
-    # reach[b][c]: the largest step up and down of coordinate c over b, b + 1, ...
+    demand = sorted(range(dim), key=lambda c: (abs(target[c]), c))
+    order = sorted(range(lr.dim), key=lambda b: (
+        next((r for r, c in enumerate(demand) if wints[b][c]), dim), b))
+    miss = [sum(abs(t - x) for t, x in zip(target, w)) for w in wints]
+    walk: List[Gen] = []
+    fit = [0] * (degree + 1)    # fit[r]: where the modes >= -r start
+    for mode in range(-degree, 0):
+        fit[-mode] = len(walk)
+        walk += [(mode, b) for b in order
+                 if miss[b] <= (degree + mode) * max_mass]
+    # reach[i][c]: the largest step up and down of coordinate c over walk[i:]
     reach = [((0,) * dim, (0,) * dim)]
-    for w in reversed(wints):
+    for _, b in reversed(walk):
         up, down = reach[-1]
+        w = wints[b]
         reach.append((tuple(map(max, up, w)),
                       tuple(max(d, -x) for d, x in zip(down, w))))
     reach.reverse()
-    last = (degree - 1) * lr.dim          # the first mode -1 generator
     sparse = [tuple((c, x) for c, x in enumerate(w) if x) for w in wints]
     by_weight: Dict[Tuple[int, ...], List[int]] = {}
-    for b, w in enumerate(wints):
-        by_weight.setdefault(w, []).append(b)
-    gens: List[Gen] = [
-        (mode, b) for mode in range(-degree, 0) for b in range(lr.dim)
-    ]
+    for i, (mode, b) in enumerate(walk):
+        if mode == -1:
+            by_weight.setdefault(wints[b], []).append(i)
     stack: List[Gen] = []
     cur = [0] * dim
     memo: Dict[Tuple[int, int, Tuple[int, ...]], int] = {}
@@ -381,25 +402,24 @@ def _search(lr: LieRealization, weight: Vec, degree: int,
             if need:
                 return 0
             if out is not None:
-                out.append(tuple(stack))
+                out.append(tuple(sorted(stack)))
             proven(1)
             return 1
         # generators of mode below -remaining do not fit
-        start = max(start, (degree - remaining) * lr.dim)
-        up, down = reach[max(start - last, 0)]
+        start = max(start, fit[remaining])
+        up, down = reach[start]
         for c in range(dim):
             d = target[c] - cur[c]
             if d > remaining * up[c] or -d > remaining * down[c]:
                 return 0
         if remaining == 1:
             # the last factor has mode -1 and weight target - cur
-            last_bases = [b for b in by_weight.get(
-                tuple(t - x for t, x in zip(target, cur)), ())
-                if b >= start - last]
+            last = [i for i in by_weight.get(
+                tuple(t - x for t, x in zip(target, cur)), ()) if i >= start]
             if out is not None:
-                out.extend(tuple(stack) + ((-1, b),) for b in last_bases)
-            proven(len(last_bases))
-            return len(last_bases)
+                out.extend(tuple(sorted((*stack, walk[i]))) for i in last)
+            proven(len(last))
+            return len(last)
         if out is None:
             key = (start, remaining, tuple(cur))
             count = memo.get(key)
@@ -407,8 +427,8 @@ def _search(lr: LieRealization, weight: Vec, degree: int,
                 proven(count)
                 return count
         count = 0
-        for gi in range(start, len(gens)):
-            mode, b = gens[gi]
+        for gi in range(start, len(walk)):
+            mode, b = walk[gi]
             left = remaining + mode
             w = sparse[b]
             after = need
@@ -428,7 +448,10 @@ def _search(lr: LieRealization, weight: Vec, degree: int,
             memo[key] = count
         return count
 
-    return rec(0, degree, sum(abs(t) for t in target))
+    count = rec(0, degree, sum(abs(t) for t in target))
+    if out is not None:
+        out.sort()
+    return count
 
 
 def constraint_rows(engine: _Engine,

@@ -30,6 +30,7 @@ from .pbw import (
     StateVector,
     _Engine,
     _grade,
+    _lattice_weights,
     component_size,
     constraint_rows,
     singular_kernel,
@@ -124,12 +125,13 @@ def _power(lr: LieRealization, summands: Iterable[Summand], level, n: int = 1,
     (weight, degree) component is counted first and refused when larger,
     before ``summands`` is read, so a lazy iterable of summands is not built
     for a refused component; with a weight and degree, the result must land
-    in that component.  The summands must share one weight and degree.  Each
-    power is summed into one dict of engine coefficients, turned into
-    Fractions once at the end.  Generators of negative mode whose bases have
-    no partner entries ([a, b] = 0, (a | b) = 0) commute: then a summand
-    times a monomial is the sorted run of both, else (B3's ``w1``) the
-    engine straightens it."""
+    in that component.  The summands must share one weight and degree,
+    which is checked on the doubled int lattice; the state takes its
+    Fraction grade from the first summand.  Each power is summed into one
+    dict of engine coefficients, turned into Fractions once at the end.
+    Generators of negative mode whose bases have no partner entries
+    ([a, b] = 0, (a | b) = 0) commute: then a summand times a monomial is
+    the sorted run of both, else (B3's ``w1``) the engine straightens it."""
     if cap is not None and component_size(lr, weight, degree, cap) is None:
         raise CapExceededError(
             f"graded component at degree {degree} exceeds cap {cap}"
@@ -137,10 +139,12 @@ def _power(lr: LieRealization, summands: Iterable[Summand], level, n: int = 1,
     summands = [(_lift(coef), tuple(gens)) for coef, gens in summands]
     if not summands:
         raise ValueError("operator has no summands")
-    grades = {_grade(lr, gens) for _, gens in summands}
+    lat, zero = _lattice_weights(lr), (0,) * lr.rs.ambient
+    grades = {(tuple(map(sum, zip(zero, *(lat[b] for _, b in gens)))),
+               sum(mode for mode, _ in gens)) for _, gens in summands}
     if len(grades) > 1:
         raise ValueError("summands differ in weight or degree")
-    ((step_weight, step_degree),) = grades
+    step_weight, step_degree = _grade(lr, summands[0][1])
     state_weight, state_degree = vscale(n, step_weight), Q(n * step_degree)
     if weight is not None and (state_weight, state_degree) != (weight, degree):
         raise ValueError("vector landed outside its weight and degree")

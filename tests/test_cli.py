@@ -18,7 +18,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from vkg import collapsing, serialize
-from vkg.cli import CAP_ENV_VAR, _write_json, main, read_config_file
+from vkg.cli import (CAP_ENV_VAR, _randrange_draws, _write_json, main,
+                     read_config_file)
 from vkg.liealg import build_realization
 from vkg.pbw import MAX_SEARCH_DEGREE, Kernel
 
@@ -165,6 +166,18 @@ def test_bracket_audit(capsys):
     assert "sampled" in out
 
 
+@pytest.mark.parametrize("n", [31, 32, 33, 133, 248])
+def test_sampled_triples_are_drawn_as_randrange_draws(n):
+    """The sampler's draws are the values of successive rng.randrange(n)
+    calls and leave the generator in the same state, so the sampled triples
+    and any witness are those of three randrange calls per triple."""
+    for seed in (0, 1, 3, 7, 2024):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        drawn = list(_randrange_draws(ours, n, 900))
+        assert drawn == [theirs.randrange(n) for _ in range(900)]
+        assert ours.getstate() == theirs.getstate()
+
+
 def test_bracket_audit_refuses_a_broken_table(monkeypatch, capsys):
     """On a B2 table with one structure constant negated, the exhaustive
     audit exits 1 with the first failing triple as its witness."""
@@ -270,6 +283,32 @@ def _vkg_process(*argv):
         [sys.executable, "-c", "import sys; from vkg.cli import main; "
          "sys.exit(main())", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+
+
+def test_capped_v_n_refusal_peaks_below_48_mib():
+    """Refusing v_200 on D4 at cap 1000 (its component at degree 400 is
+    larger) walks only the generators that can occur: the process peaks
+    below 48 MiB, read as its own VmHWM after main() returns (about 71 MiB
+    while the walk ran over every generator in basis order).  A bound on
+    memory, not on time."""
+    status = Path("/proc/self/status")
+    if not status.exists():
+        pytest.skip("VmHWM needs /proc/self/status")
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; from vkg.cli import main; code = main(); "
+            "sys.stdout.flush(); print(next(line for line in "
+            f"open({str(status)!r}) if line.startswith('VmHWM')).split()[1], "
+            "file=sys.stderr); sys.exit(code)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "singular-verify", "--algebra", "D:4",
+         "--family", "vn", "--n", "200", "--cap", "1000"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0
+    assert proc.stdout == ("D4 vn n=200: capped (graded component at degree "
+                           "400 exceeds cap 1000)\n")
+    peak_kib = int(proc.stderr)
+    assert peak_kib < 48 * 1024, peak_kib
 
 
 def _read_e8_json_then_close(nbytes):

@@ -525,6 +525,8 @@ COUNTED_COMPONENTS = [
     ("E", 6, "theta", 3, 240, False),
     ("D", 6, (1, 1, 1, 1, 1, 1), 3, 15, False),
     ("D", 4, (20, 0, 0, 0), 20, 66, False),
+    ("D", 4, (40, 0, 0, 0), 40, 231, False),
+    ("D", 8, (2,) * 8, 8, 6202, False),
 ]
 
 
@@ -777,7 +779,9 @@ def test_frac_str_prints_every_type_as_a_fraction_would():
 # weights off the root lattice have empty components.  E6 at theta and D4 at
 # weight 0 were recorded while the search still looped over every generator
 # for the last factor of a monomial; at weight 0 many last factors are
-# Cartan elements, which share one doubled weight.
+# Cartan elements, which share one doubled weight.  D8 at (2, ..., 2), the
+# cap component of w_2, was recorded while the search walked every
+# generator in basis order and listed monomials as it met them.
 GRADED_BASIS_DIGESTS = [
     ("D", 4, (1, 1, 0, 0), 4, 422,
      "ad4ecb4a3e0f6973813dfe28de3f37360cb5c2a06301ba05d97cf35bd0292d96"),
@@ -799,6 +803,8 @@ GRADED_BASIS_DIGESTS = [
      "51ddf64dca76a0c8a1a2dc18d73796de3cdcd749867d7e77f2989f3c524300d0"),
     ("D", 4, (0,) * 4, 4, 779,
      "e4689c4111c1ed9f7cc3b3fe38c123276387772673696cd8db50ca9776793b8a"),
+    ("D", 8, (2,) * 8, 8, 6202,
+     "e1e2c93d13d76d8026175414f4a38cdef98e8ea51dfd88bdc08a201e5f3afe1c"),
 ]
 
 
