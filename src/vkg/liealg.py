@@ -56,11 +56,15 @@ Sparse = Dict[int, Q]             # basis index -> coefficient
 
 
 class LieRealization(NamedTuple):
-    """Bracket and form tables over an indexed basis {h_i} cup {e_alpha}."""
+    """Bracket and form tables over an indexed basis {h_i} cup {e_alpha}.
+
+    ``weights`` and ``lattice`` give each basis element's weight (zero for
+    the Cartan elements) as Fractions and, doubled, as ints."""
 
     rs: RootSystem
     labels: Tuple[Label, ...]
-    weights: Tuple[Vec, ...]            # zero for Cartan elements
+    weights: Tuple[Vec, ...]
+    lattice: Tuple[Lat, ...]
     cartan_duals: Tuple[Vec, ...]       # h_i = nu(cartan_duals[i])
     bracket_table: Dict[Tuple[int, int], Tuple[Term, ...]]
     form_table: Dict[Tuple[int, int], Coef]
@@ -188,6 +192,7 @@ def _build_tables(rs: RootSystem, duals: Sequence[Lat], pairing,
         labels=tuple([("h", i + 1) for i in range(rank)]
                      + [("e", a) for a in roots]),
         weights=(vzero(rs.ambient),) * rank + tuple(roots),
+        lattice=((0,) * rs.ambient,) * rank + tuple(rs.lattice[p] for p in order),
         cartan_duals=tuple(tuple(Q(x, 2) for x in d) for d in duals),
         bracket_table=bracket, form_table=form,
         root_index={a: rank + k for k, a in enumerate(roots)})

@@ -38,6 +38,8 @@ the ``StateVector`` each builds turns them into Fractions.  ``_raising_images``
 makes ``_into``'s top-level calls for every raising generator in one scan: of
 a vector for ``is_singular``, of each column for ``constraint_rows``, which
 files each coefficient as a Fraction, one shared object per distinct value.
+``_grade`` is the one grade of a product: the sum of its generators' degrees
+and of their doubled int weights in ``lr.lattice``, halved once by its users.
 """
 
 from fractions import Fraction as Q
@@ -45,7 +47,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .liealg import Coef, LieRealization, _acc, _lift
-from .rootdata import Vec, _lat, vadd, vscale, vzero
+from .rootdata import Lat, Vec, _lat, vadd, vscale, vzero
 
 Gen = Tuple[int, int]          # (mode, base index); tuple order = PBW order
 Monomial = Tuple[Gen, ...]
@@ -184,29 +186,20 @@ class _Engine:
         _acc(out, prefix[:j] + mono, c)
 
 
-def _grade(lr: LieRealization, gens: Sequence[Gen]) -> Tuple[Vec, int]:
-    """The weight and conformal degree that a product of gens adds."""
-    weight = vzero(lr.rs.ambient)
-    for _, base in gens:
-        weight = vadd(weight, lr.weights[base])
-    return weight, -sum(mode for mode, _ in gens)
-
-
-def _lattice_weights(lr: LieRealization) -> List[Tuple[int, ...]]:
-    """The weight of each basis element in the doubled int coordinates of
-    ``rs.lattice``; the Cartan elements have weight zero."""
-    doubled = dict(zip(lr.rs.roots, lr.rs.lattice))
-    zero = (0,) * lr.rs.ambient
-    return [zero if lab[0] == "h" else doubled[w]
-            for lab, w in zip(lr.labels, lr.weights)]
+def _grade(lr: LieRealization, gens: Sequence[Gen]) -> Tuple[Lat, int]:
+    """The (doubled int weight, conformal degree) that a product adds."""
+    zero, lat = (0,) * lr.rs.ambient, lr.lattice
+    return (tuple(map(sum, zip(zero, *(lat[b] for _, b in gens)))),
+            -sum(mode for mode, _ in gens))
 
 
 def _state(lr: LieRealization, gens: Sequence[Gen], v: StateVector,
            image: EngineTerms) -> StateVector:
     """The state gens . v, from its engine image: the one place where the
     coefficients of a product become Fractions."""
-    weight, degree = _grade(lr, gens)
-    return StateVector(v.level, vadd(v.weight, weight), v.degree + degree,
+    lat, degree = _grade(lr, gens)
+    weight = vadd(v.weight, tuple(Q(x, 2) for x in lat))
+    return StateVector(v.level, weight, v.degree + degree,
                        {m: Q(c) for m, c in image.items()})
 
 
@@ -320,7 +313,7 @@ def _search(lr: LieRealization, weight: Vec, degree: int,
     the subtree under each (walk index, remaining degree, weight so far) is
     memoized.  The running total never exceeds the size of the component,
     so passing the cap proves it too large.  The walk runs on the doubled
-    root coordinates of ``rs.lattice``, each generator weight stored as its
+    int weights of ``lr.lattice``, each generator weight stored as its
     nonzero (coordinate, value) pairs.  A monomial is a walk-nondecreasing
     sequence of the generators that can occur: those of mode -m and weight
     w with |target - w|_1 <= (degree - m) * max_mass, the mass prune below
@@ -350,18 +343,22 @@ def _search(lr: LieRealization, weight: Vec, degree: int,
     once at the end.  Monomials of one degree are never prefixes of one
     another, so that is the lexicographic order of the generator stream.
     """
+    dim = lr.rs.ambient
+    if len(weight) != dim:
+        raise ValueError(f"weight has {len(weight)} coordinates, not the "
+                         f"{dim} of the ambient space")
+    if degree != int(degree):
+        raise ValueError(f"degree {degree} is not an integer")
     degree = int(degree)
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     if degree > MAX_SEARCH_DEGREE:
         raise ValueError(f"degree {degree} exceeds the search depth bound "
                          f"{MAX_SEARCH_DEGREE}")
-    rs = lr.rs
-    dim = rs.ambient
     if any((2 * x).denominator != 1 for x in weight):
         return 0    # off the doubled lattice that every root lies in
     target = _lat(weight)
-    wints = _lattice_weights(lr)
+    wints = lr.lattice
     max_mass = max((sum(abs(c) for c in w) for w in wints), default=0)
     demand = sorted(range(dim), key=lambda c: (abs(target[c]), c))
     order = sorted(range(lr.dim), key=lambda b: (

@@ -128,15 +128,7 @@ def flip_root_pair(lr: LieRealization, root: Vec) -> LieRealization:
     form = {
         (a, b): s(a) * s(b) * v for (a, b), v in lr.form_table.items()
     }
-    return LieRealization(
-        rs=lr.rs,
-        labels=lr.labels,
-        weights=lr.weights,
-        cartan_duals=lr.cartan_duals,
-        bracket_table=bracket,
-        form_table=form,
-        root_index=lr.root_index,
-    )
+    return lr._replace(bracket_table=bracket, form_table=form)
 
 
 def flip_structure_constant(lr: LieRealization, alpha: Vec,

@@ -19,6 +19,7 @@ from vkg.liealg import (
 )
 from vkg.rootdata import (
     UnsupportedAlgebraError,
+    _lat,
     build_root_system,
     vadd,
     vec,
@@ -293,6 +294,24 @@ def test_flip_root_pair_is_same_algebra():
     e, f = lr2.e(vec(1, 1, 0, 0)), lr2.e(vec(-1, -1, 0, 0))
     assert lr2.form(e, f) == 1
     assert dict(lr2.bracket(e, f)) == dict(lr.bracket(e, f))
+
+
+REALIZED_TYPES = ([("A", r) for r in range(1, 7)]
+                  + [("B", r) for r in range(2, 7)]
+                  + [("C", r) for r in range(1, 7)]
+                  + [("D", r) for r in range(3, 9)]
+                  + [("E", r) for r in range(6, 9)])
+
+
+@pytest.mark.parametrize("family,rank", REALIZED_TYPES)
+def test_lattice_is_each_basis_weight_doubled(family, rank):
+    """``lattice[i]`` is ``weights[i]`` in the doubled int coordinates, on
+    the realization and on a copy made by ``flip_root_pair``."""
+    lr = build_realization(family, rank)
+    for r in (lr, flip_root_pair(lr, lr.rs.simple_roots[0])):
+        assert len(r.lattice) == r.dim
+        assert all(type(x) is int for w in r.lattice for x in w)
+        assert list(r.lattice) == [_lat(w) for w in r.weights]
 
 
 # SHA-256 of the compact, key-sorted JSON of realization_to_json, its

@@ -15,6 +15,7 @@ from vkg.pbw import (
     StateVector,
     apply,
     _Engine,
+    _grade,
     _raising_images,
     apply_string,
     component_size,
@@ -557,6 +558,42 @@ def test_deep_degree_is_refused_before_the_search():
                    lambda: graded_basis(D4, weight, 1200, cap=1000)):
         with pytest.raises(ValueError, match="degree 1200 exceeds"):
             search()
+
+
+@pytest.mark.parametrize("weight, degree, match", [
+    (vec(1, 1, 0, 0, 2), 1, "weight has 5 coordinates"),
+    (vec(1, 1, 0), 1, "weight has 3 coordinates"),
+    (vec(2, 0, 0, 0), Q(5, 2), "degree 5/2 is not an integer"),
+    (vec(2, 0, 0, 0), 2.9, "degree 2.9 is not an integer"),
+])
+@pytest.mark.parametrize("search", [
+    lambda w, d: graded_basis(D4, w, d),
+    lambda w, d: component_size(D4, w, d, 1000),
+    lambda w, d: singular_kernel(D4, -2, w, d),
+], ids=["graded_basis", "component_size", "singular_kernel"])
+def test_search_refuses_a_wrong_length_weight_or_a_fractional_degree(
+        search, weight, degree, match):
+    with pytest.raises(ValueError, match=match):
+        search(weight, degree)
+
+
+@pytest.mark.parametrize("family, rank", [("A", 3), ("B", 3), ("C", 3),
+                                          ("D", 4), ("E", 6)])
+def test_grade_is_the_doubled_sum_of_the_factor_weights(family, rank):
+    """The oracle sums the Fraction weights of the factors one by one."""
+    lr = build_realization(family, rank)
+    rng = random.Random(ord(family) * 10 + rank)
+    products = [()] + [
+        tuple((rng.randint(-3, 2), rng.randrange(lr.dim))
+              for _ in range(rng.randint(1, 6)))
+        for _ in range(60)]
+    for gens in products:
+        weight = vzero(lr.rs.ambient)
+        for _, base in gens:
+            weight = vadd(weight, lr.weights[base])
+        lat, degree = _grade(lr, gens)
+        assert tuple(Q(x, 2) for x in lat) == weight
+        assert degree == -sum(mode for mode, _ in gens)
 
 
 def test_integer_and_rational_levels_agree():
