@@ -32,14 +32,19 @@ level every coefficient is an int.  Every coefficient that leaves the
 engine, in a ``StateVector`` or a ``constraint_rows`` row, is a
 ``Fraction``, so no caller ever divides two ints.  ``_Engine.act_string`` is
 the one product path and the engine's one public method: ``apply``,
-``apply_string``, ``vectors._power`` (unless its factors commute) and
-``vectors.resolve_signs`` straighten through it on ``Coef`` terms, and only
-the ``StateVector`` each builds turns them into Fractions.  ``_raising_images``
-makes ``_into``'s top-level calls for every raising generator in one scan: of
-a vector for ``is_singular``, of each column for ``constraint_rows``, which
-files each coefficient as a Fraction, one shared object per distinct value.
-``_grade`` is the one grade of a product: the sum of its generators' degrees
-and of their doubled int weights in ``lr.lattice``, halved once by its users.
+``apply_string`` and ``_power``, which builds the formula vectors of
+``vectors``, straighten through it on ``Coef`` terms.  ``_power`` builds an
+engine only when two of its generators have a bracket or form entry or one
+has mode >= 0; else its factors commute, and it multiplies by sorted runs.
+``_state`` is the one place where a product's coefficients become Fractions.
+``_raising_images`` makes ``_into``'s top-level calls for every raising
+generator in one scan: of a vector for ``is_singular``, of each column for
+``constraint_rows``, which files each coefficient as a Fraction, one shared
+object per distinct value.  ``_kernel`` is the one constraint solve, on a
+graded component for ``singular_kernel`` and on the E7 support for
+``vectors.resolve_signs``.  ``_grade`` is the one grade of a product: the
+sum of its generators' degrees and of their doubled int weights in
+``lr.lattice``, halved once by ``_state``.
 """
 
 from fractions import Fraction as Q
@@ -215,6 +220,49 @@ def apply_string(lr: LieRealization, gens: Sequence[Gen],
     One straightening engine, with one table of constants, serves them all.
     """
     return _state(lr, gens, v, _Engine(lr, v.level).act_string(gens, v.terms))
+
+
+def _power(lr: LieRealization,
+           summands: Iterable[Tuple[Coef, Sequence[Gen]]], level, n: int = 1,
+           weight: Optional[Vec] = None, degree: Optional[int] = None,
+           cap: Optional[int] = None) -> StateVector:
+    """(sum of coef * product of loop generators)^n 1 at the given level.
+
+    The one construction path of the formula vectors.  With a cap, the
+    (weight, degree) component is counted first and refused when larger,
+    before ``summands`` is read, so a lazy iterable of summands is not built
+    for a refused component; with a weight and degree, the result must land
+    in that component.  The summands must share one ``_grade``.  Each power
+    is summed into one dict of engine coefficients.  Generators of negative
+    mode that pairwise have neither a bracket nor a form entry commute: then
+    a summand times a monomial is the sorted run of both, and no engine is
+    built; else (B3's ``w1``) the engine straightens it."""
+    if cap is not None and component_size(lr, weight, degree, cap) is None:
+        raise CapExceededError(f"graded component at degree {degree} "
+                               f"exceeds cap {cap}")
+    summands = [(_lift(coef), tuple(gens)) for coef, gens in summands]
+    if not summands:
+        raise ValueError("operator has no summands")
+    if len({_grade(lr, gens) for _, gens in summands}) > 1:
+        raise ValueError("summands differ in weight or degree")
+    brackets, forms = lr.bracket_table, lr.form_table
+    used = {g for _, gens in summands for g in gens}
+    commuting = all(mode < 0 and (a, b) not in brackets and (a, b) not in forms
+                    for mode, a in used for _, b in used)
+    engine = None if commuting else _Engine(lr, level)
+    terms: EngineTerms = {(): 1}
+    for _ in range(n):
+        total: EngineTerms = {}
+        for coef, gens in summands:
+            for mono, c in (((tuple(sorted(m + gens)), c) for m, c in
+                             terms.items()) if commuting
+                            else engine.act_string(gens, terms).items()):
+                _acc(total, mono, coef * c)
+        terms = total
+    v = _state(lr, summands[0][1] * n, vacuum(lr, level), terms)
+    if weight is not None and (v.weight, v.degree) != (weight, degree):
+        raise ValueError("vector landed outside its weight and degree")
+    return v
 
 
 def raising_generators(lr: LieRealization) -> List[Tuple[str, Gen]]:
@@ -490,14 +538,19 @@ def singular_kernel(lr: LieRealization, k, weight: Vec, degree: int,
     Brute force: enumerate the component, assemble the stacked constraint
     matrix exactly, and eliminate.  An empty list means no singular vectors.
     """
-    k = Q(k)
     basis = graded_basis(lr, weight, degree, cap=cap)
     if not basis:
         return Kernel([], 0)
-    matrix = constraint_rows(_Engine(lr, k), basis)
-    kernel = linalg.nullspace(matrix, len(basis))
-    out = []
-    for vecdict in kernel:
-        terms = {basis[c]: val for c, val in vecdict.items()}
-        out.append(StateVector(k, weight, Q(degree), terms))
-    return Kernel(out, len(basis))
+    return _kernel(lr, k, weight, degree, basis)
+
+
+def _kernel(lr: LieRealization, k, weight: Vec, degree: int,
+            basis: Sequence[Monomial]) -> Kernel:
+    """The combinations of the basis monomials, all of one weight and
+    degree, that every raising generator kills: the one constraint solve."""
+    k = Q(k)
+    kernel = linalg.nullspace(constraint_rows(_Engine(lr, k), basis),
+                              len(basis))
+    return Kernel([StateVector(k, weight, Q(degree),
+                               {basis[c]: val for c, val in vecdict.items()})
+                   for vecdict in kernel], len(basis))

@@ -1,8 +1,10 @@
 """Constructors for the explicit singular vectors, and the involution sums.
 
-Every formula vector has the shape (sum_i c_i e_a(-1) e_b(-1) ...)^n 1 at a
-fixed level, and ``_power`` is the one path that builds it.  Each vector is
-built at its paper level; ``StateVector.at_level`` moves it to another.
+This module holds the paper's formulas only.  Every formula vector has the
+shape (sum_i c_i e_a(-1) e_b(-1) ...)^n 1 at a fixed level, which
+``pbw._power`` builds; the E7 signs are solved by ``pbw._kernel``.  Each
+vector is built at its paper level; ``StateVector.at_level`` moves it to
+another.
 
 The D-type families are built literally from their defining formulas; the
 signs come out right in the canonical matrix realization because every
@@ -18,22 +20,10 @@ from __future__ import annotations
 import itertools
 import sys
 from fractions import Fraction as Q
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-from . import linalg
-from .liealg import (LieRealization, UnsupportedAlgebraError, _acc, _lift,
-                     dynkin_flip)
-from .pbw import (
-    CapExceededError,
-    EngineTerms,
-    Gen,
-    StateVector,
-    _Engine,
-    _grade,
-    component_size,
-    constraint_rows,
-    singular_kernel,
-)
+from .liealg import LieRealization, UnsupportedAlgebraError, dynkin_flip
+from .pbw import Gen, StateVector, _kernel, _power, singular_kernel
 from .rootdata import Vec, basis_vector, vadd, vscale, vzero
 
 DEFAULT_COMPONENT_CAP = 200_000
@@ -113,53 +103,6 @@ def _products(lr: LieRealization, signed_roots) -> Iterator[Summand]:
     """Summands (sign, prod_r e_r(-1)) from tuples (sign, root, root, ...)."""
     return ((Q(s), [(-1, lr.e(r)) for r in roots])
             for s, *roots in signed_roots)
-
-
-def _power(lr: LieRealization, summands: Iterable[Summand], level, n: int = 1,
-           weight: Optional[Vec] = None, degree: Optional[int] = None,
-           cap: Optional[int] = None) -> StateVector:
-    """(sum of coef * product of loop generators)^n 1 at the given level.
-
-    The one construction path of the formula vectors.  With a cap, the
-    (weight, degree) component is counted first and refused when larger,
-    before ``summands`` is read, so a lazy iterable of summands is not built
-    for a refused component; with a weight and degree, the result must land
-    in that component.  The summands must share one grade, ``pbw._grade``
-    on the doubled int lattice, which is halved once for the state.  Each
-    power is summed into one dict of engine coefficients, turned into
-    Fractions once at the end.  Generators of negative mode whose bases have
-    no partner entries ([a, b] = 0, (a | b) = 0) commute: then a summand
-    times a monomial is the sorted run of both, else (B3's ``w1``) the
-    engine straightens it."""
-    if cap is not None and component_size(lr, weight, degree, cap) is None:
-        raise CapExceededError(
-            f"graded component at degree {degree} exceeds cap {cap}"
-        )
-    summands = [(_lift(coef), tuple(gens)) for coef, gens in summands]
-    if not summands:
-        raise ValueError("operator has no summands")
-    grades = {_grade(lr, gens) for _, gens in summands}
-    if len(grades) > 1:
-        raise ValueError("summands differ in weight or degree")
-    ((lat, step),) = grades
-    state_weight, state_degree = tuple(Q(n * x, 2) for x in lat), Q(n * step)
-    if weight is not None and (state_weight, state_degree) != (weight, degree):
-        raise ValueError("vector landed outside its weight and degree")
-    engine = _Engine(lr, level)
-    used = {g for _, gens in summands for g in gens}
-    commuting = all(mode < 0 and (engine._rows[a] or engine._row(a))[b] is None
-                    for mode, a in used for _, b in used)
-    terms: EngineTerms = {(): 1}
-    for _ in range(n):
-        total: EngineTerms = {}
-        for coef, gens in summands:
-            for mono, c in (((tuple(sorted(m + gens)), c) for m, c in
-                             terms.items()) if commuting
-                            else engine.act_string(gens, terms).items()):
-                _acc(total, mono, coef * c)
-        terms = total
-    return StateVector(Q(level), state_weight, state_degree,
-                       {m: Q(c) for m, c in terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -370,23 +313,22 @@ def resolve_signs(lr: LieRealization):
     weights = {vadd(a, b) for a, b in products}
     if len(weights) != 1:
         raise ValueError("support products are not weight-homogeneous")
-    engine = _Engine(lr, Q(-4))
     monos: List[Tuple] = []
     for a, b in products:
-        terms = engine.act_string([(-1, lr.e(a)), (-1, lr.e(b))], {(): 1})
+        terms = _power(lr, [(1, [(-1, lr.e(a)), (-1, lr.e(b))])], Q(-4)).terms
         if len(terms) != 1:
             raise ValueError(f"product {a} * {b} is not one monomial")
         ((mono, c),) = terms.items()
         if c != 1:
             raise ValueError(f"product {a} * {b} has coefficient {c}")
         monos.append(mono)
-    rows = constraint_rows(engine, monos)
-    kernel = linalg.nullspace(rows, len(monos))
+    (weight,) = weights
+    kernel = _kernel(lr, Q(-4), weight, 2, monos)
     if len(kernel) != 1:
         raise ValueError(
             f"support solve gave solution space of dimension {len(kernel)}"
         )
-    sol = [kernel[0].get(c, Q(0)) for c in range(len(monos))]
+    sol = [kernel[0].terms.get(m, Q(0)) for m in monos]
     lead = sol[0]
     if not lead:
         raise ValueError("leading support coefficient vanished")

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import example, given, strategies as st
 
-from vkg import collapsing, serialize
+from vkg import collapsing, pbw, serialize
 from vkg.cli import (CAP_ENV_VAR, _randrange_draws, _write_json, main,
                      read_config_file)
 from vkg.liealg import build_realization
@@ -50,6 +50,32 @@ def test_involutions_signs_json(capsys):
     payload = json.loads(out)
     assert payload["count"] == 3
     assert [r["sign"] for r in payload["involutions"]] == [1, -1, 1]
+
+
+@pytest.mark.parametrize("argv, engines", [
+    ("--algebra D:4 --family w1", 1),
+    ("--algebra D:4 --family w3", 1),
+    ("--algebra B:4 --family w1", 1),
+    ("--algebra D:5 --family vn --n 2", 1),
+    ("--algebra D:6 --family wn --n 1", 1),
+    ("--algebra D:6 --family theta-wn --n 1", 1),
+    ("--algebra E7 --family ve7", 2),
+])
+def test_singular_verify_builds_one_engine_per_query(monkeypatch, capsys,
+                                                     argv, engines):
+    """The formula vectors are multiplied by sorted runs, so the singularity
+    check builds the one straightening engine; E7 builds a second for its
+    support solve.  A count of constructions, not a clock."""
+    built, init = [], pbw._Engine.__init__
+
+    def counted(self, lr, k):
+        built.append(k)
+        init(self, lr, k)
+
+    monkeypatch.setattr(pbw._Engine, "__init__", counted)
+    code, out, _ = run(capsys, "singular-verify", *argv.split())
+    assert code == 0 and "singular at level" in out
+    assert len(built) == engines
 
 
 def test_singular_verify_wn_report(capsys):
@@ -1139,5 +1165,6 @@ def _digest(code, out, err):
 
 
 @pytest.mark.parametrize("argv, digest", OUTPUT_DIGESTS)
-def test_cli_output_digest(capsys, argv, digest):
+def test_cli_output_digest(monkeypatch, capsys, argv, digest):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to this width
     assert _digest(*run(capsys, *argv.split())) == digest

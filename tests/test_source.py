@@ -138,6 +138,20 @@ def test_engine_has_one_public_method():
     assert public == ["act_string"], public
 
 
+def test_only_pbw_straightens_or_solves():
+    """The engine, its partner rows and the raising-constraint solve stay in
+    ``pbw``: no module but ``pbw`` (and ``linalg``, which defines
+    ``nullspace``) names ``_Engine``, ``_rows``, ``_row``,
+    ``constraint_rows`` or ``nullspace``."""
+    private = {"_Engine", "_rows", "_row", "constraint_rows", "nullspace"}
+    found = [f"{name}:{node.lineno}" for name, node in _nodes()
+             if name not in ("pbw.py", "linalg.py")
+             and ((isinstance(node, ast.Name) and node.id in private)
+                  or (isinstance(node, ast.Attribute) and node.attr in private)
+                  or (isinstance(node, ast.alias) and node.name in private))]
+    assert not found, found
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     """In a fresh interpreter, ``import vkg.cli`` adds neither module to
     those that start-up (``site`` included) has already loaded."""

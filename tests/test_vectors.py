@@ -367,25 +367,34 @@ def _engine_power(lr, summands, level, n):
 
 def _checked_powers(monkeypatch, build, lr):
     """Build a vector, comparing each ``_power`` call with ``_engine_power``;
-    returns the vector and whether each call went through ``act_string``."""
-    calls, engine_used = [], []
-    act_string, power = _Engine.act_string, vectors._power
+    returns the vector, whether each call went through ``act_string``, and
+    how many engines each call built."""
+    calls, engine_used, built, engines = [], [], [], []
+    act_string, power, init = (_Engine.act_string, vectors._power,
+                               _Engine.__init__)
 
     def counted(self, gens, terms):
         calls.append(gens)
         return act_string(self, gens, terms)
 
+    def constructed(self, lr, k):
+        built.append(k)
+        init(self, lr, k)
+
     def checked(lr, summands, level, n=1, **kwargs):
         summands = list(summands)
         calls.clear()
+        built.clear()
         v = power(lr, summands, level, n, **kwargs)
         engine_used.append(bool(calls))
+        engines.append(len(built))
         assert list(v.terms.items()) == _engine_power(lr, summands, level, n)
         return v
 
     monkeypatch.setattr(_Engine, "act_string", counted)
+    monkeypatch.setattr(_Engine, "__init__", constructed)
     monkeypatch.setattr(vectors, "_power", checked)
-    return build(lr), engine_used
+    return build(lr), engine_used, engines
 
 
 @pytest.mark.parametrize("family, rank, build", [
@@ -402,16 +411,19 @@ def _checked_powers(monkeypatch, build, lr):
         "w_2 D8", "theta-w_1 D6"])
 def test_power_sorted_runs_match_the_engine(monkeypatch, family, rank, build):
     # the paper's factors commute and pair to zero: no product is straightened
-    v, engine_used = _checked_powers(monkeypatch, build,
-                                     build_realization(family, rank))
+    # and no engine is built
+    v, engine_used, engines = _checked_powers(monkeypatch, build,
+                                              build_realization(family, rank))
     assert not v.is_zero() and engine_used and not any(engine_used)
+    assert not any(engines)
 
 
 def test_power_straightens_b3_w1_through_the_engine(monkeypatch):
     # e_{eps2} and e_{eps3} do not commute, so the sorted runs do not apply
-    v, engine_used = _checked_powers(monkeypatch, build_w1_B,
-                                     build_realization("B", 3))
+    v, engine_used, engines = _checked_powers(monkeypatch, build_w1_B,
+                                              build_realization("B", 3))
     assert not v.is_zero() and engine_used == [True]
+    assert engines == [1]
 
 
 def test_power_straightens_a_nonnegative_mode(monkeypatch):
@@ -423,9 +435,10 @@ def test_power_straightens_a_nonnegative_mode(monkeypatch):
         return vectors._power(lr, [(Q(1), [(0, lr.e(a)), (-1, lr.e(b))])],
                               Q(-2))
 
-    v, engine_used = _checked_powers(monkeypatch, build,
-                                     build_realization("D", 4))
+    v, engine_used, engines = _checked_powers(monkeypatch, build,
+                                              build_realization("D", 4))
     assert v.is_zero() and engine_used == [True]
+    assert engines == [1]
 
 
 # ---------------------------------------------------------------------------
