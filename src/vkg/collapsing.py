@@ -9,7 +9,7 @@ level is rescaled so the surviving component's minimal root has squared
 length 2.
 
 The roots of p(k), the Table 1 values and the Table 5 rows of each Lie
-algebra come from one per-type table, _paper_rows.
+algebra come from one per-type table, _paper_rows, read only through _lookup.
 
 Rows for the basic Lie superalgebras are carried verbatim as strings; they
 are reference data only and nothing here computes with them.
@@ -127,15 +127,19 @@ def _paper_rows(t: GType):
     return roots, table1, table5
 
 
+def _lookup(t: GType, refusal: str):
+    """The paper rows of a canonical type; refuses it with ``refusal``."""
+    rows = _paper_rows(t)
+    if rows is None:
+        raise UnsupportedAlgebraError(refusal)
+    return rows
+
+
 def p_of_k(g: GType) -> CollapsePolynomial:
     """The factored collapsing polynomial for a simple Lie algebra."""
     t = canonical_type(*g)
-    rows = _paper_rows(t)
-    if rows is None:
-        raise UnsupportedAlgebraError(
-            f"no collapsing polynomial tabulated for {canonical_name(*t)}"
-        )
-    return CollapsePolynomial(t, rows[0])
+    refusal = f"no collapsing polynomial tabulated for {canonical_name(*t)}"
+    return CollapsePolynomial(t, _lookup(t, refusal)[0])
 
 
 def is_collapsing(g: GType, k) -> bool:
@@ -193,9 +197,7 @@ def collapsed_level(g: GType, k) -> Tuple[str, Q]:
 
 
 def table1_expected(g: GType) -> Table1Row:
-    rows = _paper_rows(canonical_type(*g))
-    if rows is None:
-        raise UnsupportedAlgebraError(f"no table row for {canonical_name(*g)}")
+    rows = _lookup(canonical_type(*g), f"no table row for {canonical_name(*g)}")
     return Table1Row(g, *rows[1])
 
 
@@ -237,11 +239,7 @@ def table1_audit(algebras: Sequence[GType]) -> List[dict]:
 def stored_table5_rows(g: GType) -> List[CollapsingRow]:
     """The tabulated (k, target, k') rows for one simple Lie algebra."""
     t = canonical_type(*g)
-    rows = _paper_rows(t)
-    if rows is None:
-        raise UnsupportedAlgebraError(
-            f"no stored collapsing rows for {canonical_name(*t)}"
-        )
+    rows = _lookup(t, f"no stored collapsing rows for {canonical_name(*t)}")
     return [CollapsingRow(t, Q(k), target, Q(kp)) for k, target, kp in rows[2]]
 
 

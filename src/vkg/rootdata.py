@@ -66,9 +66,9 @@ def _lat(v: Vec) -> Lat:
     return tuple(int(2 * x) for x in v)
 
 
-def basis_vector(dim: int, i: int, value=1) -> Vec:
+def basis_vector(dim: int, i: int) -> Vec:
     v = [Q(0)] * dim
-    v[i] = Q(value)
+    v[i] = Q(1)
     return tuple(v)
 
 
@@ -347,16 +347,16 @@ def _span_dim(roots: Sequence[Sequence]) -> int:
     return len(simple)
 
 
-def classify_subsystem(roots: Sequence[Vec], form_fn) -> GType:
+def classify_subsystem(roots: Sequence[Vec]) -> GType:
     """Identify the isomorphism type of an irreducible root subsystem.
 
-    The answer is returned in canonical form (see ``canonical_type``); e.g.
-    a rank-2 system with two root lengths is reported as B2 whether it arose
-    as so(5) or sp(4).
+    Root lengths are ambient dot products (exact on ints and Fractions; any
+    positive multiple gives the same type), and the type is canonical (see
+    ``canonical_type``): so(5) and sp(4) are both reported as B2.
     """
     n = len(roots)
     rank = _span_dim(roots)
-    norms = sorted({form_fn(a, a) for a in roots})
+    norms = sorted({_idot(a, a) for a in roots})
     if len(norms) == 1:
         if n == rank * (rank + 1):
             return ("A", rank)
@@ -365,7 +365,7 @@ def classify_subsystem(roots: Sequence[Vec], form_fn) -> GType:
         if (rank, n) in ((6, 72), (7, 126), (8, 240)):
             return ("E", rank)
     elif len(norms) == 2:
-        nlong = sum(1 for a in roots if form_fn(a, a) == norms[1])
+        nlong = sum(1 for a in roots if _idot(a, a) == norms[1])
         if (rank, n) == (2, 12):
             return ("G", 2)
         if (rank, n) == (4, 48):
@@ -418,7 +418,7 @@ def minimal_grading_data(rs: RootSystem) -> GradingData:
         block_set = frozenset(block)
         if any(tuple(map(operator.add, theta_i, a)) in block_set for a in pos):
             raise ValueError(f"{theta_i} is not the highest root of its block")
-        fam, trank = classify_subsystem(block, _idot)
+        fam, trank = classify_subsystem(block)
         components.append(
             RootSubsystem(
                 roots=tuple(to_root[a] for a in block),

@@ -333,7 +333,9 @@ def reference_grading_components(rs: RootSystem) -> Tuple[RootSubsystem, ...]:
     out = []
     for block in blocks:
         pos = [a for a in block if a > tuple(-x for x in a)]
-        assert 2 * len(pos) == len(block)
+        if 2 * len(pos) != len(block):
+            raise AssertionError(f"{len(pos)} positive roots in a block of "
+                                 f"{len(block)}")
         block_set = set(block)
         (top,) = [b for b in pos if all(
             tuple(map(operator.add, b, a)) not in block_set for a in pos)]
@@ -341,7 +343,7 @@ def reference_grading_components(rs: RootSystem) -> Tuple[RootSubsystem, ...]:
         out.append(RootSubsystem(
             roots=tuple(to_root[a] for a in block),
             rank=reference_span_dim(block),
-            family=classify_subsystem(block, dot)[0],
+            family=classify_subsystem(block)[0],
             highest_root=to_root[top],
             theta_norm=Q(2 * dot(top, top), norm),
             dual_coxeter0=Q(dot(top, top) + dot(top, two_rho), norm),

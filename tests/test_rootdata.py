@@ -8,7 +8,6 @@ from vkg import linalg
 from vkg.collapsing import DEFAULT_AUDIT_ALGEBRAS
 from vkg.rootdata import (
     UnsupportedAlgebraError,
-    _idot,
     _span_dim,
     build_root_system,
     canonical_name,
@@ -57,7 +56,7 @@ def test_root_counts_and_dual_coxeter(family, rank, nroots, hdual):
     assert rs.form(rs.theta, rs.theta) == 2
     assert rs.form(rs.rho, rs.theta) == rs.dual_coxeter - 1
     assert rs.dual_coxeter == hdual
-    assert classify_subsystem(rs.roots, rs.form) == canonical_type(family, rank)
+    assert classify_subsystem(rs.roots) == canonical_type(family, rank)
 
 
 def test_e7_root_breakdown():
@@ -273,8 +272,8 @@ def test_classify_tells_apart_equal_root_counts(first, second, nroots):
     for g in (first, second):
         rs = build_root_system(*g)
         assert len(rs.roots) == nroots
-        assert classify_subsystem(rs.roots, rs.form) == g
-        assert classify_subsystem(rs.lattice, _idot) == g
+        assert classify_subsystem(rs.roots) == g
+        assert classify_subsystem(rs.lattice) == g
 
 
 def test_form_dimension_mismatch():
@@ -397,9 +396,9 @@ def test_classify_exceptional_isomorphisms():
     assert canonical_type("D", 3) == ("A", 3)
     assert canonical_name("B", 2) == "so(5)"
     rs = build_root_system("B", 2)
-    assert classify_subsystem(rs.roots, rs.form) == ("B", 2)
+    assert classify_subsystem(rs.roots) == ("B", 2)
     rs = build_root_system("D", 3)
-    assert classify_subsystem(rs.roots, rs.form) == ("A", 3)
+    assert classify_subsystem(rs.roots) == ("A", 3)
 
 
 def test_restricted_dual_coxeter_values():

@@ -27,6 +27,16 @@ def test_no_assert_statements():
     assert not found, found
 
 
+def test_no_assert_statements_in_test_helpers():
+    """pytest rewrites the asserts of test modules only, so a bare
+    ``assert`` in ``tests/helpers.py`` compiles away under ``python -O``."""
+    path = Path(__file__).parent / "helpers.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    found = [f"helpers.py:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Assert)]
+    assert not found, found
+
+
 def test_no_float_literals():
     """Arithmetic in the package is exact: no float constants or float()."""
     found = [
